@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChoiceStatsError, ReplicateFailureWarning
+from .errors import ReplicateFailureWarning
 from .estimation import EstimationOptions, estimate_design
 from .inference import ConfidenceInterval
-from .model import Dataset, Observation, build_design
+from .model import Dataset, Observation
 from .util import parallel_map, seed_from
 
 #: Below this many draws, empirical quantiles are too coarse to report.
@@ -78,23 +78,13 @@ def resample_persons(dataset, seed):
     return Dataset(list(dataset.alternatives), observations)
 
 
-def _run_replicates(job):
-    design, options, base_seed, first, count = job
-    out = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for s in range(first, first + count):
-            indices = _resample_indices(design.n_persons, seed_from(base_seed, s))
-            try:
-                result = estimate_design(design.take_persons(indices), options)
-                out.append((result.params_hat, result.status, result.converged))
-            except (ChoiceStatsError, ValueError):
-                out.append((np.full(design.k, np.nan), "failed", False))
-    return out
+def _bootstrap_replicate(design, options, base_seed, s):
+    indices = _resample_indices(design.n_persons, seed_from(base_seed, s))
+    return estimate_design(design.take_persons(indices), options)
 
 
-def bootstrap_run(dataset, spec, options=None, s_samples=400, base_seed=0, jobs=1):
-    """Estimate on s_samples person-level resamples.
+def bootstrap_run(design, options=None, s_samples=400, base_seed=0, jobs=1):
+    """Estimate on s_samples person-level resamples of a compiled design.
 
     Replicate s resamples with a seed derived from (base_seed, s) and
     estimates from the declared start values. Failed replicates are kept as
@@ -104,23 +94,11 @@ def bootstrap_run(dataset, spec, options=None, s_samples=400, base_seed=0, jobs=
     if s_samples < 2:
         raise ValueError(f"s_samples must be >= 2, got {s_samples}")
     options = options or EstimationOptions()
-    design = build_design(dataset, spec)
+    results = parallel_map(_bootstrap_replicate, (design, options, base_seed), s_samples, jobs)
 
-    jobs = max(1, int(jobs))
-    n_chunks = min(jobs, s_samples) if jobs > 1 else 1
-    bounds = np.linspace(0, s_samples, n_chunks + 1).astype(int)
-    chunks = [
-        (design, options, base_seed, int(a), int(b - a))
-        for a, b in zip(bounds[:-1], bounds[1:])
-        if b > a
-    ]
-    results = []
-    for chunk_out in parallel_map(_run_replicates, chunks, jobs=jobs):
-        results.extend(chunk_out)
-
-    draws = np.vstack([r[0] for r in results])
-    statuses = tuple(r[1] for r in results)
-    converged = np.array([r[2] for r in results], dtype=bool)
+    draws = np.vstack([np.full(design.k, np.nan) if r is None else r.params_hat for r in results])
+    statuses = tuple("failed" if r is None else r.status for r in results)
+    converged = np.array([r is not None and r.converged for r in results], dtype=bool)
     n_failed = int(s_samples - converged.sum())
     if n_failed > 0.1 * s_samples:
         tally = {}

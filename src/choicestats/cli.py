@@ -51,7 +51,7 @@ from .estimation import (
     STATUS_CONVERGED,
     STATUS_SINGULAR_HESSIAN,
     EstimationOptions,
-    estimate,
+    estimate_design,
     multi_start,
 )
 from .inference import asymptotic_ci, t_test, wald_test
@@ -117,6 +117,8 @@ def _build_parser():
     p_mc = sub.add_parser("montecarlo", help="size/power or coverage experiment from a config")
     p_mc.add_argument("--config", required=True, help="experiment configuration JSON")
     common(p_mc, data=False)
+    # No default: only a seed given on the command line overrides the config's.
+    p_mc.set_defaults(seed=None)
 
     p_rep = sub.add_parser("report", help="re-render tables from an existing results JSON")
     p_rep.add_argument("--results", required=True, help="results.json from estimate or bootstrap")
@@ -187,16 +189,29 @@ def _ci_doc(ci):
 
 def _fit_data(args):
     spec = load_model_spec(args.spec)
-    dataset = load_dataset(args.data)
+    design = build_design(load_dataset(args.data), spec)
     options = EstimationOptions(n_starts=max(1, args.starts), seed=args.seed)
     if options.n_starts > 1:
-        best, runs = multi_start(dataset, spec, options)
+        best, runs = multi_start(design, options)
     else:
-        best, runs = estimate(dataset, spec, options), None
-    return spec, dataset, options, best, runs
+        best, runs = estimate_design(design, options), None
+    return spec, design, options, best, runs
 
 
-def _estimation_failure_exit(result):
+def _estimation_failure_exit(args, outdir, result):
+    """Write partial results for a failed fit, then report it; exit 2 or 3."""
+    write_json(
+        {
+            "command": args.command,
+            "status": result.status,
+            "estimates": result.params_dict(),
+            "ll_hat": result.ll_hat,
+            "gradient_norm": result.gradient_norm,
+            "iterations": result.iterations,
+        },
+        outdir / "results.json",
+    )
+    _write_manifest(outdir, args, ["results.json"])
     if result.status == STATUS_SINGULAR_HESSIAN:
         report = result.identification
         print("identification failure: the Hessian is singular", file=sys.stderr)
@@ -243,13 +258,13 @@ def _render_and_write(columns, rows, args, outdir, written):
 
 ### estimate
 
-def _estimate_results_doc(args, spec, dataset, best, runs, covs, tests, intervals):
+def _estimate_results_doc(args, spec, design, best, runs, covs, tests, intervals):
     names = best.names
     doc = {
         "command": "estimate",
         "model": model_spec_to_doc(spec),
-        "n_obs": dataset.n_obs,
-        "n_persons": dataset.n_persons,
+        "n_obs": design.n_obs,
+        "n_persons": design.n_persons,
         "estimates": best.params_dict(),
         "ll_hat": best.ll_hat,
         "ll_0": best.ll_0,
@@ -261,8 +276,8 @@ def _estimate_results_doc(args, spec, dataset, best, runs, covs, tests, interval
         "fit": {
             "k": len(names),
             "rho_bar_squared": rho_bar_squared(best.ll_hat, best.ll_0, len(names)),
-            "bic": bic(best.ll_hat, len(names), dataset.n_obs),
-            "bic_n": dataset.n_obs,
+            "bic": bic(best.ll_hat, len(names), design.n_obs),
+            "bic_n": design.n_obs,
         },
         "covariance": {
             "grouping": covs.grouping,
@@ -340,24 +355,10 @@ def _estimate_columns(args, rows):
 
 def cmd_estimate(args):
     outdir = _outdir(args)
-    spec, dataset, options, best, runs = _fit_data(args)
-
+    spec, design, options, best, runs = _fit_data(args)
     if best.status != STATUS_CONVERGED:
-        write_json(
-            {
-                "command": "estimate",
-                "status": best.status,
-                "estimates": best.params_dict(),
-                "ll_hat": best.ll_hat,
-                "gradient_norm": best.gradient_norm,
-                "iterations": best.iterations,
-            },
-            outdir / "results.json",
-        )
-        _write_manifest(outdir, args, ["results.json"])
-        return _estimation_failure_exit(best)
+        return _estimation_failure_exit(args, outdir, best)
 
-    design = build_design(dataset, spec)
     covs = covariance_set(
         best.hessian_at_optimum,
         design.score(best.params_hat, grouping="person"),
@@ -384,7 +385,7 @@ def cmd_estimate(args):
                 )
             ),
         }
-    doc = _estimate_results_doc(args, spec, dataset, best, runs, covs, tests, intervals)
+    doc = _estimate_results_doc(args, spec, design, best, runs, covs, tests, intervals)
     written = []
     write_json(doc, outdir / "results.json")
     written.append("results.json")
@@ -444,13 +445,12 @@ def _bootstrap_columns(args, rows):
 
 def cmd_bootstrap(args):
     outdir = _outdir(args)
-    spec, dataset, options, best, _ = _fit_data(args)
+    spec, design, options, best, _ = _fit_data(args)
     if best.status != STATUS_CONVERGED:
-        return _estimation_failure_exit(best)
+        return _estimation_failure_exit(args, outdir, best)
 
     result = bootstrap_run(
-        dataset,
-        spec,
+        design,
         options,
         s_samples=args.s_samples,
         base_seed=args.seed,
@@ -490,8 +490,8 @@ def cmd_bootstrap(args):
     doc = {
         "command": "bootstrap",
         "model": model_spec_to_doc(spec),
-        "n_obs": dataset.n_obs,
-        "n_persons": dataset.n_persons,
+        "n_obs": design.n_obs,
+        "n_persons": design.n_persons,
         "estimates": best.params_dict(),
         "ll_hat": best.ll_hat,
         "ci_level": args.ci_level,
@@ -523,7 +523,7 @@ def cmd_montecarlo(args):
     doc = read_json(args.config)
     kind = doc.get("experiment", "size_power")
     config = ExperimentConfig.from_dict(doc)
-    if args.seed:
+    if args.seed is not None:
         config.seed = args.seed
     if kind == "size_power":
         report = size_and_power_experiment(config, jobs=args.jobs)
@@ -540,10 +540,10 @@ def cmd_montecarlo(args):
 
     for record in report.rates:
         effect = "" if record["effect"] is None else f" effect={record['effect']:g}"
-        print(
-            f"{record['method']}{effect}: rate {record['rate']:.4f} "
-            f"(se {record['rate_se']:.4f}, n={record['n']})"
+        rate, rate_se = (
+            "n/a" if v is None else f"{v:.4f}" for v in (record["rate"], record["rate_se"])
         )
+        print(f"{record['method']}{effect}: rate {rate} (se {rate_se}, n={record['n']})")
     return EXIT_OK
 
 

@@ -244,9 +244,14 @@ def save_model_spec(spec, path):
 
 
 def write_json(doc, path):
+    """Write ``doc`` as sorted, indented JSON.
+
+    NaN and infinity are not JSON; they raise ValueError before the file is
+    opened, so callers write None for a missing number.
+    """
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def encode_matrix(matrix, rows, cols):

@@ -244,8 +244,9 @@ def estimate(dataset, spec, options=None):
     return estimate_design(build_design(dataset, spec), options)
 
 
-def multi_start(dataset, spec, options=None):
-    """Estimate from several starting points; return (best, all runs).
+def multi_start(design, options=None):
+    """Estimate a compiled design from several starting points; return
+    (best, all runs).
 
     Start 0 uses the declared start values; later starts perturb them with
     seeded normal noise. The best run is the converged one with the highest
@@ -253,7 +254,6 @@ def multi_start(dataset, spec, options=None):
     final log-likelihood raise EstimationDisagreementWarning.
     """
     options = options or EstimationOptions()
-    design = build_design(dataset, spec)
     runs = []
     for i in range(options.n_starts):
         if i == 0:

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     IdentificationRiskWarning,
-    ProbabilityUnderflowWarning,
     SpecMismatchError,
 )
 
@@ -33,7 +32,6 @@ CONST_ATTRIBUTE = "_const"
 #: log so that a single degenerate observation cannot poison the sample
 #: log-likelihood with -inf.
 PROBABILITY_FLOOR = 1e-300
-LOG_FLOOR = math.log(PROBABILITY_FLOOR)
 
 SIDEDNESS_CHOICES = ("less", "greater", "two_sided", "auto")
 
@@ -497,59 +495,6 @@ def build_design(dataset, spec):
         free_names=free,
         start_values=spec.starts(),
     )
-
-
-def choice_probabilities(spec, observation, params):
-    """Choice probabilities for a single observation.
-
-    The observation's positional fields must be aligned with
-    ``spec.alternatives``.
-    """
-    dataset = Dataset(list(spec.alternatives), [observation])
-    design = build_design(dataset, spec)
-    return design.probabilities(np.asarray(params, dtype=float))[0]
-
-
-def log_likelihood(dataset, spec, params):
-    """Sample log-likelihood at ``params`` (free parameters only).
-
-    Chosen-alternative probabilities below 1e-300 are clamped to the log
-    floor and reported through a ProbabilityUnderflowWarning instead of
-    returning -inf.
-    """
-    design = build_design(dataset, spec)
-    ll, floored = design.log_likelihood(np.asarray(params, dtype=float), return_floored=True)
-    if floored:
-        warnings.warn(
-            "chosen-alternative probability underflowed; log floored at "
-            f"{LOG_FLOOR:.1f}",
-            ProbabilityUnderflowWarning,
-            stacklevel=2,
-        )
-    return ll
-
-
-def null_log_likelihood(dataset):
-    """Equal-probability log-likelihood over each observation's available set."""
-    dataset.validate()
-    counts = [sum(obs.availability) for obs in dataset.observations]
-    return float(-np.sum(np.log(counts)))
-
-
-def score_contributions(dataset, spec, params, grouping="person"):
-    """Score contributions, one row per person (default) or per observation.
-
-    Column sums equal the gradient of the sample log-likelihood with respect
-    to the free parameters.
-    """
-    design = build_design(dataset, spec)
-    return design.score(np.asarray(params, dtype=float), grouping=grouping)
-
-
-def hessian_analytic(dataset, spec, params):
-    """Analytic Hessian of the sample log-likelihood at ``params``."""
-    design = build_design(dataset, spec)
-    return design.hessian(np.asarray(params, dtype=float))
 
 
 @dataclass(frozen=True)

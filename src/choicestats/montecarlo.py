@@ -161,73 +161,60 @@ def _declared_direction(spec, target):
 
 ### size and power
 
-def _size_power_chunk(job):
-    config, direction, first, count = job
+def _size_power_cell(config, direction, index):
+    # Cell (rep, effect) sits at index rep * n_effects + e; every effect of a
+    # rep draws from the same seed.
+    rep, e = divmod(index, len(config.effect_sizes))
+    effect = config.effect_sizes[e]
     free = config.spec.free_names()
     target_col = free.index(config.target_parameter)
     options = EstimationOptions()
-    rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for rep in range(first, first + count):
-            rep_seed = seed_from(config.seed, rep)
-            for effect in config.effect_sizes:
-                true = dict(config.true_params)
-                true[config.target_parameter] = effect
-                row = {"rep": rep, "effect": effect, "converged": False}
-                try:
-                    data = simulate_dataset(
-                        config.spec,
-                        true,
-                        config.generator,
-                        config.n_persons,
-                        config.obs_per_person,
-                        rep_seed,
-                    )
-                    design = build_design(data, config.spec)
-                    general = estimate_design(design, options)
-                    if not general.converged:
-                        raise ChoiceStatsError("general model did not converge")
-                    restricted = estimate_design(design.fix_column(target_col, 0.0), options)
-                    if not restricted.converged:
-                        raise ChoiceStatsError("restricted model did not converge")
-                    covs = covariance_set(
-                        general.hessian_at_optimum,
-                        design.score(general.params_hat, grouping="person"),
-                        names=free,
-                    )
-                except (ChoiceStatsError, ValueError):
-                    rows.append(row)
-                    continue
+    true = dict(config.true_params)
+    true[config.target_parameter] = effect
+    data = simulate_dataset(
+        config.spec,
+        true,
+        config.generator,
+        config.n_persons,
+        config.obs_per_person,
+        seed_from(config.seed, rep),
+    )
+    design = build_design(data, config.spec)
+    general = estimate_design(design, options)
+    if not general.converged:
+        raise ChoiceStatsError("general model did not converge")
+    restricted = estimate_design(design.fix_column(target_col, 0.0), options)
+    if not restricted.converged:
+        raise ChoiceStatsError("restricted model did not converge")
+    covs = covariance_set(
+        general.hessian_at_optimum,
+        design.score(general.params_hat, grouping="person"),
+        names=free,
+    )
 
-                estimate = float(general.params_hat[target_col])
-                se_c = float(covs.se_classical[target_col])
-                se_r = float(covs.se_robust[target_col])
-                tilde = np.insert(restricted.params_hat, target_col, 0.0)
-                try:
-                    p_lr = lr_test(general.ll_hat, restricted.ll_hat, 1).p_value
-                    p_lm = lm_test_at(design, tilde, 1).p_value
-                except ChoiceStatsError:
-                    rows.append(row)
-                    continue
-                row.update(
-                    converged=True,
-                    estimate=estimate,
-                    se_classical=se_c,
-                    se_robust=se_r,
-                    t_classical=estimate / se_c,
-                    p_t_classical_one=t_test(estimate, se_c, 0.0, direction).p_value,
-                    p_t_classical_two=t_test(estimate, se_c, 0.0, "two_sided").p_value,
-                    p_t_robust_one=t_test(estimate, se_r, 0.0, direction).p_value,
-                    p_t_robust_two=t_test(estimate, se_r, 0.0, "two_sided").p_value,
-                    p_wald=wald_test(estimate, se_c, 0.0).p_value,
-                    p_lr=p_lr,
-                    p_lm=p_lm,
-                )
-                for method in REJECTION_METHODS:
-                    row[f"reject_{method}"] = bool(row[f"p_{method}"] < config.alpha)
-                rows.append(row)
-    return rows
+    estimate = float(general.params_hat[target_col])
+    se_c = float(covs.se_classical[target_col])
+    se_r = float(covs.se_robust[target_col])
+    tilde = np.insert(restricted.params_hat, target_col, 0.0)
+    row = {
+        "rep": rep,
+        "effect": effect,
+        "converged": True,
+        "estimate": estimate,
+        "se_classical": se_c,
+        "se_robust": se_r,
+        "t_classical": estimate / se_c,
+        "p_t_classical_one": t_test(estimate, se_c, 0.0, direction).p_value,
+        "p_t_classical_two": t_test(estimate, se_c, 0.0, "two_sided").p_value,
+        "p_t_robust_one": t_test(estimate, se_r, 0.0, direction).p_value,
+        "p_t_robust_two": t_test(estimate, se_r, 0.0, "two_sided").p_value,
+        "p_wald": wald_test(estimate, se_c, 0.0).p_value,
+        "p_lr": lr_test(general.ll_hat, restricted.ll_hat, 1).p_value,
+        "p_lm": lm_test_at(design, tilde, 1).p_value,
+    }
+    for method in REJECTION_METHODS:
+        row[f"reject_{method}"] = bool(row[f"p_{method}"] < config.alpha)
+    return row
 
 
 def size_and_power_experiment(config, jobs=1):
@@ -244,13 +231,13 @@ def size_and_power_experiment(config, jobs=1):
         raise ValueError("effect size 0 is required for size measurement")
     direction, notes = _declared_direction(config.spec, config.target_parameter)
 
-    rows = []
-    for chunk in parallel_map(
-        _size_power_chunk,
-        _chunks(config, config.replications, jobs, extra=(direction,)),
-        jobs=jobs,
-    ):
-        rows.extend(chunk)
+    n_effects = len(config.effect_sizes)
+    total = config.replications * n_effects
+    rows = parallel_map(_size_power_cell, (config, direction), total, jobs)
+    for i, row in enumerate(rows):
+        if row is None:
+            effect = config.effect_sizes[i % n_effects]
+            rows[i] = {"rep": i // n_effects, "effect": effect, "converged": False}
 
     rates = []
     failures = 0
@@ -259,19 +246,9 @@ def size_and_power_experiment(config, jobs=1):
         good = [r for r in cells if r["converged"]]
         failures += len(cells) - len(good)
         for method in REJECTION_METHODS:
-            rate = (
-                float(np.mean([r[f"reject_{method}"] for r in good])) if good else float("nan")
-            )
-            rates.append(
-                {
-                    "effect": effect,
-                    "method": method,
-                    "rate": rate,
-                    "rate_se": _rate_se(rate, len(good)),
-                    "n": len(good),
-                }
-            )
-    _warn_failures(failures, config.replications * len(config.effect_sizes))
+            flags = [r[f"reject_{method}"] for r in good]
+            rates.append({"effect": effect, "method": method, **_rate(flags)})
+    _warn_failures(failures, total)
 
     sampling = {}
     for effect in config.effect_sizes:
@@ -299,80 +276,65 @@ def size_and_power_experiment(config, jobs=1):
 
 ### coverage
 
-def _coverage_chunk(job):
-    config, first, count = job
+def _coverage_rep(config, rep):
     free = config.spec.free_names()
     target_col = free.index(config.target_parameter)
     true_value = float(config.true_params[config.target_parameter])
     options = EstimationOptions()
-    rows = []
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for rep in range(first, first + count):
-            row = {"rep": rep, "converged": False}
-            try:
-                data = simulate_dataset(
-                    config.spec,
-                    config.true_params,
-                    config.generator,
-                    config.n_persons,
-                    config.obs_per_person,
-                    seed_from(config.seed, rep),
-                )
-                design = build_design(data, config.spec)
-                result = estimate_design(design, options)
-                if not result.converged:
-                    raise ChoiceStatsError("replication did not converge")
-                covs = covariance_set(
-                    result.hessian_at_optimum,
-                    design.score(result.params_hat, grouping="person"),
-                    names=free,
-                )
-            except (ChoiceStatsError, ValueError):
-                rows.append(row)
-                continue
+    data = simulate_dataset(
+        config.spec,
+        config.true_params,
+        config.generator,
+        config.n_persons,
+        config.obs_per_person,
+        seed_from(config.seed, rep),
+    )
+    design = build_design(data, config.spec)
+    result = estimate_design(design, options)
+    if not result.converged:
+        raise ChoiceStatsError("replication did not converge")
+    covs = covariance_set(
+        result.hessian_at_optimum,
+        design.score(result.params_hat, grouping="person"),
+        names=free,
+    )
 
-            estimate = float(result.params_hat[target_col])
-            row.update(converged=True, estimate=estimate)
-            row["params"] = [float(v) for v in result.params_hat]
-            for method, se in (
-                ("classical", float(covs.se_classical[target_col])),
-                ("robust", float(covs.se_robust[target_col])),
-            ):
-                ci = asymptotic_ci(estimate, se, config.ci_level)
-                row[f"se_{method}"] = se
-                row[f"ci_lower_{method}"] = ci.lower
-                row[f"ci_upper_{method}"] = ci.upper
-                row[f"covered_{method}"] = bool(ci.lower <= true_value <= ci.upper)
-            if config.bootstrap_s >= 2:
-                try:
-                    boot = bootstrap_run(
-                        data,
-                        config.spec,
-                        options,
-                        s_samples=config.bootstrap_s,
-                        base_seed=seed_from(config.seed, rep, 1),
-                    )
-                    ci = quantile_interval(
-                        boot.converged_draws()[:, target_col], config.ci_level, estimate
-                    )
-                    row["ci_lower_bootstrap"] = ci.lower
-                    row["ci_upper_bootstrap"] = ci.upper
-                    row["covered_bootstrap"] = bool(ci.lower <= true_value <= ci.upper)
-                except (ChoiceStatsError, ValueError):
-                    row["covered_bootstrap"] = None
-            rows.append(row)
-    return rows
+    estimate = float(result.params_hat[target_col])
+    row = {"rep": rep, "converged": True, "estimate": estimate}
+    row["params"] = [float(v) for v in result.params_hat]
+    for method, se in (
+        ("classical", float(covs.se_classical[target_col])),
+        ("robust", float(covs.se_robust[target_col])),
+    ):
+        ci = asymptotic_ci(estimate, se, config.ci_level)
+        row[f"se_{method}"] = se
+        row[f"ci_lower_{method}"] = ci.lower
+        row[f"ci_upper_{method}"] = ci.upper
+        row[f"covered_{method}"] = bool(ci.lower <= true_value <= ci.upper)
+    if config.bootstrap_s >= 2:
+        boot = bootstrap_run(
+            design,
+            options,
+            s_samples=config.bootstrap_s,
+            base_seed=seed_from(config.seed, rep, 1),
+        )
+        try:
+            ci = quantile_interval(boot.converged_draws()[:, target_col], config.ci_level, estimate)
+        except ValueError:
+            # Too few converged replicates for an interval; the rep still counts.
+            row["covered_bootstrap"] = None
+        else:
+            row["ci_lower_bootstrap"] = ci.lower
+            row["ci_upper_bootstrap"] = ci.upper
+            row["covered_bootstrap"] = bool(ci.lower <= true_value <= ci.upper)
+    return row
 
 
 def coverage_experiment(config, jobs=1):
     """How often the level-C intervals contain the true target coefficient."""
     config.validate()
-    rows = []
-    for chunk in parallel_map(
-        _coverage_chunk, _chunks(config, config.replications, jobs), jobs=jobs
-    ):
-        rows.extend(chunk)
+    rows = parallel_map(_coverage_rep, (config,), config.replications, jobs)
+    rows = [row or {"rep": rep, "converged": False} for rep, row in enumerate(rows)]
 
     good = [r for r in rows if r["converged"]]
     failures = len(rows) - len(good)
@@ -382,16 +344,7 @@ def coverage_experiment(config, jobs=1):
     rates = []
     for method in methods:
         flags = [r[f"covered_{method}"] for r in good if r.get(f"covered_{method}") is not None]
-        rate = float(np.mean(flags)) if flags else float("nan")
-        rates.append(
-            {
-                "effect": None,
-                "method": method,
-                "rate": rate,
-                "rate_se": _rate_se(rate, len(flags)),
-                "n": len(flags),
-            }
-        )
+        rates.append({"effect": None, "method": method, **_rate(flags)})
 
     sampling = {}
     if len(good) >= 50:
@@ -444,18 +397,12 @@ def sampling_distribution_summary(draws):
     return mean, sd, gap
 
 
-def _rate_se(rate, n):
-    if n <= 0 or not np.isfinite(rate):
-        return float("nan")
-    return math.sqrt(rate * (1.0 - rate) / n)
-
-
-def _chunks(config, total, jobs, extra=()):
-    # Chunk boundaries depend only on (total, jobs); per-rep seeds depend only
-    # on rep index, so any chunking yields identical assembled rows.
-    n_chunks = min(max(1, int(jobs)), total)
-    bounds = np.linspace(0, total, n_chunks + 1).astype(int)
-    return [(config, *extra, int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+def _rate(flags):
+    # A rate with no cells behind it is None (JSON null), not NaN.
+    if not flags:
+        return {"rate": None, "rate_se": None, "n": 0}
+    rate = float(np.mean(flags))
+    return {"rate": rate, "rate_se": math.sqrt(rate * (1.0 - rate) / len(flags)), "n": len(flags)}
 
 
 def _warn_failures(failures, total):

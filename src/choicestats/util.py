@@ -1,10 +1,13 @@
-"""Small shared utilities: deterministic seeding and optional process pools."""
+"""Small shared utilities: deterministic seeding and the replicate runner."""
 
 from __future__ import annotations
 
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
+
+from .errors import ChoiceStatsError
 
 
 def seed_from(*parts):
@@ -18,14 +21,34 @@ def seed_from(*parts):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def parallel_map(fn, items, jobs=1):
-    """Map fn over items, preserving order; jobs > 1 uses worker processes.
+def _run_chunk(fn, args, first, count):
+    out = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for i in range(first, first + count):
+            try:
+                out.append(fn(*args, i))
+            except (ChoiceStatsError, ValueError):
+                out.append(None)
+    return out
 
-    Every item must carry its own seeds, so the result is identical for any
-    job count.
+
+def parallel_map(fn, args, total, jobs=1):
+    """``[fn(*args, i) for i in range(total)]``, run as replicates.
+
+    A replicate that raises ChoiceStatsError or ValueError yields None in its
+    slot; warnings raised inside replicates are silenced. The indices are
+    split into at most ``jobs`` contiguous chunks, run in worker processes
+    when there is more than one, so ``fn`` must be a module-level function.
+    Each replicate must derive its seeds from its index alone; the result is
+    then identical for any job count.
     """
-    items = list(items)
-    if jobs is None or jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+    n_chunks = min(max(1, int(jobs or 1)), total)
+    if n_chunks <= 1:
+        return _run_chunk(fn, args, 0, total)
+    bounds = np.linspace(0, total, n_chunks + 1).astype(int)
+    firsts = [int(a) for a in bounds[:-1]]
+    counts = [int(b - a) for a, b in zip(bounds[:-1], bounds[1:])]
+    with ProcessPoolExecutor(max_workers=n_chunks) as pool:
+        chunks = pool.map(_run_chunk, [fn] * n_chunks, [args] * n_chunks, firsts, counts)
+        return [out for chunk in chunks for out in chunk]

@@ -342,8 +342,7 @@ def test_criterion_08_covariance_agreement():
     result = estimate_design(design)
     assert result.converged
     se_robust = classical_covariances(design, result).se_robust
-    boot = bootstrap_run(panel, three_mode_spec(), s_samples=400,
-                         base_seed=217, jobs=4)
+    boot = bootstrap_run(design, s_samples=400, base_seed=217, jobs=4)
     assert boot.n_failed == 0
     se_boot = np.sqrt(np.diag(bootstrap_covariance(boot)))
     assert np.all(np.abs(se_robust - se_boot) / se_boot < 0.25)

@@ -26,9 +26,8 @@ from testtools import three_mode_data, three_mode_spec
 
 def small_run(s_samples=40, base_seed=5, jobs=1):
     dataset = three_mode_data(n_persons=80, obs_per_person=1, seed=11)
-    return bootstrap_run(
-        dataset, three_mode_spec(), s_samples=s_samples, base_seed=base_seed, jobs=jobs
-    )
+    design = build_design(dataset, three_mode_spec())
+    return bootstrap_run(design, s_samples=s_samples, base_seed=base_seed, jobs=jobs)
 
 
 class TestResamplePersons:
@@ -95,8 +94,9 @@ class TestBootstrapRun:
 
     def test_too_few_replicates_rejected(self):
         dataset = three_mode_data(n_persons=20, obs_per_person=1, seed=2)
+        design = build_design(dataset, three_mode_spec())
         with pytest.raises(ValueError):
-            bootstrap_run(dataset, three_mode_spec(), s_samples=1)
+            bootstrap_run(design, s_samples=1)
 
     def test_replicate_failures_flagged_and_warned(self, monkeypatch):
         real = bootstrap_module.estimate_design
@@ -110,8 +110,9 @@ class TestBootstrapRun:
 
         monkeypatch.setattr(bootstrap_module, "estimate_design", flaky)
         dataset = three_mode_data(n_persons=40, obs_per_person=1, seed=13)
+        design = build_design(dataset, three_mode_spec())
         with pytest.warns(ReplicateFailureWarning, match="replicates failed"):
-            result = bootstrap_run(dataset, three_mode_spec(), s_samples=15, base_seed=1)
+            result = bootstrap_run(design, s_samples=15, base_seed=1)
 
         assert result.n_failed == 5
         assert result.s_converged == 10

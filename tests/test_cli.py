@@ -13,9 +13,13 @@ from choicestats import (
     EstimationResult,
     ExperimentConfig,
     Observation,
+    ReplicateFailureWarning,
     save_dataset,
     save_model_spec,
 )
+import choicestats.cli as cli_module
+import choicestats.montecarlo as montecarlo_module
+from choicestats import model
 from choicestats.cli import main
 from choicestats.dataio import read_json, write_json
 
@@ -82,6 +86,20 @@ def cli_files(tmp_path_factory):
 
     write_json({"replications": 50}, root / "mc_missing.json")
     return root
+
+
+def stuck_fit(design, options):
+    """Stand-in for estimate_design: a fit that ran out of iterations."""
+    return EstimationResult(
+        params_hat=np.zeros(design.k),
+        names=list(design.free_names),
+        ll_hat=-500.0,
+        ll_0=-600.0,
+        gradient_norm=0.4,
+        hessian_at_optimum=-np.eye(design.k),
+        iterations=100,
+        status="max_iterations",
+    )
 
 
 def run_estimate(cli_files, outdir, *extra):
@@ -209,26 +227,29 @@ class TestExitCodes:
         assert partial["status"] == "singular_hessian"
 
     def test_nonconvergence_exits_3(self, cli_files, tmp_path, capsys, monkeypatch):
-        import choicestats.cli as cli_module
-
-        def stuck(dataset, spec, options):
-            k = len(spec.free_names())
-            return EstimationResult(
-                params_hat=np.zeros(k),
-                names=spec.free_names(),
-                ll_hat=-500.0,
-                ll_0=-600.0,
-                gradient_norm=0.4,
-                hessian_at_optimum=-np.eye(k),
-                iterations=100,
-                status="max_iterations",
-            )
-
-        monkeypatch.setattr(cli_module, "estimate", stuck)
+        monkeypatch.setattr(cli_module, "estimate_design", stuck_fit)
         assert run_estimate(cli_files, tmp_path) == 3
         assert "did not converge" in capsys.readouterr().err
         partial = read_json(tmp_path / "results.json")
         assert partial["status"] == "max_iterations"
+
+    def test_bootstrap_nonconvergence_writes_partial_results(
+        self, cli_files, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(cli_module, "estimate_design", stuck_fit)
+        argv = [
+            "bootstrap",
+            "--data", str(cli_files / "data.csv"),
+            "--spec", str(cli_files / "spec.json"),
+            "--S", "10",
+            "--out", str(tmp_path),
+        ]
+        assert main(argv) == 3
+        assert "did not converge" in capsys.readouterr().err
+        partial = read_json(tmp_path / "results.json")
+        assert partial["command"] == "bootstrap"
+        assert partial["status"] == "max_iterations"
+        assert read_json(tmp_path / "manifest.json")["output_paths"] == ["results.json"]
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -339,6 +360,34 @@ class TestMontecarloCommand:
         assert main(argv) == 0
         assert read_json(tmp_path / "report.json")["config"]["seed"] == 99
 
+    def test_seed_zero_overrides_config_seed(self, cli_files, tmp_path):
+        argv = [
+            "montecarlo",
+            "--config", str(cli_files / "mc_size.json"),
+            "--out", str(tmp_path),
+            "--seed", "0",
+        ]
+        assert main(argv) == 0
+        assert read_json(tmp_path / "report.json")["config"]["seed"] == 0
+
+    def test_rates_without_converged_cells_are_null(self, cli_files, tmp_path, capsys, monkeypatch):
+        def fail(design, options=None, **kwargs):
+            raise ValueError("synthetic fit failure")
+
+        monkeypatch.setattr(montecarlo_module, "estimate_design", fail)
+        argv = ["montecarlo", "--config", str(cli_files / "mc_size.json"), "--out", str(tmp_path)]
+        with pytest.warns(ReplicateFailureWarning):
+            assert main(argv) == 0
+        assert "lr effect=0: rate n/a (se n/a, n=0)" in capsys.readouterr().out
+
+        def reject(token):
+            raise AssertionError(f"report.json holds the non-JSON constant {token}")
+
+        text = (tmp_path / "report.json").read_text()
+        report = json.loads(text, parse_constant=reject)["report"]
+        assert report["failures"] == 50
+        assert all(r["rate"] is None and r["rate_se"] is None for r in report["rates"])
+
     def test_coverage_experiment(self, cli_files, tmp_path, capsys):
         argv = [
             "montecarlo",
@@ -367,6 +416,50 @@ class TestMontecarloCommand:
         ]
         assert main(argv) == 1
         assert "missing required keys" in capsys.readouterr().err
+
+
+class TestCompileOnce:
+    """Each command, and each Monte Carlo cell, compiles its dataset once."""
+
+    @pytest.fixture
+    def build_calls(self, monkeypatch):
+        real = model.build_design
+        calls = []
+
+        def counting(dataset, spec):
+            calls.append(dataset)
+            return real(dataset, spec)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("choicestats") and getattr(module, "build_design", None) is real:
+                monkeypatch.setattr(module, "build_design", counting)
+        return calls
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["estimate"], ["estimate", "--starts", "3"], ["bootstrap", "--S", "10"]],
+        ids=["estimate", "estimate_starts", "bootstrap"],
+    )
+    def test_command_builds_design_once(self, cli_files, tmp_path, capsys, build_calls, argv):
+        data = ["--data", str(cli_files / "data.csv"), "--spec", str(cli_files / "spec.json")]
+        assert main([*argv, *data, "--out", str(tmp_path)]) == 0
+        assert len(build_calls) == 1
+
+    def test_coverage_rep_with_bootstrap_builds_design_once(self, build_calls):
+        config = ExperimentConfig(
+            spec=three_mode_spec(),
+            generator=three_mode_generator(),
+            true_params=dict(THREE_MODE_TRUE),
+            n_persons=40,
+            obs_per_person=1,
+            replications=50,
+            alpha=0.05,
+            target_parameter="b_cost",
+            bootstrap_s=3,
+        )
+        row = montecarlo_module._coverage_rep(config, 0)
+        assert "covered_bootstrap" in row
+        assert len(build_calls) == 1
 
 
 class TestSubprocessEntry:

@@ -194,7 +194,7 @@ class TestMultiStart:
     def test_runs_are_seeded_and_best_is_max(self):
         data = three_mode_data(n_persons=150, seed=27)
         options = EstimationOptions(n_starts=4, seed=123)
-        best, runs = multi_start(data, three_mode_spec(), options)
+        best, runs = multi_start(build_design(data, three_mode_spec()), options)
         assert len(runs) == 4
         assert [r.start_index for r in runs] == [0, 1, 2, 3]
         assert best.ll_hat == max(r.ll_hat for r in runs if r.converged)
@@ -206,8 +206,9 @@ class TestMultiStart:
     def test_multi_start_is_reproducible(self):
         data = three_mode_data(n_persons=80, seed=28)
         options = EstimationOptions(n_starts=3, seed=77)
-        best_a, runs_a = multi_start(data, three_mode_spec(), options)
-        best_b, runs_b = multi_start(data, three_mode_spec(), options)
+        design = build_design(data, three_mode_spec())
+        best_a, runs_a = multi_start(design, options)
+        best_b, runs_b = multi_start(design, options)
         np.testing.assert_array_equal(best_a.params_hat, best_b.params_hat)
         for ra, rb in zip(runs_a, runs_b):
             np.testing.assert_array_equal(ra.params_hat, rb.params_hat)
@@ -216,7 +217,7 @@ class TestMultiStart:
         data = three_mode_data(n_persons=100, seed=29)
         options = EstimationOptions(n_starts=2, max_iterations=1, gradient_tolerance=1e-13)
         with pytest.raises(ConvergenceError) as excinfo:
-            multi_start(data, three_mode_spec(), options)
+            multi_start(build_design(data, three_mode_spec()), options)
         assert excinfo.value.statuses == ("max_iterations", "max_iterations")
 
     def test_disagreeing_optima_warn(self, monkeypatch):
@@ -234,4 +235,4 @@ class TestMultiStart:
 
         monkeypatch.setattr(est, "estimate_design", fake)
         with pytest.warns(EstimationDisagreementWarning):
-            est.multi_start(data, three_mode_spec(), EstimationOptions(n_starts=2))
+            est.multi_start(build_design(data, three_mode_spec()), EstimationOptions(n_starts=2))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choicestats import (
     Dataset,
@@ -9,11 +11,9 @@ from choicestats import (
     ModelSpec,
     Observation,
     ParameterDef,
-    ProbabilityUnderflowWarning,
     SpecMismatchError,
     UtilityTerm,
     build_design,
-    choice_probabilities,
     simulate_dataset,
 )
 from testtools import (
@@ -92,16 +92,6 @@ class TestProbabilities:
         assert np.isfinite(p).all()
         assert p[0, 0] == 1.0 and p[0, 1] == 0.0
 
-    def test_choice_probabilities_wrapper_matches_design(self):
-        data = small_dataset()
-        spec = three_mode_spec()
-        params = np.array([0.4, -0.2, -0.08, -0.3])
-        design = build_design(data, spec)
-        direct = design.probabilities(params)
-        np.testing.assert_array_equal(
-            choice_probabilities(spec, data.observations[0], params), direct[0]
-        )
-
     def test_binary_closed_form_probability(self):
         # Two alternatives: p(bus) = 1 / (1 + exp(-(asc + b*(tt_bus - tt_car)))).
         data = Dataset(
@@ -142,12 +132,9 @@ class TestLogLikelihood:
             ],
         )
         design = build_design(data, binary_spec())
-        from choicestats import log_likelihood
-
-        with pytest.warns(ProbabilityUnderflowWarning):
-            ll = log_likelihood(data, binary_spec(), [0.0, -1.0])
+        ll, floored = design.log_likelihood(np.array([0.0, -1.0]), return_floored=True)
+        assert floored
         assert ll == pytest.approx(np.log(1e-300))
-        assert np.isfinite(design.log_likelihood(np.array([0.0, -1.0])))
 
 
 class TestDerivatives:
@@ -200,7 +187,42 @@ class TestDerivatives:
         np.testing.assert_allclose(by_obs[first].sum(axis=0), by_person[0], rtol=1e-12)
 
 
+# Small seeded panels and parameter points for the design-path properties.
+_panel_cases = given(
+    n_persons=st.integers(1, 12),
+    obs_per_person=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+    params=st.lists(st.floats(-0.5, 0.5), min_size=4, max_size=4),
+)
+
+
+def _ll_grad_hess(design, params):
+    return design.log_likelihood(params), design.gradient(params), design.hessian(params)
+
+
 class TestDesignSurgery:
+    @settings(max_examples=25, deadline=None)
+    @_panel_cases
+    def test_taking_every_person_once_reproduces_the_design(
+        self, n_persons, obs_per_person, seed, params
+    ):
+        design = build_design(three_mode_data(n_persons, obs_per_person, seed), three_mode_spec())
+        params = np.array(params)
+        taken = design.take_persons(range(n_persons))
+        for got, want in zip(_ll_grad_hess(taken, params), _ll_grad_hess(design, params)):
+            np.testing.assert_array_equal(got, want)
+
+    @settings(max_examples=25, deadline=None)
+    @_panel_cases
+    def test_taking_every_person_twice_doubles_the_design(
+        self, n_persons, obs_per_person, seed, params
+    ):
+        design = build_design(three_mode_data(n_persons, obs_per_person, seed), three_mode_spec())
+        params = np.array(params)
+        doubled = design.take_persons(list(range(n_persons)) * 2)
+        for got, want in zip(_ll_grad_hess(doubled, params), _ll_grad_hess(design, params)):
+            np.testing.assert_allclose(got, 2.0 * np.asarray(want), rtol=1e-12, atol=1e-12)
+
     def test_take_persons_matches_materialised_resample(self):
         from choicestats import resample_persons
 

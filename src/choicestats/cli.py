@@ -192,7 +192,11 @@ def _fit_data(args):
     design = build_design(load_dataset(args.data), spec)
     options = EstimationOptions(n_starts=max(1, args.starts), seed=args.seed)
     if options.n_starts > 1:
-        best, runs = multi_start(design, options)
+        try:
+            best, runs = multi_start(design, options)
+        except ConvergenceError as exc:
+            # No start converged; the best partial fit (ll_hat is always finite) is reported.
+            best, runs = max(exc.runs, key=lambda r: r.ll_hat), list(exc.runs)
     else:
         best, runs = estimate_design(design, options), None
     return spec, design, options, best, runs
@@ -551,6 +555,8 @@ def cmd_report(args):
     outdir = _outdir(args)
     doc = read_json(args.results)
     command = doc.get("command")
+    if doc.get("status", STATUS_CONVERGED) != STATUS_CONVERGED:
+        raise DataError(f"partial {command} results (status {doc['status']}) hold no table", args.results)
     if command == "estimate":
         rows = _estimate_table_rows(doc)
         columns = _estimate_columns(args, rows)

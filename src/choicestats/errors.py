@@ -41,11 +41,12 @@ class IdentificationError(ChoiceStatsError):
 
 
 class ConvergenceError(ChoiceStatsError):
-    """No estimation run reached convergence."""
+    """No estimation run reached convergence; ``runs`` holds the failed fits."""
 
-    def __init__(self, message, statuses=()):
+    def __init__(self, message, statuses=(), runs=()):
         super().__init__(message)
         self.statuses = tuple(statuses)
+        self.runs = tuple(runs)
 
 
 class NestingError(ChoiceStatsError):

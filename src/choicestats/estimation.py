@@ -124,83 +124,70 @@ def check_identification(hessian, threshold=1e-10, names=None):
     )
 
 
-def _ascent_direction(design, params, gradient):
+def _ascent_direction(design, params, gradient, hessian):
     # Newton when -H is positive definite, else the BHHH direction built
     # from person-grouped score outer products.
-    hessian = design.hessian(params)
     try:
-        return solve_positive_definite(-hessian, gradient, name="negative hessian"), hessian
+        return solve_positive_definite(-hessian, gradient, name="negative hessian")
     except IdentificationError:
         scores = design.score(params, grouping="person")
-        bhhh = scores.T @ scores
-        return solve_positive_definite(bhhh, gradient, name="bhhh matrix"), hessian
+        return solve_positive_definite(scores.T @ scores, gradient, name="bhhh matrix")
 
 
 def estimate_design(design, options=None, start=None, start_index=0):
-    """Run the optimiser against an already compiled design."""
+    """Run the optimiser against an already compiled design.
+
+    One ``design.evaluate`` at the start and after each accepted step feeds
+    the next step and, at the end, the result; the line search needs only
+    the log-likelihood.
+    """
     options = options or EstimationOptions()
     params = design.start_values.copy() if start is None else np.asarray(start, dtype=float).copy()
     if params.shape != (design.k,):
         raise ValueError(f"start vector must have length {design.k}, got shape {params.shape}")
-    ll = design.log_likelihood(params)
+    ll, gradient, hessian, floored = design.evaluate(params)
     if not np.isfinite(ll):
         raise ValueError("log-likelihood is not finite at the start point")
 
     status = STATUS_MAX_ITERATIONS
     iterations = 0
-    for _ in range(options.max_iterations):
-        gradient = design.gradient(params)
+    while True:
         if np.linalg.norm(gradient, np.inf) <= options.gradient_tolerance:
             status = STATUS_CONVERGED
             break
+        if iterations == options.max_iterations:
+            break
         try:
-            direction, _ = _ascent_direction(design, params, gradient)
+            direction = _ascent_direction(design, params, gradient, hessian)
         except IdentificationError:
             status = STATUS_SINGULAR_HESSIAN
             break
-        step = 1.0
-        accepted = False
-        full_candidate = None
-        full_ll = -np.inf
         for halving in range(options.step_halving_max):
-            candidate = params + step * direction
+            candidate = params + 0.5**halving * direction
             ll_candidate = design.log_likelihood(candidate)
             if halving == 0:
                 full_candidate, full_ll = candidate, ll_candidate
             if np.isfinite(ll_candidate) and ll_candidate > ll:
                 params = candidate
-                ll = ll_candidate
-                accepted = True
                 break
-            step *= 0.5
-        if not accepted:
+        else:
             # Near the optimum the concave likelihood flattens below float
             # resolution before the gradient test fires. Accept a full step
             # that moves the point without materially losing likelihood so
             # the quadratic phase can finish; the gradient check still
             # decides convergence.
             plateau_slack = 1e-13 * max(1.0, abs(ll))
-            if (
-                full_candidate is not None
-                and np.isfinite(full_ll)
+            if not (
+                np.isfinite(full_ll)
                 and full_ll >= ll - plateau_slack
                 and np.any(full_candidate != params)
             ):
-                params = full_candidate
-                ll = full_ll
-                accepted = True
-        if not accepted:
-            status = STATUS_LINE_SEARCH_FAILURE
-            break
+                status = STATUS_LINE_SEARCH_FAILURE
+                break
+            params = full_candidate
         iterations += 1
-    else:
-        gradient = design.gradient(params)
-        if np.linalg.norm(gradient, np.inf) <= options.gradient_tolerance:
-            status = STATUS_CONVERGED
+        ll, gradient, hessian, floored = design.evaluate(params)
 
-    gradient = design.gradient(params)
-    hessian = design.hessian(params)
-    ll, floored = design.log_likelihood(params, return_floored=True)
     if floored:
         warnings.warn(
             "chosen-alternative probability underflowed at the final point",
@@ -268,7 +255,7 @@ def multi_start(design, options=None):
     converged = [r for r in runs if r.converged]
     if not converged:
         raise ConvergenceError(
-            "no start converged", statuses=tuple(r.status for r in runs)
+            "no start converged", statuses=tuple(r.status for r in runs), runs=runs
         )
     lls = [r.ll_hat for r in converged]
     if max(lls) - min(lls) > DISAGREEMENT_TOLERANCE:

@@ -323,9 +323,9 @@ def lm_test_at(design, params, d):
     invertible the BHHH outer product of person-grouped scores substitutes.
     """
     params = np.asarray(params, dtype=float)
-    gradient = design.gradient(params)
+    _, gradient, hessian, _ = design.evaluate(params)
     try:
-        return lm_test(gradient, -design.hessian(params), d)
+        return lm_test(gradient, -hessian, d)
     except IdentificationError:
         rows = design.score(params, grouping="person")
         return lm_test(gradient, rows.T @ rows, d)

@@ -319,26 +319,37 @@ class DesignArrays:
         p /= p.sum(axis=1, keepdims=True)
         return p
 
-    def log_likelihood(self, params, return_floored=False):
-        p_chosen = self.probabilities(params)[self._rows, self.chosen]
+    def _chosen_log_likelihood(self, p):
+        p_chosen = p[self._rows, self.chosen]
         floored = bool(np.any(p_chosen < PROBABILITY_FLOOR))
-        ll = float(np.sum(np.log(np.maximum(p_chosen, PROBABILITY_FLOOR))))
-        if return_floored:
-            return ll, floored
-        return ll
+        return float(np.sum(np.log(np.maximum(p_chosen, PROBABILITY_FLOOR)))), floored
+
+    def log_likelihood(self, params):
+        return self._chosen_log_likelihood(self.probabilities(params))[0]
 
     def null_log_likelihood(self):
         """Log-likelihood of equal probabilities over available alternatives."""
         return float(-np.sum(np.log(self.avail.sum(axis=1))))
 
-    def score_rows(self, params):
-        """Per-observation score rows x_chosen - sum_j p_j x_j, shape (n_obs, k)."""
+    def evaluate(self, params):
+        """(ll, gradient, Hessian, floored) from one softmax pass.
+
+        The Hessian is -sum_n sum_j p_nj (x_nj - xbar_n)(x_nj - xbar_n)'; floored
+        says whether a chosen probability was clamped at PROBABILITY_FLOOR.
+        """
         p = self.probabilities(params)
+        ll, floored = self._chosen_log_likelihood(p)
         xbar = np.einsum("nj,njk->nk", p, self.X)
-        return self.X[self._rows, self.chosen] - xbar
+        gradient = (self.X[self._rows, self.chosen] - xbar).sum(axis=0)
+        centered = self.X - xbar[:, None, :]
+        h = -np.einsum("nj,njk,njl->kl", p, centered, centered, optimize=True)
+        # The contraction order is not bitwise symmetric; the matrix is.
+        return ll, gradient, (h + h.T) / 2.0, floored
 
     def score(self, params, grouping="person"):
-        rows = self.score_rows(params)
+        """Score rows x_chosen - sum_j p_j x_j, per observation or summed per person."""
+        p = self.probabilities(params)
+        rows = self.X[self._rows, self.chosen] - np.einsum("nj,njk->nk", p, self.X)
         if grouping == "observation":
             return rows
         if grouping != "person":
@@ -346,18 +357,6 @@ class DesignArrays:
         out = np.zeros((self.n_persons, self.k))
         np.add.at(out, self.person_index, rows)
         return out
-
-    def gradient(self, params):
-        return self.score_rows(params).sum(axis=0)
-
-    def hessian(self, params):
-        """Analytic Hessian -sum_n sum_j p_nj (x_nj - xbar_n)(x_nj - xbar_n)'."""
-        p = self.probabilities(params)
-        xbar = np.einsum("nj,njk->nk", p, self.X)
-        centered = self.X - xbar[:, None, :]
-        h = -np.einsum("nj,njk,njl->kl", p, centered, centered, optimize=True)
-        # The contraction order is not bitwise symmetric; the matrix is.
-        return (h + h.T) / 2.0
 
     def _person_row_lists(self):
         if self._person_rows is None:

@@ -120,7 +120,7 @@ FIVE_PARAM_TRUE = {
 
 def classical_covariances(design, result):
     return covariance_set(
-        design.hessian(result.params_hat),
+        design.evaluate(result.params_hat)[2],
         design.score(result.params_hat, "person"),
         names=result.names,
     )
@@ -258,12 +258,12 @@ def test_criterion_06_derivative_oracle_suite():
         rng = np.random.default_rng(100 + d)
         for point in range(20):
             params = rng.normal(scale=0.3, size=design.k)
-            grad_gap = np.abs(design.gradient(params) - fd_gradient(design, params))
+            grad_gap = np.abs(design.evaluate(params)[1] - fd_gradient(design, params))
             grad_ref = np.maximum(1.0, np.abs(fd_gradient(design, params)))
             assert np.all(grad_gap <= GRADIENT_RTOL * grad_ref), (
                 f"gradient mismatch, dataset {d}, point {point}"
             )
-            hess_gap = np.abs(design.hessian(params) - fd_hessian(design, params))
+            hess_gap = np.abs(design.evaluate(params)[2] - fd_hessian(design, params))
             hess_ref = np.maximum(1.0, np.abs(fd_hessian(design, params)))
             assert np.all(hess_gap <= HESSIAN_RTOL * hess_ref), (
                 f"hessian mismatch, dataset {d}, point {point}"

@@ -1,5 +1,6 @@
 """Command-line workflows: files in, files out, exit codes, determinism."""
 
+import functools
 import json
 import subprocess
 import sys
@@ -9,11 +10,16 @@ import numpy as np
 import pytest
 
 from choicestats import (
+    ConvergenceError,
     Dataset,
+    EstimationOptions,
     EstimationResult,
     ExperimentConfig,
     Observation,
     ReplicateFailureWarning,
+    build_design,
+    load_dataset,
+    multi_start,
     save_dataset,
     save_model_spec,
 )
@@ -251,6 +257,36 @@ class TestExitCodes:
         assert partial["status"] == "max_iterations"
         assert read_json(tmp_path / "manifest.json")["output_paths"] == ["results.json"]
 
+    @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
+    def test_starts_without_convergence_writes_partial_results(
+        self, cli_files, tmp_path, capsys, monkeypatch, command
+    ):
+        # One iteration at an unreachable tolerance: no start converges.
+        options = functools.partial(
+            EstimationOptions, max_iterations=1, gradient_tolerance=1e-13
+        )
+        monkeypatch.setattr(cli_module, "EstimationOptions", options)
+        argv = [
+            command,
+            "--data", str(cli_files / "data.csv"),
+            "--spec", str(cli_files / "spec.json"),
+            "--starts", "3",
+            "--out", str(tmp_path),
+        ]
+        assert main(argv) == 3
+        assert "did not converge" in capsys.readouterr().err
+        partial = read_json(tmp_path / "results.json")
+        assert partial["command"] == command
+        assert partial["status"] == "max_iterations"
+        assert read_json(tmp_path / "manifest.json")["output_paths"] == ["results.json"]
+
+        design = build_design(load_dataset(cli_files / "data.csv"), three_mode_spec())
+        with pytest.raises(ConvergenceError) as excinfo:
+            multi_start(design, options(n_starts=3, seed=0))
+        best = max(excinfo.value.runs, key=lambda r: r.ll_hat)
+        assert partial["ll_hat"] == best.ll_hat
+        assert partial["estimates"] == best.params_dict()
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -286,6 +322,30 @@ class TestReportCommand:
         argv = ["report", "--results", str(first / "results.json"), "--out", str(second)]
         assert main(argv) == 0
         assert (second / "table.txt").read_bytes() == (first / "table.txt").read_bytes()
+
+    @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
+    def test_partial_results_exit_1(self, cli_files, tmp_path, capsys, monkeypatch, command):
+        # estimate fails identification (exit 2); bootstrap runs out of
+        # iterations (exit 3). Either way the partial results hold no table.
+        if command == "estimate":
+            data, spec, code = "collinear.csv", "binary_spec.json", 2
+        else:
+            monkeypatch.setattr(cli_module, "estimate_design", stuck_fit)
+            data, spec, code = "data.csv", "spec.json", 3
+        fit = tmp_path / "fit"
+        argv = [
+            command,
+            "--data", str(cli_files / data),
+            "--spec", str(cli_files / spec),
+            "--out", str(fit),
+        ]
+        assert main(argv) == code
+        capsys.readouterr()
+        argv = ["report", "--results", str(fit / "results.json"), "--out", str(tmp_path / "rerender")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "partial" in err
 
     def test_results_without_command_tag_exits_1(self, tmp_path, capsys):
         write_json({"estimates": {}}, tmp_path / "results.json")

@@ -8,6 +8,7 @@ import pytest
 from choicestats import (
     ConvergenceError,
     Dataset,
+    DesignArrays,
     DivergenceWarning,
     EstimationDisagreementWarning,
     EstimationOptions,
@@ -120,6 +121,30 @@ class TestOptimiserContract:
         with pytest.raises(ValueError):
             estimate_design(design, start=np.array([np.nan, 0.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize(
+        "options, status",
+        [(EstimationOptions(), "converged"), (EstimationOptions(max_iterations=2), "max_iterations")],
+        ids=["converged", "max_iterations"],
+    )
+    def test_one_softmax_pass_per_accepted_step(self, monkeypatch, options, status):
+        # One evaluate at the start and one per accepted step; the line search
+        # adds one log-likelihood pass per trial point, and nothing else runs.
+        calls = {"probabilities": 0, "log_likelihood": 0}
+        for name in calls:
+            real = getattr(DesignArrays, name)
+
+            def counting(self, params, _real=real, _name=name):
+                calls[_name] += 1
+                return _real(self, params)
+
+            monkeypatch.setattr(DesignArrays, name, counting)
+        design = build_design(three_mode_data(n_persons=200, seed=17), three_mode_spec())
+        result = estimate_design(design, options)
+        assert result.status == status
+        assert result.iterations >= 2
+        assert calls["log_likelihood"] >= result.iterations
+        assert calls["probabilities"] == result.iterations + 1 + calls["log_likelihood"]
+
     def test_declared_start_values_are_used(self):
         data = three_mode_data(n_persons=60, seed=22)
         spec = three_mode_spec()
@@ -219,6 +244,15 @@ class TestMultiStart:
         with pytest.raises(ConvergenceError) as excinfo:
             multi_start(build_design(data, three_mode_spec()), options)
         assert excinfo.value.statuses == ("max_iterations", "max_iterations")
+
+    def test_no_converged_start_carries_the_runs(self):
+        data = three_mode_data(n_persons=100, seed=29)
+        options = EstimationOptions(n_starts=2, max_iterations=1, gradient_tolerance=1e-13)
+        with pytest.raises(ConvergenceError) as excinfo:
+            multi_start(build_design(data, three_mode_spec()), options)
+        runs = excinfo.value.runs
+        assert [r.start_index for r in runs] == [0, 1]
+        assert tuple(r.status for r in runs) == excinfo.value.statuses
 
     def test_disagreeing_optima_warn(self, monkeypatch):
         # Force two fake converged runs with log-likelihoods 1e-3 apart.

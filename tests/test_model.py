@@ -16,6 +16,7 @@ from choicestats import (
     build_design,
     simulate_dataset,
 )
+from choicestats.model import PROBABILITY_FLOOR
 from testtools import (
     GRADIENT_RTOL,
     HESSIAN_RTOL,
@@ -132,7 +133,7 @@ class TestLogLikelihood:
             ],
         )
         design = build_design(data, binary_spec())
-        ll, floored = design.log_likelihood(np.array([0.0, -1.0]), return_floored=True)
+        ll, _, _, floored = design.evaluate(np.array([0.0, -1.0]))
         assert floored
         assert ll == pytest.approx(np.log(1e-300))
 
@@ -145,7 +146,7 @@ class TestDerivatives:
         for _ in range(5):
             params = rng.normal(scale=0.3, size=4)
             assert_close_rel(
-                design.gradient(params), fd_gradient(design, params),
+                design.evaluate(params)[1], fd_gradient(design, params),
                 GRADIENT_RTOL, "gradient",
             )
 
@@ -156,14 +157,14 @@ class TestDerivatives:
         for _ in range(5):
             params = rng.normal(scale=0.3, size=4)
             assert_close_rel(
-                design.hessian(params), fd_hessian(design, params),
+                design.evaluate(params)[2], fd_hessian(design, params),
                 HESSIAN_RTOL, "hessian",
             )
 
     def test_hessian_is_negative_semidefinite(self):
         data = three_mode_data(n_persons=80, seed=7)
         design = build_design(data, three_mode_spec())
-        h = design.hessian(np.array([0.3, 0.1, -0.04, -0.1]))
+        h = design.evaluate(np.array([0.3, 0.1, -0.04, -0.1]))[2]
         eigenvalues = np.linalg.eigvalsh(h)
         assert (eigenvalues <= 1e-10).all()
 
@@ -172,7 +173,28 @@ class TestDerivatives:
         design = build_design(data, three_mode_spec())
         params = np.array([0.2, -0.1, -0.05, -0.2])
         rows = design.score(params, grouping="observation")
-        np.testing.assert_allclose(rows.sum(axis=0), design.gradient(params), rtol=1e-12)
+        np.testing.assert_allclose(rows.sum(axis=0), design.evaluate(params)[1], rtol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_persons=st.integers(1, 12),
+        obs_per_person=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        params=st.lists(st.floats(-50.0, 50.0), min_size=4, max_size=4),
+    )
+    def test_evaluate_agrees_with_the_single_quantity_methods(
+        self, n_persons, obs_per_person, seed, params
+    ):
+        # Coefficients up to 50 drive some chosen probabilities below the floor.
+        design = build_design(three_mode_data(n_persons, obs_per_person, seed), three_mode_spec())
+        params = np.array(params)
+        ll, gradient, _, floored = design.evaluate(params)
+        assert ll == design.log_likelihood(params)
+        p_chosen = design.probabilities(params)[np.arange(design.n_obs), design.chosen]
+        assert floored == bool(np.any(p_chosen < PROBABILITY_FLOOR))
+        np.testing.assert_allclose(
+            gradient, design.score(params, "observation").sum(axis=0), rtol=1e-12
+        )
 
     def test_person_grouping_sums_observation_rows(self):
         data = three_mode_data(n_persons=40, obs_per_person=3, seed=9)
@@ -197,7 +219,7 @@ _panel_cases = given(
 
 
 def _ll_grad_hess(design, params):
-    return design.log_likelihood(params), design.gradient(params), design.hessian(params)
+    return design.evaluate(params)[:3]
 
 
 class TestDesignSurgery:
@@ -237,7 +259,7 @@ class TestDesignSurgery:
         params = np.array([0.2, -0.1, -0.05, -0.2])
         assert gathered.log_likelihood(params) == materialised.log_likelihood(params)
         np.testing.assert_array_equal(
-            gathered.gradient(params), materialised.gradient(params)
+            gathered.evaluate(params)[1], materialised.evaluate(params)[1]
         )
 
     def test_fix_column_moves_contribution_to_offset(self):

@@ -115,7 +115,7 @@ def fd_hessian(design, params):
         down = params.copy()
         up[j] += HESSIAN_STEP
         down[j] -= HESSIAN_STEP
-        out[:, j] = (design.gradient(up) - design.gradient(down)) / (2.0 * HESSIAN_STEP)
+        out[:, j] = (design.evaluate(up)[1] - design.evaluate(down)[1]) / (2.0 * HESSIAN_STEP)
     return out
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -162,29 +163,6 @@ def _sidedness_for(param, flag):
         # No declared direction to honour; fall back to the estimate's sign.
         return "auto"
     return param.alternative if param.alternative != "auto" else "auto"
-
-
-def _test_doc(result):
-    return {
-        "method": result.method,
-        "statistic": result.statistic,
-        "df": result.df,
-        "sidedness": result.sidedness,
-        "p_value": result.p_value,
-        "h0_description": result.h0_description,
-        "notes": list(result.notes),
-    }
-
-
-def _ci_doc(ci):
-    return {
-        "lower": ci.lower,
-        "upper": ci.upper,
-        "level": ci.level,
-        "method": ci.method,
-        "asymmetry_index": ci.asymmetry_index,
-        "notes": list(ci.notes),
-    }
 
 
 def _fit_data(args):
@@ -375,15 +353,13 @@ def cmd_estimate(args):
         estimate_i = float(best.params_hat[i])
         sided = _sidedness_for(param, args.sided)
         tests[name] = {
-            "t_classical": _test_doc(
-                t_test(estimate_i, covs.se_classical[i], param.h0_value, sided)
-            ),
-            "t_robust": _test_doc(t_test(estimate_i, covs.se_robust[i], param.h0_value, sided)),
-            "wald": _test_doc(wald_test(estimate_i, covs.se_classical[i], param.h0_value)),
+            "t_classical": asdict(t_test(estimate_i, covs.se_classical[i], param.h0_value, sided)),
+            "t_robust": asdict(t_test(estimate_i, covs.se_robust[i], param.h0_value, sided)),
+            "wald": asdict(wald_test(estimate_i, covs.se_classical[i], param.h0_value)),
         }
         intervals[name] = {
-            "classical": _ci_doc(asymptotic_ci(estimate_i, covs.se_classical[i], args.ci_level)),
-            "robust": _ci_doc(
+            "classical": asdict(asymptotic_ci(estimate_i, covs.se_classical[i], args.ci_level)),
+            "robust": asdict(
                 asymptotic_ci(
                     estimate_i, covs.se_robust[i], args.ci_level, method="asymptotic_robust"
                 )
@@ -478,9 +454,9 @@ def cmd_bootstrap(args):
             estimate_i, se_boot[i], args.ci_level, method="asymptotic_bootstrap_se"
         )
         intervals[name] = {
-            "quantile": _ci_doc(quantile),
-            "hpd": _ci_doc(hpd),
-            "asymptotic_bootstrap_se": _ci_doc(se_ci),
+            "quantile": asdict(quantile),
+            "hpd": asdict(hpd),
+            "asymptotic_bootstrap_se": asdict(se_ci),
         }
         if estimate_i != 0.0:
             ep = empirical_p_value(draws[:, i], estimate_i)

@@ -431,59 +431,62 @@ def build_design(dataset, spec):
     if dataset.alternatives != spec.alternatives:
         dataset = dataset.reordered(spec.alternatives)
 
+    observations = dataset.observations
+    checks = [
+        (j, t.attribute)
+        for j, alt in enumerate(spec.alternatives)
+        for t in spec.utilities.get(alt, [])
+        if t.attribute != CONST_ATTRIBUTE
+    ]
+    shape = (len(observations), len(spec.alternatives))
+    # One column per attribute; NaN where an alternative lacks it.
+    columns = {
+        name: np.array(
+            [attrs.get(name, math.nan) for obs in observations for attrs in obs.attributes],
+            dtype=float,
+        ).reshape(shape)
+        for name in dict.fromkeys(attribute for _, attribute in checks)
+    }
+    avail = np.array([obs.availability for obs in observations], dtype=bool)
+
+    # The first bad value by observation, then alternative, then term.
+    bad = [avail[:, j] & ~np.isfinite(columns[attribute][:, j]) for j, attribute in checks]
+    if np.any(bad):
+        i, c = np.argwhere(np.column_stack(bad))[0]
+        j, attribute = checks[c]
+        obs = observations[i]
+        problem = "is not finite for alternative"
+        if obs.attributes[j].get(attribute) is None:
+            problem = "is missing for available alternative"
+        raise SpecMismatchError(
+            f"observation '{obs.obs_id}': attribute '{attribute}' {problem} "
+            f"'{spec.alternatives[j]}'"
+        )
+
+    person_ids = dataset.persons()
+    person_pos = {pid: i for i, pid in enumerate(person_ids)}
+    chosen = np.array([obs.chosen for obs in observations], dtype=np.int64)
+    person_index = np.array([person_pos[obs.person_id] for obs in observations], dtype=np.int64)
+    return _compile(spec, columns, avail, chosen, person_index, person_ids)
+
+
+def _compile(spec, columns, avail, chosen, person_index, person_ids):
+    """The one rule from utility terms to design columns, term by term in
+    specification order; ``columns`` maps attributes to (n_obs, n_alts) arrays
+    and unavailable alternatives contribute zero."""
     free = spec.free_names()
     column = {name: i for i, name in enumerate(free)}
     fixed_value = {p.name: p.fixed_value for p in spec.parameters if p.fixed}
-    # Per alternative: (column or None, fixed value or None, attribute name).
-    terms_by_alt = []
-    for alt in spec.alternatives:
-        compiled = []
+    X = np.zeros((*avail.shape, len(free)))
+    offset = np.zeros(avail.shape)
+    for j, alt in enumerate(spec.alternatives):
         for term in spec.utilities.get(alt, []):
-            col = column.get(term.param)
-            fval = None if col is not None else fixed_value[term.param]
-            compiled.append((col, fval, term.attribute))
-        terms_by_alt.append(compiled)
-
-    n = dataset.n_obs
-    j_count = len(spec.alternatives)
-    k = len(free)
-    X = np.zeros((n, j_count, k))
-    offset = np.zeros((n, j_count))
-    avail = np.zeros((n, j_count), dtype=bool)
-    chosen = np.empty(n, dtype=np.int64)
-    person_ids = dataset.persons()
-    person_pos = {pid: i for i, pid in enumerate(person_ids)}
-    person_index = np.empty(n, dtype=np.int64)
-
-    for i, obs in enumerate(dataset.observations):
-        avail[i] = obs.availability
-        chosen[i] = obs.chosen
-        person_index[i] = person_pos[obs.person_id]
-        for j, compiled in enumerate(terms_by_alt):
-            if not obs.availability[j]:
-                continue
-            attrs = obs.attributes[j]
-            for col, fval, attribute in compiled:
-                if attribute == CONST_ATTRIBUTE:
-                    x = 1.0
-                else:
-                    x = attrs.get(attribute)
-                    if x is None:
-                        raise SpecMismatchError(
-                            f"observation '{obs.obs_id}': attribute '{attribute}' "
-                            f"is missing for available alternative "
-                            f"'{spec.alternatives[j]}'"
-                        )
-                    if not math.isfinite(x):
-                        raise SpecMismatchError(
-                            f"observation '{obs.obs_id}': attribute '{attribute}' "
-                            f"is not finite for alternative '{spec.alternatives[j]}'"
-                        )
-                if col is None:
-                    offset[i, j] += fval * x
-                else:
-                    X[i, j, col] += x
-
+            x = 1.0 if term.attribute == CONST_ATTRIBUTE else columns[term.attribute][:, j]
+            x = np.where(avail[:, j], x, 0.0)
+            if term.param in column:
+                X[:, j, column[term.param]] += x
+            else:
+                offset[:, j] += fixed_value[term.param] * x
     return DesignArrays(
         X=X,
         offset=offset,
@@ -569,9 +572,42 @@ class GeneratorSpec:
             attributes.append(entry)
         return {"attributes": attributes, "heterogeneity": dict(self.heterogeneity)}
 
+    def check_against(self, spec):
+        """Alternatives each attribute is drawn for; raises SpecMismatchError
+        unless the rules draw every attribute ``spec`` uses, once per alternative."""
+        for name in self.heterogeneity:
+            if name not in spec.free_names():
+                raise SpecMismatchError(
+                    f"heterogeneity declared for unknown free parameter '{name}'"
+                )
+        carried = {}  # attribute -> alternatives it is drawn for
+        for rule in self.attributes:
+            if rule.dist not in ("normal", "uniform", "lognormal", "constant"):
+                raise SpecMismatchError(f"unknown attribute distribution '{rule.dist}'")
+            alts = set(spec.alternatives if rule.alternatives is None else rule.alternatives)
+            for alt in rule.alternatives or ():
+                if alt not in spec.alternatives:
+                    raise SpecMismatchError(
+                        f"attribute '{rule.name}' names unknown alternative '{alt}'"
+                    )
+            # Same attribute, disjoint alternative subsets: the draws merge.
+            if carried.setdefault(rule.name, set()) & alts:
+                raise SpecMismatchError(
+                    f"attribute '{rule.name}' is drawn more than once for the same alternative"
+                )
+            carried[rule.name] |= alts
+        for alt, terms in spec.utilities.items():
+            for term in terms:
+                if term.attribute != CONST_ATTRIBUTE and alt not in carried.get(term.attribute, ()):
+                    raise SpecMismatchError(
+                        f"alternative '{alt}' references attribute '{term.attribute}', "
+                        "which the generator does not draw for it"
+                    )
+        return carried
 
-def simulate_dataset(spec, true_params, generator, n_persons, obs_per_person, seed):
-    """Simulate a dataset from the model at ``true_params``.
+
+def simulate_design(spec, true_params, generator, n_persons, obs_per_person, seed):
+    """Simulate a compiled design from the model at ``true_params``.
 
     Parameters
     ----------
@@ -583,14 +619,46 @@ def simulate_dataset(spec, true_params, generator, n_persons, obs_per_person, se
         heterogeneity.
     n_persons, obs_per_person : int
     seed : int
-        Same seed, same dataset, bit for bit.
+        Same seed, same design, bit for bit.
 
     Returns
     -------
-    Dataset
+    DesignArrays
         All alternatives available; choices drawn from the exact model
-        probabilities at the (person-specific) true coefficients.
+        probabilities at the (person-specific) true coefficients. Equal to
+        ``build_design(simulate_dataset(...), spec)`` with the same arguments.
     """
+    return _simulate(spec, true_params, generator, n_persons, obs_per_person, seed)[0]
+
+
+def simulate_dataset(spec, true_params, generator, n_persons, obs_per_person, seed):
+    """The draws of :func:`simulate_design` as a :class:`Dataset`.
+
+    Each alternative carries every attribute the generator draws for it.
+    """
+    design, values, carried = _simulate(
+        spec, true_params, generator, n_persons, obs_per_person, seed
+    )
+    lists = {name: arr.tolist() for name, arr in values.items()}
+    rows = zip(design.person_index.tolist(), design.chosen.tolist())
+    observations = [
+        Observation(
+            person_id=design.person_ids[person],
+            obs_id=f"{design.person_ids[person]}.{i % obs_per_person + 1}",
+            chosen=chosen,
+            availability=(True,) * design.n_alts,
+            attributes=tuple(
+                {name: lists[name][i][j] for name in lists if alt in carried[name]}
+                for j, alt in enumerate(spec.alternatives)
+            ),
+        )
+        for i, (person, chosen) in enumerate(rows)
+    ]
+    return Dataset(list(spec.alternatives), observations)
+
+
+def _simulate(spec, true_params, generator, n_persons, obs_per_person, seed):
+    # (design, attribute -> (n_obs, n_alts) draws, attribute -> alternatives drawn for)
     spec.validate()
     if n_persons < 1 or obs_per_person < 1:
         raise ValueError("n_persons and obs_per_person must be positive")
@@ -606,9 +674,7 @@ def simulate_dataset(spec, true_params, generator, n_persons, obs_per_person, se
             raise SpecMismatchError(
                 f"true_params must have length {len(free)}, got shape {beta.shape}"
             )
-    for name in generator.heterogeneity:
-        if name not in free:
-            raise SpecMismatchError(f"heterogeneity declared for unknown free parameter '{name}'")
+    carried = generator.check_against(spec)
 
     referenced = {
         t.attribute
@@ -623,18 +689,16 @@ def simulate_dataset(spec, true_params, generator, n_persons, obs_per_person, se
                 "observations but multiplies a free parameter; the model may "
                 "not be identified",
                 IdentificationRiskWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     rng = np.random.default_rng(seed)
     n_obs = n_persons * obs_per_person
     j_count = len(spec.alternatives)
-    alt_pos = {alt: j for j, alt in enumerate(spec.alternatives)}
 
     # Draw attributes rule by rule in declaration order, then heterogeneity,
     # then the choice uniforms, so the stream layout is stable.
     values = {}
-    carried = {}  # attribute -> bool mask over alternatives
     for rule in generator.attributes:
         if rule.dist == "normal":
             arr = rng.normal(rule.mean, rule.sd, size=(n_obs, j_count))
@@ -642,84 +706,25 @@ def simulate_dataset(spec, true_params, generator, n_persons, obs_per_person, se
             arr = rng.uniform(rule.low, rule.high, size=(n_obs, j_count))
         elif rule.dist == "lognormal":
             arr = rng.lognormal(rule.mean, rule.sd, size=(n_obs, j_count))
-        elif rule.dist == "constant":
+        else:
             arr = np.full((n_obs, j_count), rule.value)
-        else:
-            raise SpecMismatchError(f"unknown attribute distribution '{rule.dist}'")
-        mask = np.ones(j_count, dtype=bool)
         if rule.alternatives is not None:
-            mask = np.zeros(j_count, dtype=bool)
-            for alt in rule.alternatives:
-                if alt not in alt_pos:
-                    raise SpecMismatchError(
-                        f"attribute '{rule.name}' names unknown alternative '{alt}'"
-                    )
-                mask[alt_pos[alt]] = True
-            arr = arr * mask
-        if rule.name in values:
-            # Same attribute, disjoint alternative subsets: merge the columns.
-            if np.any(carried[rule.name] & mask):
-                raise SpecMismatchError(
-                    f"attribute '{rule.name}' is drawn more than once for the "
-                    "same alternative"
-                )
-            values[rule.name] = values[rule.name] + arr
-            carried[rule.name] = carried[rule.name] | mask
-        else:
-            values[rule.name] = arr
-            carried[rule.name] = mask
+            arr = arr * np.isin(spec.alternatives, rule.alternatives)
+        values[rule.name] = values[rule.name] + arr if rule.name in values else arr
 
     person_of_obs = np.repeat(np.arange(n_persons), obs_per_person)
     beta_person = np.tile(beta, (n_persons, 1))
     for name, sd in generator.heterogeneity.items():
         beta_person[:, free.index(name)] += rng.normal(0.0, float(sd), size=n_persons)
 
-    # Utilities straight from the terms; free and fixed coefficients alike.
-    fixed_value = {p.name: p.fixed_value for p in spec.parameters if p.fixed}
-    free_pos = {name: i for i, name in enumerate(free)}
-    utb = np.zeros((n_obs, j_count))
-    for alt, terms in spec.utilities.items():
-        j = alt_pos[alt]
-        for term in terms:
-            x = 1.0 if term.attribute == CONST_ATTRIBUTE else _generated(values, term, alt)[:, j]
-            if term.param in fixed_value:
-                utb[:, j] += fixed_value[term.param] * x
-            else:
-                coef = beta_person[person_of_obs, free_pos[term.param]]
-                utb[:, j] += coef * x
-
-    utb -= utb.max(axis=1, keepdims=True)
-    p = np.exp(utb)
+    avail = np.ones((n_obs, j_count), dtype=bool)
+    person_ids = [f"p{person + 1:06d}" for person in range(n_persons)]
+    design = _compile(spec, values, avail, np.zeros(n_obs, np.int64), person_of_obs, person_ids)
+    v = design.offset + np.einsum("njk,nk->nj", design.X, beta_person[person_of_obs])
+    v -= v.max(axis=1, keepdims=True)
+    p = np.exp(v)
     p /= p.sum(axis=1, keepdims=True)
     cum = np.cumsum(p, axis=1)
     u = rng.random(n_obs)
-    chosen = np.minimum((cum < u[:, None]).sum(axis=1), j_count - 1)
-
-    names = list(values)
-    observations = []
-    for i in range(n_obs):
-        pid = f"p{person_of_obs[i] + 1:06d}"
-        attrs = tuple(
-            {name: float(values[name][i, j]) for name in names if carried[name][j]}
-            for j in range(j_count)
-        )
-        observations.append(
-            Observation(
-                person_id=pid,
-                obs_id=f"{pid}.{i % obs_per_person + 1}",
-                chosen=int(chosen[i]),
-                availability=(True,) * j_count,
-                attributes=attrs,
-            )
-        )
-    return Dataset(list(spec.alternatives), observations)
-
-
-def _generated(values, term, alt):
-    arr = values.get(term.attribute)
-    if arr is None:
-        raise SpecMismatchError(
-            f"alternative '{alt}' references attribute '{term.attribute}' "
-            "which the generator does not produce"
-        )
-    return arr
+    design.chosen[:] = np.minimum((cum < u[:, None]).sum(axis=1), j_count - 1)
+    return design, values, carried

@@ -26,7 +26,7 @@ from .covariance import covariance_set
 from .errors import ChoiceStatsError, ReplicateFailureWarning
 from .estimation import EstimationOptions, estimate_design
 from .inference import asymptotic_ci, lm_test_at, lr_test, normal_cdf, t_test, wald_test
-from .model import GeneratorSpec, build_design, simulate_dataset
+from .model import GeneratorSpec, simulate_design
 from .util import parallel_map, seed_from
 
 ### config
@@ -65,6 +65,7 @@ class ExperimentConfig:
         missing = [name for name in free if name not in self.true_params]
         if missing:
             raise ValueError(f"true_params missing free parameters: {missing}")
+        self.generator.check_against(self.spec)
         # alpha 0 is allowed as the degenerate never-reject case.
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
@@ -159,6 +160,27 @@ def _declared_direction(spec, target):
     )
 
 
+def _fit_replicate(config, true_params, rep):
+    """Simulate replication ``rep`` at ``true_params``, fit it, and take its covariances."""
+    design = simulate_design(
+        config.spec,
+        true_params,
+        config.generator,
+        config.n_persons,
+        config.obs_per_person,
+        seed_from(config.seed, rep),
+    )
+    result = estimate_design(design, EstimationOptions())
+    if not result.converged:
+        raise ChoiceStatsError("replication did not converge")
+    covs = covariance_set(
+        result.hessian_at_optimum,
+        design.score(result.params_hat, grouping="person"),
+        names=design.free_names,
+    )
+    return design, result, covs
+
+
 ### size and power
 
 def _size_power_cell(config, direction, index):
@@ -166,31 +188,13 @@ def _size_power_cell(config, direction, index):
     # rep draws from the same seed.
     rep, e = divmod(index, len(config.effect_sizes))
     effect = config.effect_sizes[e]
-    free = config.spec.free_names()
-    target_col = free.index(config.target_parameter)
-    options = EstimationOptions()
-    true = dict(config.true_params)
-    true[config.target_parameter] = effect
-    data = simulate_dataset(
-        config.spec,
-        true,
-        config.generator,
-        config.n_persons,
-        config.obs_per_person,
-        seed_from(config.seed, rep),
+    target_col = config.spec.free_names().index(config.target_parameter)
+    design, general, covs = _fit_replicate(
+        config, {**config.true_params, config.target_parameter: effect}, rep
     )
-    design = build_design(data, config.spec)
-    general = estimate_design(design, options)
-    if not general.converged:
-        raise ChoiceStatsError("general model did not converge")
-    restricted = estimate_design(design.fix_column(target_col, 0.0), options)
+    restricted = estimate_design(design.fix_column(target_col, 0.0), EstimationOptions())
     if not restricted.converged:
         raise ChoiceStatsError("restricted model did not converge")
-    covs = covariance_set(
-        general.hessian_at_optimum,
-        design.score(general.params_hat, grouping="person"),
-        names=free,
-    )
 
     estimate = float(general.params_hat[target_col])
     se_c = float(covs.se_classical[target_col])
@@ -277,28 +281,9 @@ def size_and_power_experiment(config, jobs=1):
 ### coverage
 
 def _coverage_rep(config, rep):
-    free = config.spec.free_names()
-    target_col = free.index(config.target_parameter)
+    target_col = config.spec.free_names().index(config.target_parameter)
     true_value = float(config.true_params[config.target_parameter])
-    options = EstimationOptions()
-    data = simulate_dataset(
-        config.spec,
-        config.true_params,
-        config.generator,
-        config.n_persons,
-        config.obs_per_person,
-        seed_from(config.seed, rep),
-    )
-    design = build_design(data, config.spec)
-    result = estimate_design(design, options)
-    if not result.converged:
-        raise ChoiceStatsError("replication did not converge")
-    covs = covariance_set(
-        result.hessian_at_optimum,
-        design.score(result.params_hat, grouping="person"),
-        names=free,
-    )
-
+    design, result, covs = _fit_replicate(config, config.true_params, rep)
     estimate = float(result.params_hat[target_col])
     row = {"rep": rep, "converged": True, "estimate": estimate}
     row["params"] = [float(v) for v in result.params_hat]
@@ -314,7 +299,7 @@ def _coverage_rep(config, rep):
     if config.bootstrap_s >= 2:
         boot = bootstrap_run(
             design,
-            options,
+            EstimationOptions(),
             s_samples=config.bootstrap_s,
             base_seed=seed_from(config.seed, rep, 1),
         )

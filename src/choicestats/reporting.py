@@ -93,8 +93,6 @@ class ReportOptions:
     apa_floor: float = 0.001
     star_thresholds: tuple = DEFAULT_STAR_THRESHOLDS
     include_stars: bool = False
-    sidedness_note: str = ""
-    bic_uses_persons: bool = False
 
     def __post_init__(self):
         t1, t2, t3 = self.star_thresholds
@@ -216,8 +214,6 @@ def _footer_notes(columns, options):
     if options.include_stars:
         t1, t2, t3 = options.star_thresholds
         notes.append(f"***: p <= {t1:g}; **: p <= {t2:g}; *: p <= {t3:g}")
-    if options.sidedness_note:
-        notes.append(options.sidedness_note)
     return notes
 
 

@@ -287,6 +287,22 @@ class TestExitCodes:
         assert partial["ll_hat"] == best.ll_hat
         assert partial["estimates"] == best.params_dict()
 
+    def test_nan_attribute_cell_exits_1(self, cli_files, tmp_path, capsys):
+        lines = (cli_files / "data.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        row = lines[1].split(",")
+        row[header.index("cost")] = "nan"
+        lines[1] = ",".join(row)
+        (tmp_path / "nan.csv").write_text("\n".join(lines) + "\n")
+        argv = [
+            "estimate",
+            "--data", str(tmp_path / "nan.csv"),
+            "--spec", str(cli_files / "spec.json"),
+            "--out", str(tmp_path / "out"),
+        ]
+        assert main(argv) == 1
+        assert "attribute 'cost' is not finite" in capsys.readouterr().err
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])
@@ -468,6 +484,32 @@ class TestMontecarloCommand:
         assert main(argv) == 1
         assert "anova" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rule, message",
+        [
+            (
+                {"name": "cost", "dist": "uniform", "low": 1.0, "high": 12.0,
+                 "alternatives": ["car", "bus"]},
+                "alternative 'rail' references attribute 'cost'",
+            ),
+            ({"name": "cost", "dist": "gamma"}, "unknown attribute distribution 'gamma'"),
+            (
+                {"name": "cost", "dist": "uniform", "alternatives": ["car", "bus", "rail", "tram"]},
+                "attribute 'cost' names unknown alternative 'tram'",
+            ),
+        ],
+        ids=["attribute_not_drawn", "unknown_distribution", "unknown_alternative"],
+    )
+    def test_generator_mismatch_exits_1(self, cli_files, tmp_path, capsys, rule, message):
+        doc = read_json(cli_files / "mc_size.json")
+        rules = doc["generator"]["attributes"]
+        doc["generator"]["attributes"] = [r for r in rules if r["name"] != "cost"] + [rule]
+        write_json(doc, tmp_path / "config.json")
+        argv = ["montecarlo", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_missing_config_keys_exit_1(self, cli_files, tmp_path, capsys):
         argv = [
             "montecarlo",
@@ -479,21 +521,44 @@ class TestMontecarloCommand:
 
 
 class TestCompileOnce:
-    """Each command, and each Monte Carlo cell, compiles its dataset once."""
+    """Each command compiles its dataset once; each Monte Carlo cell simulates
+    straight into one design."""
+
+    @staticmethod
+    def _count_calls(monkeypatch, function):
+        real = getattr(model, function)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("choicestats") and getattr(module, function, None) is real:
+                monkeypatch.setattr(module, function, counting)
+        return calls
 
     @pytest.fixture
     def build_calls(self, monkeypatch):
-        real = model.build_design
-        calls = []
+        return self._count_calls(monkeypatch, "build_design")
 
-        def counting(dataset, spec):
-            calls.append(dataset)
-            return real(dataset, spec)
+    @pytest.fixture
+    def simulate_calls(self, monkeypatch):
+        return self._count_calls(monkeypatch, "simulate_design")
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("choicestats") and getattr(module, "build_design", None) is real:
-                monkeypatch.setattr(module, "build_design", counting)
-        return calls
+    @staticmethod
+    def _config(**overrides):
+        return ExperimentConfig(
+            spec=three_mode_spec(),
+            generator=three_mode_generator(),
+            true_params=dict(THREE_MODE_TRUE),
+            n_persons=40,
+            obs_per_person=1,
+            replications=50,
+            alpha=0.05,
+            target_parameter="b_cost",
+            **overrides,
+        )
 
     @pytest.mark.parametrize(
         "argv",
@@ -505,21 +570,17 @@ class TestCompileOnce:
         assert main([*argv, *data, "--out", str(tmp_path)]) == 0
         assert len(build_calls) == 1
 
-    def test_coverage_rep_with_bootstrap_builds_design_once(self, build_calls):
-        config = ExperimentConfig(
-            spec=three_mode_spec(),
-            generator=three_mode_generator(),
-            true_params=dict(THREE_MODE_TRUE),
-            n_persons=40,
-            obs_per_person=1,
-            replications=50,
-            alpha=0.05,
-            target_parameter="b_cost",
-            bootstrap_s=3,
-        )
-        row = montecarlo_module._coverage_rep(config, 0)
+    def test_coverage_rep_with_bootstrap_builds_design_once(self, build_calls, simulate_calls):
+        row = montecarlo_module._coverage_rep(self._config(bootstrap_s=3), 0)
         assert "covered_bootstrap" in row
-        assert len(build_calls) == 1
+        assert len(build_calls) == 0
+        assert len(simulate_calls) == 1
+
+    def test_size_power_cell_simulates_design_once(self, build_calls, simulate_calls):
+        row = montecarlo_module._size_power_cell(self._config(effect_sizes=(0.0,)), "less", 0)
+        assert "p_lm" in row
+        assert len(build_calls) == 0
+        assert len(simulate_calls) == 1
 
 
 class TestSubprocessEntry:

@@ -1,12 +1,16 @@
 """Probability core, derivatives against finite differences, simulation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from choicestats import (
+    AttributeRule,
     Dataset,
+    GeneratorSpec,
     IdentificationRiskWarning,
     ModelSpec,
     Observation,
@@ -15,6 +19,7 @@ from choicestats import (
     UtilityTerm,
     build_design,
     simulate_dataset,
+    simulate_design,
 )
 from choicestats.model import PROBABILITY_FLOOR
 from testtools import (
@@ -24,6 +29,7 @@ from testtools import (
     binary_spec,
     fd_gradient,
     fd_hessian,
+    loop_compile,
     three_mode_data,
     three_mode_generator,
     three_mode_spec,
@@ -325,8 +331,80 @@ class TestSpecValidation:
                      {"car": {"tt": 10.0}, "bus": {}}),
             ],
         )
-        with pytest.raises(SpecMismatchError):
+        with pytest.raises(SpecMismatchError, match="missing"):
             build_design(data, binary_spec())
+
+    def test_infinite_attribute_for_available_alternative_rejected(self):
+        data = Dataset(
+            list(TWO_ALTS),
+            [
+                _obs(TWO_ALTS, "p1", "o1", "car", {"car": True, "bus": True},
+                     {"car": {"tt": 10.0}, "bus": {"tt": np.inf}}),
+            ],
+        )
+        with pytest.raises(SpecMismatchError, match="'tt' is not finite for alternative 'bus'"):
+            build_design(data, binary_spec())
+
+    def test_first_offending_observation_is_named(self):
+        avail = {"car": True, "bus": True}
+        data = Dataset(
+            list(TWO_ALTS),
+            [
+                _obs(TWO_ALTS, "p1", "o1", "car", avail, {"car": {"tt": 1.0}, "bus": {"tt": 2.0}}),
+                _obs(TWO_ALTS, "p1", "o2", "car", avail, {"car": {"tt": 1.0}, "bus": {"tt": np.nan}}),
+                _obs(TWO_ALTS, "p2", "o3", "car", avail, {"car": {}, "bus": {"tt": 2.0}}),
+            ],
+        )
+        with pytest.raises(SpecMismatchError, match="^observation 'o2': attribute 'tt' is not finite"):
+            build_design(data, binary_spec())
+
+    def test_attribute_absent_on_unavailable_alternative_compiles_to_zeros(self):
+        # small_dataset's second observation has rail unavailable and no rail
+        # attributes; a fixed coefficient's offset must stay zero there too.
+        design = build_design(small_dataset(), three_mode_spec().with_fixed("b_cost", -0.2))
+        assert not design.avail[1, 2]
+        assert np.all(design.X[1, 2] == 0.0)
+        assert design.offset[1, 2] == 0.0
+        assert design.offset[0, 2] == -0.2 * 3.0
+
+
+class TestBuildDesign:
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_loop_reference_bit_for_bit(self, data):
+        # Random terms over a constant and two attributes, an optional fixed
+        # coefficient, and unavailable alternatives carrying no attributes.
+        alts = ("a", "b", "c")
+        names = ("p0", "p1", "p2")
+        fixed = data.draw(st.sampled_from((None, "p1")))
+        term = st.builds(UtilityTerm, st.sampled_from(names), st.sampled_from(("_const", "x", "y")))
+        spec = ModelSpec(
+            alternatives=alts,
+            parameters=[
+                ParameterDef(name, fixed=name == fixed, fixed_value=-0.7) for name in names
+            ],
+            utilities={alt: data.draw(st.lists(term, max_size=4)) for alt in alts},
+        )
+        value = st.floats(-1e3, 1e3, allow_nan=False)
+        observations = []
+        for i in range(data.draw(st.integers(1, 6))):
+            avail = data.draw(st.lists(st.booleans(), min_size=3, max_size=3).filter(any))
+            observations.append(Observation(
+                person_id=f"p{i % 2}",
+                obs_id=f"o{i}",
+                chosen=avail.index(True),
+                availability=tuple(avail),
+                attributes=tuple(
+                    {"x": data.draw(value), "y": data.draw(value)} if ok else {} for ok in avail
+                ),
+            ))
+        dataset = Dataset(list(alts), observations)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IdentificationRiskWarning)
+            design = build_design(dataset, spec)
+        X, offset = loop_compile(dataset, spec)
+        assert design.X.tobytes() == X.tobytes()
+        assert design.offset.tobytes() == offset.tobytes()
 
 
 class TestDatasetValidation:
@@ -468,5 +546,76 @@ class TestSimulation:
                 n_persons=5, obs_per_person=1, seed=1,
             )
 
+    def test_attribute_not_drawn_for_a_referencing_alternative_rejected(self):
+        # cost would otherwise enter rail's utility as zero: a silently wrong draw.
+        gen = GeneratorSpec(
+            attributes=(
+                AttributeRule("tt", dist="uniform", low=5.0, high=60.0),
+                AttributeRule("cost", dist="uniform", low=1.0, high=12.0,
+                              alternatives=("car", "bus")),
+            )
+        )
+        with pytest.raises(SpecMismatchError, match="alternative 'rail' references attribute 'cost'"):
+            simulate_design(
+                three_mode_spec(), THREE_MODE_TRUE_COPY, gen,
+                n_persons=5, obs_per_person=1, seed=1,
+            )
+
 
 THREE_MODE_TRUE_COPY = {"asc_bus": 0.5, "asc_rail": 0.2, "b_tt": -0.05, "b_cost": -0.15}
+
+
+def _wait_spec(fixed):
+    # three_mode_spec plus a wait-time coefficient on bus and rail only.
+    base = three_mode_spec()
+    spec = ModelSpec(
+        alternatives=base.alternatives,
+        parameters=[*base.parameters, ParameterDef("b_wait", start=-0.1)],
+        utilities={
+            alt: [*terms, UtilityTerm("b_wait", "wait")] if alt != "car" else terms
+            for alt, terms in base.utilities.items()
+        },
+    )
+    return spec.with_fixed(fixed, -0.1) if fixed else spec
+
+
+class TestSimulateDesign:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_persons=st.integers(1, 25),
+        obs_per_person=st.integers(1, 4),
+        tt_sd=st.sampled_from([0.0, 0.03]),
+        fixed=st.sampled_from([None, "b_cost", "b_wait"]),
+        split_tt=st.booleans(),
+    )
+    def test_equals_compiled_simulated_dataset(
+        self, seed, n_persons, obs_per_person, tt_sd, fixed, split_tt
+    ):
+        spec = _wait_spec(fixed)
+        tt = (
+            (AttributeRule("tt", dist="uniform", low=5.0, high=20.0, alternatives=("car",)),
+             AttributeRule("tt", dist="lognormal", mean=3.0, sd=0.4, alternatives=("bus", "rail")))
+            if split_tt
+            else (AttributeRule("tt", dist="uniform", low=5.0, high=60.0),)
+        )
+        gen = GeneratorSpec(
+            attributes=(
+                *tt,
+                AttributeRule("cost", dist="normal", mean=6.0, sd=2.0),
+                AttributeRule("wait", dist="uniform", low=0.0, high=15.0, alternatives=("bus", "rail")),
+                AttributeRule("noise", dist="constant", value=2.5, alternatives=("car",)),
+            ),
+            heterogeneity={"b_tt": tt_sd} if tt_sd else {},
+        )
+        true = {**THREE_MODE_TRUE_COPY, "b_wait": -0.08}
+        args = (spec, true, gen, n_persons, obs_per_person, seed)
+
+        direct = simulate_design(*args)
+        compiled = build_design(simulate_dataset(*args), spec)
+        for name in ("X", "offset", "avail", "chosen", "person_index", "start_values"):
+            a, b = getattr(direct, name), getattr(compiled, name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+            assert a.tobytes() == b.tobytes(), name
+        assert direct.person_ids == compiled.person_ids
+        assert direct.free_names == compiled.free_names

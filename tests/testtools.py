@@ -119,6 +119,30 @@ def fd_hessian(design, params):
     return out
 
 
+def loop_compile(dataset, spec):
+    """(X, offset) one observation, alternative and term at a time.
+
+    The reference for build_design's column-wise compile, which must match it
+    bit for bit because it adds the same terms in the same order. The
+    dataset's alternatives must be in the specification's order.
+    """
+    free = spec.free_names()
+    fixed = {p.name: p.fixed_value for p in spec.parameters if p.fixed}
+    X = np.zeros((dataset.n_obs, len(spec.alternatives), len(free)))
+    offset = np.zeros((dataset.n_obs, len(spec.alternatives)))
+    for i, obs in enumerate(dataset.observations):
+        for j, alt in enumerate(spec.alternatives):
+            if not obs.availability[j]:
+                continue
+            for term in spec.utilities.get(alt, []):
+                x = 1.0 if term.attribute == "_const" else obs.attributes[j][term.attribute]
+                if term.param in fixed:
+                    offset[i, j] += fixed[term.param] * x
+                else:
+                    X[i, j, free.index(term.param)] += x
+    return X, offset
+
+
 def assert_close_rel(actual, expected, rtol, context=""):
     """|actual - expected| <= rtol * max(1, |expected|), element-wise."""
     actual = np.asarray(actual, dtype=float)

@@ -24,6 +24,7 @@ from .errors import (
     IdentificationRiskWarning,
     SpecMismatchError,
 )
+from .util import reject_unknown_keys
 
 #: Attribute name reserved for a constant regressor of value 1.
 CONST_ATTRIBUTE = "_const"
@@ -260,6 +261,12 @@ class Dataset:
 class DesignArrays:
     """Dataset and specification compiled to dense arrays.
 
+    The kernel stores the design parameter-major: one contiguous
+    ``(k, n_alts, n_obs)`` array for ``X`` and ``(n_alts, n_obs)`` arrays for
+    ``offset`` and ``avail``, so utilities are one matrix-vector product and
+    the softmax and its weighted sums run over contiguous rows. The public
+    attributes below are transposed views of that storage, not copies.
+
     Attributes
     ----------
     X : ndarray, shape (n_obs, n_alts, k)
@@ -284,72 +291,87 @@ class DesignArrays:
     start_values: np.ndarray
 
     def __post_init__(self):
-        self._rows = np.arange(self.X.shape[0])
+        # No copy when the arguments are already views of parameter-major
+        # arrays, as every design built in this module passes.
+        self._Xt = np.ascontiguousarray(self.X.transpose(2, 1, 0))
+        self._offset_t = np.ascontiguousarray(self.offset.T)
+        self._avail_t = np.ascontiguousarray(self.avail.T)
+        self.X = self._Xt.transpose(2, 1, 0)
+        self.offset = self._offset_t.T
+        self.avail = self._avail_t.T
+        # Position of each chosen entry in the flattened (n_alts, n_obs) rows.
+        self._chosen_flat = self.chosen * self.n_obs + np.arange(self.n_obs)
         self._person_rows = None
 
     @property
     def n_obs(self):
-        return self.X.shape[0]
+        return self._Xt.shape[2]
 
     @property
     def n_alts(self):
-        return self.X.shape[1]
+        return self._Xt.shape[1]
 
     @property
     def k(self):
-        return self.X.shape[2]
+        return self._Xt.shape[0]
 
     @property
     def n_persons(self):
         return len(self.person_ids)
 
-    def utilities(self, params):
-        v = self.offset + self.X @ params
-        return np.where(self.avail, v, -np.inf)
-
     def probabilities(self, params):
-        """Choice probabilities with max-utility subtraction.
+        """Choice probabilities with max-utility subtraction, (n_obs, n_alts).
 
         Unavailable alternatives come out exactly zero; available ones sum to
-        one per observation up to float rounding.
+        one per observation up to float rounding. The result is a transposed
+        view of the kernel's (n_alts, n_obs) array.
         """
-        v = self.utilities(params)
-        v -= v.max(axis=1, keepdims=True)
-        p = np.exp(v)
-        p /= p.sum(axis=1, keepdims=True)
-        return p
+        v = (params @ self._Xt.reshape(self.k, -1)).reshape(self._offset_t.shape)
+        v += self._offset_t
+        v[~self._avail_t] = -np.inf
+        v -= v.max(axis=0)
+        np.exp(v, out=v)
+        v /= v.sum(axis=0)
+        return v.T
 
-    def _chosen_log_likelihood(self, p):
-        p_chosen = p[self._rows, self.chosen]
+    def _chosen_log_likelihood(self, p_t):
+        p_chosen = np.take(p_t, self._chosen_flat)
         floored = bool(np.any(p_chosen < PROBABILITY_FLOOR))
         return float(np.sum(np.log(np.maximum(p_chosen, PROBABILITY_FLOOR)))), floored
 
+    def _xbar(self, p_t):
+        """(k, n_obs) probability-weighted mean of each observation's rows."""
+        return (self._Xt * p_t).sum(axis=1)
+
     def log_likelihood(self, params):
-        return self._chosen_log_likelihood(self.probabilities(params))[0]
+        return self._chosen_log_likelihood(self.probabilities(params).T)[0]
 
     def null_log_likelihood(self):
         """Log-likelihood of equal probabilities over available alternatives."""
-        return float(-np.sum(np.log(self.avail.sum(axis=1))))
+        return float(-np.sum(np.log(self._avail_t.sum(axis=0))))
 
     def evaluate(self, params):
         """(ll, gradient, Hessian, floored) from one softmax pass.
 
-        The Hessian is -sum_n sum_j p_nj (x_nj - xbar_n)(x_nj - xbar_n)'; floored
-        says whether a chosen probability was clamped at PROBABILITY_FLOOR.
+        The Hessian is -sum_n sum_j p_nj (x_nj - xbar_n)(x_nj - xbar_n)', one
+        matrix product over the centred design; the gradient sums the centred
+        chosen rows. Centring before either sum keeps them accurate near the
+        optimum, where the uncentred forms cancel. floored says whether a
+        chosen probability was clamped at PROBABILITY_FLOOR.
         """
-        p = self.probabilities(params)
-        ll, floored = self._chosen_log_likelihood(p)
-        xbar = np.einsum("nj,njk->nk", p, self.X)
-        gradient = (self.X[self._rows, self.chosen] - xbar).sum(axis=0)
-        centered = self.X - xbar[:, None, :]
-        h = -np.einsum("nj,njk,njl->kl", p, centered, centered, optimize=True)
-        # The contraction order is not bitwise symmetric; the matrix is.
+        p_t = self.probabilities(params).T
+        ll, floored = self._chosen_log_likelihood(p_t)
+        centred = (self._Xt - self._xbar(p_t)[:, None, :]).reshape(self.k, -1)
+        gradient = np.take(centred, self._chosen_flat, axis=1).sum(axis=1)
+        h = -((centred * p_t.reshape(-1)) @ centred.T)
+        # The product is not bitwise symmetric; the matrix is.
         return ll, gradient, (h + h.T) / 2.0, floored
 
     def score(self, params, grouping="person"):
         """Score rows x_chosen - sum_j p_j x_j, per observation or summed per person."""
-        p = self.probabilities(params)
-        rows = self.X[self._rows, self.chosen] - np.einsum("nj,njk->nk", p, self.X)
+        p_t = self.probabilities(params).T
+        x_chosen = np.take(self._Xt.reshape(self.k, -1), self._chosen_flat, axis=1)
+        rows = (x_chosen - self._xbar(p_t)).T
         if grouping == "observation":
             return rows
         if grouping != "person":
@@ -358,14 +380,6 @@ class DesignArrays:
         np.add.at(out, self.person_index, rows)
         return out
 
-    def _person_row_lists(self):
-        if self._person_rows is None:
-            buckets = [[] for _ in range(self.n_persons)]
-            for row, person in enumerate(self.person_index):
-                buckets[person].append(row)
-            self._person_rows = [np.asarray(b, dtype=np.int64) for b in buckets]
-        return self._person_rows
-
     def take_persons(self, person_order):
         """Sub-design holding the given persons' rows, one copy per entry.
 
@@ -373,17 +387,25 @@ class DesignArrays:
         each copy grouped under a fresh person index. This is the fast path
         behind person-level resampling.
         """
-        per_person = self._person_row_lists()
-        picked = [per_person[p] for p in person_order]
-        rows = np.concatenate(picked) if picked else np.empty(0, dtype=np.int64)
-        counts = [len(r) for r in picked]
+        if self._person_rows is None:
+            # Rows grouped by person, in observation order within a person.
+            counts = np.bincount(self.person_index, minlength=self.n_persons)
+            by_person = np.argsort(self.person_index, kind="stable")
+            self._person_rows = by_person, np.cumsum(counts) - counts, counts
+        by_person, first, counts = self._person_rows
+        order = np.asarray(person_order, dtype=np.int64)
+        lengths = counts[order]
+        # Copy c of the order fills new rows ends[c] - lengths[c] onwards.
+        shift = first[order] - np.cumsum(lengths) + lengths
+        rows = by_person[np.arange(lengths.sum()) + np.repeat(shift, lengths)]
+        ids = self.person_ids
         return DesignArrays(
-            X=self.X[rows],
-            offset=self.offset[rows],
-            avail=self.avail[rows],
+            X=np.take(self._Xt, rows, axis=2).transpose(2, 1, 0),
+            offset=np.take(self._offset_t, rows, axis=1).T,
+            avail=np.take(self._avail_t, rows, axis=1).T,
             chosen=self.chosen[rows],
-            person_index=np.repeat(np.arange(len(picked)), counts),
-            person_ids=[f"{self.person_ids[p]}~{i}" for i, p in enumerate(person_order)],
+            person_index=np.repeat(np.arange(order.size), lengths),
+            person_ids=[f"{ids[p]}~{i}" for i, p in enumerate(order.tolist())],
             free_names=list(self.free_names),
             start_values=self.start_values.copy(),
         )
@@ -396,8 +418,8 @@ class DesignArrays:
         """
         keep = [c for c in range(self.k) if c != index]
         return DesignArrays(
-            X=self.X[:, :, keep],
-            offset=self.offset + float(value) * self.X[:, :, index],
+            X=self._Xt[keep].transpose(2, 1, 0),
+            offset=(self._offset_t + float(value) * self._Xt[index]).T,
             avail=self.avail,
             chosen=self.chosen,
             person_index=self.person_index,
@@ -467,36 +489,31 @@ def build_design(dataset, spec):
     person_pos = {pid: i for i, pid in enumerate(person_ids)}
     chosen = np.array([obs.chosen for obs in observations], dtype=np.int64)
     person_index = np.array([person_pos[obs.person_id] for obs in observations], dtype=np.int64)
-    return _compile(spec, columns, avail, chosen, person_index, person_ids)
+    X, offset = _compile(spec, columns, avail)
+    return DesignArrays(
+        X, offset, avail, chosen, person_index, person_ids, spec.free_names(), spec.starts()
+    )
 
 
-def _compile(spec, columns, avail, chosen, person_index, person_ids):
-    """The one rule from utility terms to design columns, term by term in
-    specification order; ``columns`` maps attributes to (n_obs, n_alts) arrays
-    and unavailable alternatives contribute zero."""
+def _compile(spec, columns, avail):
+    """(X, offset) by the one rule from utility terms to design columns, term
+    by term in specification order; ``columns`` maps attributes to (n_obs,
+    n_alts) arrays and unavailable alternatives contribute zero. Both come
+    back as views of the parameter-major arrays a DesignArrays stores."""
     free = spec.free_names()
     column = {name: i for i, name in enumerate(free)}
     fixed_value = {p.name: p.fixed_value for p in spec.parameters if p.fixed}
-    X = np.zeros((*avail.shape, len(free)))
-    offset = np.zeros(avail.shape)
+    X = np.zeros((len(free), *avail.T.shape))
+    offset = np.zeros(avail.T.shape)
     for j, alt in enumerate(spec.alternatives):
         for term in spec.utilities.get(alt, []):
             x = 1.0 if term.attribute == CONST_ATTRIBUTE else columns[term.attribute][:, j]
             x = np.where(avail[:, j], x, 0.0)
             if term.param in column:
-                X[:, j, column[term.param]] += x
+                X[column[term.param], j] += x
             else:
-                offset[:, j] += fixed_value[term.param] * x
-    return DesignArrays(
-        X=X,
-        offset=offset,
-        avail=avail,
-        chosen=chosen,
-        person_index=person_index,
-        person_ids=person_ids,
-        free_names=free,
-        start_values=spec.starts(),
-    )
+                offset[j] += fixed_value[term.param] * x
+    return X.transpose(2, 1, 0), offset.T
 
 
 @dataclass(frozen=True)
@@ -519,6 +536,10 @@ class AttributeRule:
     alternatives: tuple[str, ...] | None = None
 
 
+#: Keys an attribute rule may carry in a generator document.
+_RULE_KEYS = ("name", "dist", "mean", "sd", "low", "high", "value", "alternatives")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Data-generating description for :func:`simulate_dataset`.
@@ -534,11 +555,16 @@ class GeneratorSpec:
 
     @staticmethod
     def from_dict(doc):
+        """Inverse of :meth:`to_dict`; a key it never writes raises ValueError."""
+        reject_unknown_keys(doc, ("attributes", "heterogeneity"), "generator")
         # Attributes are a list, not a name-keyed object: rule order drives
         # the draw sequence and must survive a sorted-keys JSON round trip.
         entries = doc.get("attributes", ())
         if isinstance(entries, Mapping):
             raise ValueError("generator attributes must be a list of rule objects")
+        for entry in entries:
+            context = f"generator attribute rule '{entry.get('name')}'"
+            reject_unknown_keys(entry, _RULE_KEYS, context)
         rules = tuple(
             AttributeRule(
                 name=str(entry["name"]),
@@ -639,20 +665,25 @@ def simulate_dataset(spec, true_params, generator, n_persons, obs_per_person, se
     design, values, carried = _simulate(
         spec, true_params, generator, n_persons, obs_per_person, seed
     )
-    lists = {name: arr.tolist() for name, arr in values.items()}
-    rows = zip(design.person_index.tolist(), design.chosen.tolist())
+    by_alternative = []  # one attribute dict per observation, per alternative
+    for j, alt in enumerate(spec.alternatives):
+        names = [name for name in values if alt in carried[name]]
+        columns = [values[name][:, j].tolist() for name in names]
+        rows = zip(*columns) if columns else [()] * design.n_obs
+        by_alternative.append([{n: x for n, x in zip(names, row)} for row in rows])
+    ids = design.person_ids
+    available = (True,) * design.n_alts
     observations = [
         Observation(
-            person_id=design.person_ids[person],
-            obs_id=f"{design.person_ids[person]}.{i % obs_per_person + 1}",
+            person_id=ids[person],
+            obs_id=f"{ids[person]}.{i % obs_per_person + 1}",
             chosen=chosen,
-            availability=(True,) * design.n_alts,
-            attributes=tuple(
-                {name: lists[name][i][j] for name in lists if alt in carried[name]}
-                for j, alt in enumerate(spec.alternatives)
-            ),
+            availability=available,
+            attributes=attributes,
         )
-        for i, (person, chosen) in enumerate(rows)
+        for i, (person, chosen, attributes) in enumerate(
+            zip(design.person_index.tolist(), design.chosen.tolist(), zip(*by_alternative))
+        )
     ]
     return Dataset(list(spec.alternatives), observations)
 
@@ -719,12 +750,15 @@ def _simulate(spec, true_params, generator, n_persons, obs_per_person, seed):
 
     avail = np.ones((n_obs, j_count), dtype=bool)
     person_ids = [f"p{person + 1:06d}" for person in range(n_persons)]
-    design = _compile(spec, values, avail, np.zeros(n_obs, np.int64), person_of_obs, person_ids)
-    v = design.offset + np.einsum("njk,nk->nj", design.X, beta_person[person_of_obs])
+    X, offset = _compile(spec, values, avail)
+    # einsum's summation order follows memory layout: summing over a
+    # contiguous last axis keeps every utility, and so every draw, as before.
+    v = offset + np.einsum("njk,nk->nj", np.ascontiguousarray(X), beta_person[person_of_obs])
     v -= v.max(axis=1, keepdims=True)
     p = np.exp(v)
     p /= p.sum(axis=1, keepdims=True)
     cum = np.cumsum(p, axis=1)
     u = rng.random(n_obs)
-    design.chosen[:] = np.minimum((cum < u[:, None]).sum(axis=1), j_count - 1)
+    chosen = np.minimum((cum < u[:, None]).sum(axis=1), j_count - 1)
+    design = DesignArrays(X, offset, avail, chosen, person_of_obs, person_ids, free, spec.starts())
     return design, values, carried

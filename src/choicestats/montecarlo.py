@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .errors import ChoiceStatsError, ReplicateFailureWarning
 from .estimation import EstimationOptions, estimate_design
 from .inference import asymptotic_ci, lm_test_at, lr_test, normal_cdf, t_test, wald_test
 from .model import GeneratorSpec, simulate_design
-from .util import parallel_map, seed_from
+from .util import parallel_map, reject_unknown_keys, seed_from
 
 ### config
 
@@ -82,6 +82,9 @@ class ExperimentConfig:
     def from_dict(doc):
         from .dataio import model_spec_from_doc
 
+        # to_dict's keys, plus the experiment kind that the command line reads.
+        allowed = {f.name for f in fields(ExperimentConfig)} | {"experiment"}
+        reject_unknown_keys(doc, allowed, "experiment config")
         required = ("spec", "true_params", "n_persons", "replications", "target_parameter")
         missing = [key for key in required if key not in doc]
         if missing:

@@ -21,6 +21,20 @@ def seed_from(*parts):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def reject_unknown_keys(doc, allowed, context):
+    """Raise ValueError naming every key of ``doc`` not in ``allowed``.
+
+    A misspelt key in a config document would otherwise fall back to a
+    default without notice.
+    """
+    unknown = sorted(set(doc) - set(allowed))
+    if unknown:
+        raise ValueError(
+            f"{context} has unknown key{'s' if len(unknown) > 1 else ''} "
+            f"{', '.join(map(repr, unknown))} (allowed: {', '.join(sorted(allowed))})"
+        )
+
+
 def _run_chunk(fn, args, first, count):
     out = []
     with warnings.catch_warnings():

@@ -510,6 +510,16 @@ class TestMontecarloCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_misspelt_generator_key_exits_1(self, cli_files, tmp_path, capsys):
+        doc = read_json(cli_files / "mc_size.json")
+        doc["generator"]["attributes"][1] = {"name": "cost", "dist": "uniform", "lo": 1, "hi": 12}
+        write_json(doc, tmp_path / "config.json")
+        argv = ["montecarlo", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        message = "generator attribute rule 'cost' has unknown keys 'hi', 'lo'"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_missing_config_keys_exit_1(self, cli_files, tmp_path, capsys):
         argv = [
             "montecarlo",

@@ -77,6 +77,36 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="spec.*target_parameter"):
             ExperimentConfig.from_dict(doc)
 
+    @pytest.mark.parametrize(
+        "misspell, message",
+        [
+            (
+                lambda doc: doc["generator"]["attributes"][1].update(lo=1.0, hi=12.0),
+                "generator attribute rule 'cost' has unknown keys 'hi', 'lo'",
+            ),
+            (
+                lambda doc: doc["generator"].update(heterogenity={"b_tt": 0.02}),
+                "generator has unknown key 'heterogenity'",
+            ),
+            (
+                lambda doc: doc.update(replication=doc.pop("replications")),
+                "experiment config has unknown key 'replication'",
+            ),
+        ],
+        ids=["rule", "generator", "config"],
+    )
+    def test_misspelt_key_named(self, misspell, message):
+        # Each would otherwise fall back to a default: uniform(0, 1), no
+        # heterogeneity, or a missing-key error that hides the typo.
+        doc = make_config().to_dict()
+        misspell(doc)
+        with pytest.raises(ValueError, match=message):
+            ExperimentConfig.from_dict(doc)
+
+    def test_experiment_kind_is_an_allowed_key(self):
+        doc = {**make_config().to_dict(), "experiment": "coverage"}
+        assert ExperimentConfig.from_dict(doc).to_dict() == make_config().to_dict()
+
     def test_from_dict_fills_defaults(self):
         doc = make_config().to_dict()
         for key in ("obs_per_person", "alpha", "effect_sizes", "ci_level", "seed", "bootstrap_s"):

@@ -17,6 +17,7 @@ from choicestats import (
     UtilityTerm,
     simulate_dataset,
 )
+from choicestats.model import PROBABILITY_FLOOR
 
 GRADIENT_STEP_SCALE = 1e-6
 GRADIENT_RTOL = 1e-6
@@ -141,6 +142,47 @@ def loop_compile(dataset, spec):
                 else:
                     X[i, j, free.index(term.param)] += x
     return X, offset
+
+
+def einsum_evaluate(design, params):
+    """(ll, gradient, Hessian, floored) by the observation-major einsum kernel.
+
+    The reference for DesignArrays.evaluate, which reads the same design
+    parameter-major and sums in another order, so the two agree to rounding
+    rather than bit for bit. Reads only the public (n_obs, n_alts[, k]) arrays.
+    """
+    X, rows = design.X, np.arange(design.n_obs)
+    v = np.where(design.avail, design.offset + X @ params, -np.inf)
+    v -= v.max(axis=1, keepdims=True)
+    p = np.exp(v)
+    p /= p.sum(axis=1, keepdims=True)
+    p_chosen = p[rows, design.chosen]
+    floored = bool(np.any(p_chosen < PROBABILITY_FLOOR))
+    ll = float(np.sum(np.log(np.maximum(p_chosen, PROBABILITY_FLOOR))))
+    xbar = np.einsum("nj,njk->nk", p, X)
+    gradient = (X[rows, design.chosen] - xbar).sum(axis=0)
+    centered = X - xbar[:, None, :]
+    h = -np.einsum("nj,njk,njl->kl", p, centered, centered, optimize=True)
+    return ll, gradient, (h + h.T) / 2.0, floored
+
+
+def concat_take_persons(design, person_order):
+    """The arrays of design.take_persons(person_order), one person at a time.
+
+    Each listed person's rows in observation order, concatenated; the
+    reference for take_persons' single vectorised gather.
+    """
+    per_person = [np.flatnonzero(design.person_index == p) for p in range(design.n_persons)]
+    picked = [per_person[p] for p in person_order]
+    rows = np.concatenate(picked) if picked else np.empty(0, dtype=np.int64)
+    return {
+        "X": design.X[rows],
+        "offset": design.offset[rows],
+        "avail": design.avail[rows],
+        "chosen": design.chosen[rows],
+        "person_index": np.repeat(np.arange(len(picked)), [len(r) for r in picked]),
+        "person_ids": [f"{design.person_ids[p]}~{i}" for i, p in enumerate(person_order)],
+    }
 
 
 def assert_close_rel(actual, expected, rtol, context=""):

@@ -2,7 +2,8 @@
 empirical and highest-density intervals, empirical p-values, asymmetry.
 
 Resampling draws whole persons with replacement, so within-person
-correlation across repeated choices survives into the replicate datasets.
+correlation across repeated choices survives into the replicates; a
+replicate is the compiled design weighted by each person's draw count.
 Each replicate's seed derives deterministically from (base_seed, replicate
 index); results are identical under any degree of parallelism.
 """
@@ -19,7 +20,6 @@ import numpy as np
 from .errors import ReplicateFailureWarning
 from .estimation import EstimationOptions, estimate_design
 from .inference import ConfidenceInterval
-from .model import Dataset, Observation
 from .util import parallel_map, seed_from
 
 #: Below this many draws, empirical quantiles are too coarse to report.
@@ -47,54 +47,28 @@ class BootstrapResult:
         return int(self.converged.sum())
 
 
-def _resample_indices(n_persons, seed):
-    return np.random.default_rng(seed).integers(0, n_persons, n_persons)
+def _bootstrap_replicate(design, options, base_seed, mle, s):
+    n = design.n_persons
+    drawn = np.random.default_rng(seed_from(base_seed, s)).integers(0, n, n)
+    return estimate_design(design.weighted(np.bincount(drawn, minlength=n)), options, start=mle)
 
 
-def resample_persons(dataset, seed):
-    """One person-level resample of the same person count as the original.
-
-    A person drawn m times contributes m full copies of their observations;
-    identifiers get a "~slot" suffix so the copies stay distinct.
-    """
-    dataset.validate()
-    persons = dataset.persons()
-    by_person = {pid: [] for pid in persons}
-    for obs in dataset.observations:
-        by_person[obs.person_id].append(obs)
-    indices = _resample_indices(len(persons), seed)
-    observations = []
-    for slot, idx in enumerate(indices):
-        for obs in by_person[persons[idx]]:
-            observations.append(
-                Observation(
-                    person_id=f"{obs.person_id}~{slot}",
-                    obs_id=f"{obs.obs_id}~{slot}",
-                    chosen=obs.chosen,
-                    availability=obs.availability,
-                    attributes=obs.attributes,
-                )
-            )
-    return Dataset(list(dataset.alternatives), observations)
-
-
-def _bootstrap_replicate(design, options, base_seed, s):
-    indices = _resample_indices(design.n_persons, seed_from(base_seed, s))
-    return estimate_design(design.take_persons(indices), options)
-
-
-def bootstrap_run(design, options=None, s_samples=400, base_seed=0, jobs=1):
+def bootstrap_run(design, options=None, s_samples=400, base_seed=0, jobs=1, mle=None):
     """Estimate on s_samples person-level resamples of a compiled design.
 
-    Replicate s resamples with a seed derived from (base_seed, s) and
-    estimates from the declared start values. Failed replicates are kept as
-    NaN rows, flagged not-converged, and excluded downstream; more than 10%
-    failures raises ReplicateFailureWarning.
+    Replicate s draws n_persons persons with replacement, with a seed
+    derived from (base_seed, s), and fits the design weighted by each
+    person's draw count, starting from the full-sample estimate ``mle``
+    (estimated here from the declared start values when not given). Failed
+    replicates are kept as NaN rows, flagged not-converged, and excluded
+    downstream; more than 10% failures raises ReplicateFailureWarning.
     """
     if s_samples < 2:
         raise ValueError(f"s_samples must be >= 2, got {s_samples}")
     options = options or EstimationOptions()
-    results = parallel_map(_bootstrap_replicate, (design, options, base_seed), s_samples, jobs)
+    if mle is None:
+        mle = estimate_design(design, options).params_hat
+    results = parallel_map(_bootstrap_replicate, (design, options, base_seed, mle), s_samples, jobs)
 
     draws = np.vstack([np.full(design.k, np.nan) if r is None else r.params_hat for r in results])
     statuses = tuple("failed" if r is None else r.status for r in results)

@@ -435,6 +435,7 @@ def cmd_bootstrap(args):
         s_samples=args.s_samples,
         base_seed=args.seed,
         jobs=args.jobs,
+        mle=best.params_hat,
     )
     written = []
     save_draws(result, outdir / "draws.csv")

@@ -49,6 +49,10 @@ class ConvergenceError(ChoiceStatsError):
         self.runs = tuple(runs)
 
 
+class StartPointError(ChoiceStatsError, ValueError):
+    """The log-likelihood is not finite at the optimiser's start point."""
+
+
 class NestingError(ChoiceStatsError):
     """Restricted log-likelihood exceeds the general one beyond tolerance."""
 

@@ -18,6 +18,7 @@ from .errors import (
     EstimationDisagreementWarning,
     IdentificationError,
     ProbabilityUnderflowWarning,
+    StartPointError,
 )
 from .linalg import require_symmetric, solve_positive_definite
 from .model import build_design
@@ -130,8 +131,7 @@ def _ascent_direction(design, params, gradient, hessian):
     try:
         return solve_positive_definite(-hessian, gradient, name="negative hessian")
     except IdentificationError:
-        scores = design.score(params, grouping="person")
-        return solve_positive_definite(scores.T @ scores, gradient, name="bhhh matrix")
+        return solve_positive_definite(design.bhhh(params), gradient, name="bhhh matrix")
 
 
 def estimate_design(design, options=None, start=None, start_index=0):
@@ -147,7 +147,7 @@ def estimate_design(design, options=None, start=None, start_index=0):
         raise ValueError(f"start vector must have length {design.k}, got shape {params.shape}")
     ll, gradient, hessian, floored = design.evaluate(params)
     if not np.isfinite(ll):
-        raise ValueError("log-likelihood is not finite at the start point")
+        raise StartPointError("log-likelihood is not finite at the start point")
 
     status = STATUS_MAX_ITERATIONS
     iterations = 0

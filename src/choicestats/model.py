@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -279,6 +280,10 @@ class DesignArrays:
     chosen : ndarray of int, shape (n_obs,)
     person_index : ndarray of int, shape (n_obs,)
         Position of the observation's person in ``person_ids``.
+    person_weights : ndarray, shape (n_persons,)
+        How many times each person counts in the likelihood, its derivatives
+        and the BHHH matrix: ones for a compiled or simulated dataset, the
+        draw counts for a bootstrap replicate (see :meth:`weighted`).
     """
 
     X: np.ndarray
@@ -289,6 +294,7 @@ class DesignArrays:
     person_ids: list[str]
     free_names: list[str]
     start_values: np.ndarray
+    person_weights: np.ndarray
 
     def __post_init__(self):
         # No copy when the arguments are already views of parameter-major
@@ -299,9 +305,11 @@ class DesignArrays:
         self.X = self._Xt.transpose(2, 1, 0)
         self.offset = self._offset_t.T
         self.avail = self._avail_t.T
+        self._unavail_t = ~self._avail_t
         # Position of each chosen entry in the flattened (n_alts, n_obs) rows.
         self._chosen_flat = self.chosen * self.n_obs + np.arange(self.n_obs)
-        self._person_rows = None
+        self.person_weights = np.asarray(self.person_weights, dtype=float)
+        self._obs_weights = self.person_weights[self.person_index]
 
     @property
     def n_obs(self):
@@ -328,7 +336,7 @@ class DesignArrays:
         """
         v = (params @ self._Xt.reshape(self.k, -1)).reshape(self._offset_t.shape)
         v += self._offset_t
-        v[~self._avail_t] = -np.inf
+        v[self._unavail_t] = -np.inf
         v -= v.max(axis=0)
         np.exp(v, out=v)
         v /= v.sum(axis=0)
@@ -337,7 +345,8 @@ class DesignArrays:
     def _chosen_log_likelihood(self, p_t):
         p_chosen = np.take(p_t, self._chosen_flat)
         floored = bool(np.any(p_chosen < PROBABILITY_FLOOR))
-        return float(np.sum(np.log(np.maximum(p_chosen, PROBABILITY_FLOOR)))), floored
+        log_p = np.log(np.maximum(p_chosen, PROBABILITY_FLOOR))
+        return float(np.sum(self._obs_weights * log_p)), floored
 
     def _xbar(self, p_t):
         """(k, n_obs) probability-weighted mean of each observation's rows."""
@@ -348,66 +357,72 @@ class DesignArrays:
 
     def null_log_likelihood(self):
         """Log-likelihood of equal probabilities over available alternatives."""
-        return float(-np.sum(np.log(self._avail_t.sum(axis=0))))
+        return float(-np.sum(self._obs_weights * np.log(self._avail_t.sum(axis=0))))
 
     def evaluate(self, params):
         """(ll, gradient, Hessian, floored) from one softmax pass.
 
-        The Hessian is -sum_n sum_j p_nj (x_nj - xbar_n)(x_nj - xbar_n)', one
-        matrix product over the centred design; the gradient sums the centred
-        chosen rows. Centring before either sum keeps them accurate near the
-        optimum, where the uncentred forms cancel. floored says whether a
-        chosen probability was clamped at PROBABILITY_FLOOR.
+        The Hessian is -sum_n w_n sum_j p_nj (x_nj - xbar_n)(x_nj - xbar_n)',
+        one matrix product over the centred design; the gradient sums the
+        weighted centred chosen rows, w_n being the weight of observation n's
+        person. Centring before either sum keeps them accurate near the
+        optimum, where the uncentred forms cancel. Weights multiply before
+        each sum, so unit weights leave every bit as without them. floored
+        says whether a chosen probability was clamped at PROBABILITY_FLOOR.
         """
         p_t = self.probabilities(params).T
         ll, floored = self._chosen_log_likelihood(p_t)
         centred = (self._Xt - self._xbar(p_t)[:, None, :]).reshape(self.k, -1)
-        gradient = np.take(centred, self._chosen_flat, axis=1).sum(axis=1)
+        chosen = np.take(centred, self._chosen_flat, axis=1)
+        chosen *= self._obs_weights
+        p_t *= self._obs_weights  # p_t is this call's own array; only h reads it now
         h = -((centred * p_t.reshape(-1)) @ centred.T)
         # The product is not bitwise symmetric; the matrix is.
-        return ll, gradient, (h + h.T) / 2.0, floored
+        return ll, chosen.sum(axis=1), (h + h.T) / 2.0, floored
 
     def score(self, params, grouping="person"):
-        """Score rows x_chosen - sum_j p_j x_j, per observation or summed per person."""
+        """Score rows x_chosen - sum_j p_j x_j, per observation or summed per
+        person; unweighted, so a person of weight m gives one row, not m."""
         p_t = self.probabilities(params).T
         x_chosen = np.take(self._Xt.reshape(self.k, -1), self._chosen_flat, axis=1)
-        rows = (x_chosen - self._xbar(p_t)).T
+        rows = x_chosen - self._xbar(p_t)
         if grouping == "observation":
-            return rows
+            return rows.T
         if grouping != "person":
             raise ValueError(f"grouping must be 'person' or 'observation', got '{grouping}'")
-        out = np.zeros((self.n_persons, self.k))
-        np.add.at(out, self.person_index, rows)
-        return out
+        return np.stack(
+            [np.bincount(self.person_index, weights=r, minlength=self.n_persons) for r in rows],
+            axis=1,
+        )
 
-    def take_persons(self, person_order):
-        """Sub-design holding the given persons' rows, one copy per entry.
+    def bhhh(self, params):
+        """sum_i w_i s_i s_i' over persons i with score s_i and weight w_i."""
+        # Scaling by sqrt(w) keeps the product of one array with itself, so
+        # unit weights give the same bits as the unweighted product.
+        rows = self.score(params, grouping="person") * np.sqrt(self.person_weights)[:, None]
+        return rows.T @ rows
 
-        A person listed m times contributes all of its observations m times,
-        each copy grouped under a fresh person index. This is the fast path
-        behind person-level resampling.
+    def weighted(self, person_weights):
+        """Design with person i's weight multiplied by ``person_weights[i]``.
+
+        Persons left with weight zero are dropped; the rest keep their rows
+        once, in observation order. A person-level bootstrap replicate is
+        the design weighted by how often each person was drawn, which gives
+        the likelihood of the resample without copying any person's rows.
         """
-        if self._person_rows is None:
-            # Rows grouped by person, in observation order within a person.
-            counts = np.bincount(self.person_index, minlength=self.n_persons)
-            by_person = np.argsort(self.person_index, kind="stable")
-            self._person_rows = by_person, np.cumsum(counts) - counts, counts
-        by_person, first, counts = self._person_rows
-        order = np.asarray(person_order, dtype=np.int64)
-        lengths = counts[order]
-        # Copy c of the order fills new rows ends[c] - lengths[c] onwards.
-        shift = first[order] - np.cumsum(lengths) + lengths
-        rows = by_person[np.arange(lengths.sum()) + np.repeat(shift, lengths)]
-        ids = self.person_ids
+        weights = self.person_weights * person_weights
+        keep = weights > 0
+        rows = np.flatnonzero(keep[self.person_index])
         return DesignArrays(
             X=np.take(self._Xt, rows, axis=2).transpose(2, 1, 0),
             offset=np.take(self._offset_t, rows, axis=1).T,
             avail=np.take(self._avail_t, rows, axis=1).T,
             chosen=self.chosen[rows],
-            person_index=np.repeat(np.arange(order.size), lengths),
-            person_ids=[f"{ids[p]}~{i}" for i, p in enumerate(order.tolist())],
+            person_index=(np.cumsum(keep) - 1)[self.person_index[rows]],
+            person_ids=list(compress(self.person_ids, keep)),
             free_names=list(self.free_names),
             start_values=self.start_values.copy(),
+            person_weights=weights[keep],
         )
 
     def fix_column(self, index, value):
@@ -426,6 +441,7 @@ class DesignArrays:
             person_ids=list(self.person_ids),
             free_names=[self.free_names[c] for c in keep],
             start_values=self.start_values[keep],
+            person_weights=self.person_weights,
         )
 
 
@@ -490,8 +506,9 @@ def build_design(dataset, spec):
     chosen = np.array([obs.chosen for obs in observations], dtype=np.int64)
     person_index = np.array([person_pos[obs.person_id] for obs in observations], dtype=np.int64)
     X, offset = _compile(spec, columns, avail)
+    ones = np.ones(len(person_ids))
     return DesignArrays(
-        X, offset, avail, chosen, person_index, person_ids, spec.free_names(), spec.starts()
+        X, offset, avail, chosen, person_index, person_ids, spec.free_names(), spec.starts(), ones
     )
 
 
@@ -760,5 +777,7 @@ def _simulate(spec, true_params, generator, n_persons, obs_per_person, seed):
     cum = np.cumsum(p, axis=1)
     u = rng.random(n_obs)
     chosen = np.minimum((cum < u[:, None]).sum(axis=1), j_count - 1)
-    design = DesignArrays(X, offset, avail, chosen, person_of_obs, person_ids, free, spec.starts())
+    design = DesignArrays(
+        X, offset, avail, chosen, person_of_obs, person_ids, free, spec.starts(), np.ones(n_persons)
+    )
     return design, values, carried

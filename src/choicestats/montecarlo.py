@@ -305,6 +305,7 @@ def _coverage_rep(config, rep):
             EstimationOptions(),
             s_samples=config.bootstrap_s,
             base_seed=seed_from(config.seed, rep, 1),
+            mle=result.params_hat,
         )
         try:
             ci = quantile_interval(boot.converged_draws()[:, target_col], config.ci_level, estimate)

@@ -17,7 +17,6 @@ from choicestats import (
     hpd_interval,
     load_draws,
     quantile_interval,
-    resample_persons,
     save_draws,
 )
 
@@ -28,44 +27,6 @@ def small_run(s_samples=40, base_seed=5, jobs=1):
     dataset = three_mode_data(n_persons=80, obs_per_person=1, seed=11)
     design = build_design(dataset, three_mode_spec())
     return bootstrap_run(design, s_samples=s_samples, base_seed=base_seed, jobs=jobs)
-
-
-class TestResamplePersons:
-    def test_person_drawn_m_times_contributes_m_copies(self):
-        dataset = three_mode_data(n_persons=12, obs_per_person=3, seed=3)
-        resampled = resample_persons(dataset, seed=9)
-
-        indices = np.random.default_rng(9).integers(0, 12, 12)
-        persons = dataset.persons()
-        # Same person count, same per-person observation count.
-        assert resampled.n_persons == dataset.n_persons
-        assert resampled.n_obs == dataset.n_obs
-
-        by_person = {}
-        for obs in dataset.observations:
-            by_person.setdefault(obs.person_id, []).append(obs)
-        expected = []
-        for slot, idx in enumerate(indices):
-            expected.extend(
-                (f"{o.person_id}~{slot}", o.chosen, o.attributes)
-                for o in by_person[persons[idx]]
-            )
-        got = [(o.person_id, o.chosen, o.attributes) for o in resampled.observations]
-        assert got == expected
-
-    def test_slot_suffix_keeps_duplicate_draws_distinct(self):
-        dataset = three_mode_data(n_persons=6, obs_per_person=2, seed=4)
-        resampled = resample_persons(dataset, seed=1)
-        resampled.validate()
-        assert all("~" in pid for pid in resampled.persons())
-
-    def test_same_seed_reproduces(self):
-        dataset = three_mode_data(n_persons=10, obs_per_person=1, seed=5)
-        a = resample_persons(dataset, seed=123)
-        b = resample_persons(dataset, seed=123)
-        assert a == b
-        c = resample_persons(dataset, seed=124)
-        assert c != a
 
 
 class TestBootstrapRun:
@@ -97,6 +58,28 @@ class TestBootstrapRun:
         design = build_design(dataset, three_mode_spec())
         with pytest.raises(ValueError):
             bootstrap_run(design, s_samples=1)
+
+    def test_replicates_start_from_the_full_sample_estimate(self, monkeypatch):
+        real = bootstrap_module.estimate_design
+        starts = []
+
+        def recording(design, options, **kwargs):
+            starts.append(kwargs.get("start"))
+            return real(design, options, **kwargs)
+
+        monkeypatch.setattr(bootstrap_module, "estimate_design", recording)
+        dataset = three_mode_data(n_persons=40, obs_per_person=1, seed=13)
+        design = build_design(dataset, three_mode_spec())
+        mle = real(design).params_hat
+        given = bootstrap_run(design, s_samples=5, base_seed=1, mle=mle)
+        assert len(starts) == 5 and all(start is mle for start in starts)
+        # Without one, the run fits the full sample first, from the declared
+        # start values, and starts every replicate there.
+        starts.clear()
+        fitted = bootstrap_run(design, s_samples=5, base_seed=1)
+        assert starts[0] is None and len(starts) == 6
+        assert all(np.array_equal(start, mle) for start in starts[1:])
+        assert np.array_equal(fitted.draws, given.draws)
 
     def test_replicate_failures_flagged_and_warned(self, monkeypatch):
         real = bootstrap_module.estimate_design

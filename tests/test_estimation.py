@@ -4,8 +4,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choicestats import (
+    ChoiceStatsError,
     ConvergenceError,
     Dataset,
     DesignArrays,
@@ -15,6 +18,7 @@ from choicestats import (
     ModelSpec,
     Observation,
     ParameterDef,
+    StartPointError,
     UtilityTerm,
     build_design,
     check_identification,
@@ -121,6 +125,13 @@ class TestOptimiserContract:
         with pytest.raises(ValueError):
             estimate_design(design, start=np.array([np.nan, 0.0, 0.0, 0.0]))
 
+    def test_non_finite_start_raises_start_point_error(self):
+        # An expected failure of a replicate, so a ChoiceStatsError.
+        design = build_design(three_mode_data(n_persons=30, seed=20), three_mode_spec())
+        with pytest.raises(StartPointError, match="not finite at the start point") as raised:
+            estimate_design(design, start=np.array([0.0, np.nan, 0.0, 0.0]))
+        assert isinstance(raised.value, ChoiceStatsError)
+
     @pytest.mark.parametrize(
         "options, status",
         [(EstimationOptions(), "converged"), (EstimationOptions(max_iterations=2), "max_iterations")],
@@ -150,6 +161,38 @@ class TestOptimiserContract:
         spec = three_mode_spec()
         design = build_design(data, spec)
         np.testing.assert_array_equal(design.start_values, [0.0, 0.0, -0.05, -0.1])
+
+
+class TestDuplicationInvariance:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        n_persons=st.integers(40, 150),
+        obs_per_person=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_weights_of_two_keep_the_estimates_and_halve_the_covariance(
+        self, n_persons, obs_per_person, seed
+    ):
+        # Counting every person twice is duplicating the sample: the same
+        # MLE, with twice the information.
+        design = build_design(three_mode_data(n_persons, obs_per_person, seed), three_mode_spec())
+        doubled = design.weighted(np.full(n_persons, 2.0))
+        start = design.start_values
+        for got, want in zip(doubled.evaluate(start)[:3], design.evaluate(start)[:3]):
+            np.testing.assert_allclose(got, 2.0 * np.asarray(want), rtol=1e-12, atol=1e-12)
+        # Both fits run to a gradient of 1e-10, so where each stops within
+        # the tolerance moves an estimate by far less than 1e-10 of its SE.
+        options = EstimationOptions(gradient_tolerance=1e-10)
+        once = estimate_design(design, options)
+        twice = estimate_design(doubled, options)
+        assert once.converged and twice.converged
+        halved = np.linalg.inv(-once.hessian_at_optimum) / 2.0
+        se = np.sqrt(np.diag(halved))
+        # rtol 1e-10, with an SE floor for estimates near zero.
+        gap = np.abs(twice.params_hat - once.params_hat)
+        assert np.all(gap <= 1e-10 * np.maximum(np.abs(once.params_hat), se))
+        gap = np.abs(np.linalg.inv(-twice.hessian_at_optimum) - halved)
+        assert np.all(gap <= 1e-10 * np.outer(se, se))
 
 
 class TestDegenerateProblems:

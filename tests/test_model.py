@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from choicestats import (
     AttributeRule,
     Dataset,
+    DesignArrays,
     GeneratorSpec,
     IdentificationRiskWarning,
     ModelSpec,
@@ -238,9 +239,11 @@ class TestDesignSurgery:
     ):
         design = build_design(three_mode_data(n_persons, obs_per_person, seed), three_mode_spec())
         params = np.array(params)
-        taken = design.take_persons(range(n_persons))
+        taken = design.weighted(np.ones(n_persons))
         for got, want in zip(_ll_grad_hess(taken, params), _ll_grad_hess(design, params)):
             np.testing.assert_array_equal(got, want)
+        assert taken.bhhh(params).tobytes() == design.bhhh(params).tobytes()
+        assert taken.null_log_likelihood() == design.null_log_likelihood()
 
     @settings(max_examples=25, deadline=None)
     @_panel_cases
@@ -249,42 +252,56 @@ class TestDesignSurgery:
     ):
         design = build_design(three_mode_data(n_persons, obs_per_person, seed), three_mode_spec())
         params = np.array(params)
-        doubled = design.take_persons(list(range(n_persons)) * 2)
+        doubled = design.weighted(np.full(n_persons, 2.0))
         for got, want in zip(_ll_grad_hess(doubled, params), _ll_grad_hess(design, params)):
             np.testing.assert_allclose(got, 2.0 * np.asarray(want), rtol=1e-12, atol=1e-12)
 
-    def test_take_persons_matches_materialised_resample(self):
-        from choicestats import resample_persons
-
-        data = three_mode_data(n_persons=30, obs_per_person=2, seed=14)
-        spec = three_mode_spec()
-        design = build_design(data, spec)
-        seed = 99
-        rng = np.random.default_rng(seed)
-        order = rng.integers(0, data.n_persons, data.n_persons)
-        gathered = design.take_persons(order)
-        materialised = build_design(resample_persons(data, seed), spec)
-        params = np.array([0.2, -0.1, -0.05, -0.2])
-        assert gathered.log_likelihood(params) == materialised.log_likelihood(params)
-        np.testing.assert_array_equal(
-            gathered.evaluate(params)[1], materialised.evaluate(params)[1]
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_weighted_replicate_matches_the_per_person_concatenation(self, data):
+        # A resample drawing person p m times is the design with weight m on
+        # p: same ll, gradient, Hessian and BHHH matrix as the m copies laid
+        # out one person at a time, and the persons of weight 0 are dropped.
+        _, _, design = _random_case(data, st.floats(-3.0, 3.0), 8, 3)
+        person = st.integers(0, design.n_persons - 1)
+        order = data.draw(st.lists(person, min_size=1, max_size=2 * design.n_persons))
+        counts = np.bincount(order, minlength=design.n_persons)
+        replicate = design.weighted(counts)
+        copies = DesignArrays(
+            **concat_take_persons(design, order),
+            free_names=design.free_names,
+            start_values=design.start_values,
+            person_weights=np.ones(len(order)),
         )
+        assert replicate.n_persons == np.count_nonzero(counts)
+        assert replicate.person_weights.tolist() == counts[counts > 0].tolist()
+        assert replicate.person_ids == [design.person_ids[p] for p in np.flatnonzero(counts)]
+        coefficient = st.floats(-1.0, 1.0)
+        params = np.array(data.draw(st.lists(coefficient, min_size=design.k, max_size=design.k)))
+
+        ll, gradient, hessian, floored = replicate.evaluate(params)
+        want_ll, want_gradient, want_hessian, want_floored = copies.evaluate(params)
+        assert floored == want_floored
+        # The floors of TestKernelReference: the two sum the same terms in
+        # another order.
+        np.testing.assert_allclose(ll, want_ll, rtol=1e-12, atol=1e-12 * copies.n_obs)
+        terms = np.maximum(np.abs(want_gradient), np.abs(copies.X).sum(axis=(0, 1)))
+        assert np.all(np.abs(gradient - want_gradient) <= 1e-12 * terms)
+        assert np.all(np.abs(hessian - want_hessian) <= 1e-12 * np.abs(want_hessian).max())
+        want_bhhh = copies.bhhh(params)
+        assert np.all(np.abs(replicate.bhhh(params) - want_bhhh) <= 1e-12 * np.abs(want_bhhh).max())
+        want_null = copies.null_log_likelihood()
+        assert replicate.null_log_likelihood() == pytest.approx(want_null, rel=1e-12)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
-    def test_take_persons_matches_the_per_person_concatenation(self, data):
-        _, _, design = _random_case(data, st.floats(-1e3, 1e3, allow_nan=False), 8, 3)
-        person = st.integers(0, design.n_persons - 1)
-        order = data.draw(st.lists(person, max_size=2 * design.n_persons))
-        taken = design.take_persons(np.array(order, dtype=np.int64))
-        want = concat_take_persons(design, order)
-        for name in ("X", "offset", "avail", "chosen", "person_index"):
-            got = getattr(taken, name)
-            assert (got.dtype, got.shape) == (want[name].dtype, want[name].shape), name
-            assert got.tobytes() == want[name].tobytes(), name
-        assert taken.person_ids == want["person_ids"]
-        assert taken.free_names == design.free_names
-        assert taken.start_values.tobytes() == design.start_values.tobytes()
+    def test_person_scores_equal_the_add_at_reference(self, data):
+        _, _, design = _random_case(data, st.floats(-1e3, 1e3, allow_nan=False), 12, 4)
+        coefficient = st.floats(-1.0, 1.0)
+        params = np.array(data.draw(st.lists(coefficient, min_size=design.k, max_size=design.k)))
+        want = np.zeros((design.n_persons, design.k))
+        np.add.at(want, design.person_index, design.score(params, grouping="observation"))
+        assert design.score(params, grouping="person").tobytes() == want.tobytes()
 
     def test_fix_column_moves_contribution_to_offset(self):
         data = three_mode_data(n_persons=25, seed=15)
@@ -429,10 +446,10 @@ class TestKernelReference:
         # probability is so small that rounding in its neighbours' terms
         # outweighs its own Hessian contribution.
         _, _, design = _random_case(data, st.floats(-3.0, 3.0), 8, 3)
-        surgery = data.draw(st.sampled_from(("none", "take_persons", "fix_column")))
-        if surgery == "take_persons":
-            person = st.integers(0, design.n_persons - 1)
-            design = design.take_persons(data.draw(st.lists(person, max_size=2 * design.n_persons)))
+        surgery = data.draw(st.sampled_from(("none", "weighted", "fix_column")))
+        if surgery == "weighted":
+            counts = st.lists(st.integers(0, 3), min_size=design.n_persons, max_size=design.n_persons)
+            design = design.weighted(np.array(data.draw(counts)))
         elif surgery == "fix_column" and design.k > 1:
             index = data.draw(st.integers(0, design.k - 1))
             design = design.fix_column(index, data.draw(st.floats(-1.0, 1.0)))

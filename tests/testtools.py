@@ -149,28 +149,31 @@ def einsum_evaluate(design, params):
 
     The reference for DesignArrays.evaluate, which reads the same design
     parameter-major and sums in another order, so the two agree to rounding
-    rather than bit for bit. Reads only the public (n_obs, n_alts[, k]) arrays.
+    rather than bit for bit. Reads only the public (n_obs, n_alts[, k]) arrays
+    and each observation's person weight.
     """
     X, rows = design.X, np.arange(design.n_obs)
+    w = design.person_weights[design.person_index]
     v = np.where(design.avail, design.offset + X @ params, -np.inf)
     v -= v.max(axis=1, keepdims=True)
     p = np.exp(v)
     p /= p.sum(axis=1, keepdims=True)
     p_chosen = p[rows, design.chosen]
     floored = bool(np.any(p_chosen < PROBABILITY_FLOOR))
-    ll = float(np.sum(np.log(np.maximum(p_chosen, PROBABILITY_FLOOR))))
+    ll = float(np.sum(w * np.log(np.maximum(p_chosen, PROBABILITY_FLOOR))))
     xbar = np.einsum("nj,njk->nk", p, X)
-    gradient = (X[rows, design.chosen] - xbar).sum(axis=0)
+    gradient = np.einsum("n,nk->k", w, X[rows, design.chosen] - xbar)
     centered = X - xbar[:, None, :]
-    h = -np.einsum("nj,njk,njl->kl", p, centered, centered, optimize=True)
+    h = -np.einsum("n,nj,njk,njl->kl", w, p, centered, centered, optimize=True)
     return ll, gradient, (h + h.T) / 2.0, floored
 
 
 def concat_take_persons(design, person_order):
-    """The arrays of design.take_persons(person_order), one person at a time.
+    """The arrays of a person-level resample, one person at a time.
 
-    Each listed person's rows in observation order, concatenated; the
-    reference for take_persons' single vectorised gather.
+    Each listed person's rows in observation order, concatenated, a person
+    listed m times giving m copies: the resample that a design weighted by
+    the persons' counts in ``person_order`` stands for.
     """
     per_person = [np.flatnonzero(design.person_index == p) for p in range(design.n_persons)]
     picked = [per_person[p] for p in person_order]

@@ -137,21 +137,24 @@ def _ascent_direction(design, params, gradient, hessian):
 def estimate_design(design, options=None, start=None, start_index=0):
     """Run the optimiser against an already compiled design.
 
-    One ``design.evaluate`` at the start and after each accepted step feeds
-    the next step and, at the end, the result; the line search needs only
-    the log-likelihood.
+    Each trial point costs one softmax pass: the line search takes the
+    log-likelihood from the point's probabilities, and at the accepted point
+    the same array gives the gradient and Hessian for the next step and, at
+    the end, the result.
     """
     options = options or EstimationOptions()
     params = design.start_values.copy() if start is None else np.asarray(start, dtype=float).copy()
     if params.shape != (design.k,):
         raise ValueError(f"start vector must have length {design.k}, got shape {params.shape}")
-    ll, gradient, hessian, floored = design.evaluate(params)
+    p = design.probabilities(params)
+    ll, floored = design.chosen_log_likelihood(p)
     if not np.isfinite(ll):
         raise StartPointError("log-likelihood is not finite at the start point")
 
     status = STATUS_MAX_ITERATIONS
     iterations = 0
     while True:
+        gradient, hessian = design.derivatives(p)
         if np.linalg.norm(gradient, np.inf) <= options.gradient_tolerance:
             status = STATUS_CONVERGED
             break
@@ -162,31 +165,23 @@ def estimate_design(design, options=None, start=None, start_index=0):
         except IdentificationError:
             status = STATUS_SINGULAR_HESSIAN
             break
+        # Near the optimum the full step's gain falls below the rounding of
+        # ll before the gradient test fires. So the first candidate, full
+        # step first, that moves the point without losing more than that
+        # rounding is accepted; the gradient test still decides convergence.
+        slack = 1e-13 * max(1.0, abs(ll))
         for halving in range(options.step_halving_max):
             candidate = params + 0.5**halving * direction
-            ll_candidate = design.log_likelihood(candidate)
-            if halving == 0:
-                full_candidate, full_ll = candidate, ll_candidate
-            if np.isfinite(ll_candidate) and ll_candidate > ll:
-                params = candidate
+            p = design.probabilities(candidate)
+            ll_candidate, floored_candidate = design.chosen_log_likelihood(p)
+            moves = np.any(candidate != params)
+            if moves and np.isfinite(ll_candidate) and ll_candidate >= ll - slack:
                 break
         else:
-            # Near the optimum the concave likelihood flattens below float
-            # resolution before the gradient test fires. Accept a full step
-            # that moves the point without materially losing likelihood so
-            # the quadratic phase can finish; the gradient check still
-            # decides convergence.
-            plateau_slack = 1e-13 * max(1.0, abs(ll))
-            if not (
-                np.isfinite(full_ll)
-                and full_ll >= ll - plateau_slack
-                and np.any(full_candidate != params)
-            ):
-                status = STATUS_LINE_SEARCH_FAILURE
-                break
-            params = full_candidate
+            status = STATUS_LINE_SEARCH_FAILURE
+            break
+        params, ll, floored = candidate, ll_candidate, floored_candidate
         iterations += 1
-        ll, gradient, hessian, floored = design.evaluate(params)
 
     if floored:
         warnings.warn(

@@ -320,15 +320,15 @@ def lm_test_at(design, params, d):
     """LM test from a compiled general-model design at restricted estimates.
 
     Information defaults to the negative analytic Hessian; when that is not
-    invertible the BHHH outer product of person-grouped scores substitutes.
+    invertible the design's BHHH matrix (``design.bhhh``: person-grouped
+    score outer products, times the person weights) substitutes.
     """
     params = np.asarray(params, dtype=float)
     _, gradient, hessian, _ = design.evaluate(params)
     try:
         return lm_test(gradient, -hessian, d)
     except IdentificationError:
-        rows = design.score(params, grouping="person")
-        return lm_test(gradient, rows.T @ rows, d)
+        return lm_test(gradient, design.bhhh(params), d)
 
 
 def asymptotic_ci(estimate, se, level=0.95, method="asymptotic_classical"):

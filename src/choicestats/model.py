@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from itertools import compress
 from typing import Mapping, Sequence
 
@@ -342,8 +343,10 @@ class DesignArrays:
         v /= v.sum(axis=0)
         return v.T
 
-    def _chosen_log_likelihood(self, p_t):
-        p_chosen = np.take(p_t, self._chosen_flat)
+    def chosen_log_likelihood(self, p):
+        """(ll, floored) from an array :meth:`probabilities` returned; floored
+        says whether a chosen probability was clamped at PROBABILITY_FLOOR."""
+        p_chosen = np.take(p.T, self._chosen_flat)
         floored = bool(np.any(p_chosen < PROBABILITY_FLOOR))
         log_p = np.log(np.maximum(p_chosen, PROBABILITY_FLOOR))
         return float(np.sum(self._obs_weights * log_p)), floored
@@ -353,32 +356,37 @@ class DesignArrays:
         return (self._Xt * p_t).sum(axis=1)
 
     def log_likelihood(self, params):
-        return self._chosen_log_likelihood(self.probabilities(params).T)[0]
+        return self.chosen_log_likelihood(self.probabilities(params))[0]
 
     def null_log_likelihood(self):
         """Log-likelihood of equal probabilities over available alternatives."""
         return float(-np.sum(self._obs_weights * np.log(self._avail_t.sum(axis=0))))
 
-    def evaluate(self, params):
-        """(ll, gradient, Hessian, floored) from one softmax pass.
+    def derivatives(self, p):
+        """(gradient, Hessian) from an array :meth:`probabilities` returned,
+        which this overwrites.
 
         The Hessian is -sum_n w_n sum_j p_nj (x_nj - xbar_n)(x_nj - xbar_n)',
         one matrix product over the centred design; the gradient sums the
         weighted centred chosen rows, w_n being the weight of observation n's
         person. Centring before either sum keeps them accurate near the
         optimum, where the uncentred forms cancel. Weights multiply before
-        each sum, so unit weights leave every bit as without them. floored
-        says whether a chosen probability was clamped at PROBABILITY_FLOOR.
+        each sum, so unit weights leave every bit as without them.
         """
-        p_t = self.probabilities(params).T
-        ll, floored = self._chosen_log_likelihood(p_t)
+        p_t = p.T
         centred = (self._Xt - self._xbar(p_t)[:, None, :]).reshape(self.k, -1)
         chosen = np.take(centred, self._chosen_flat, axis=1)
         chosen *= self._obs_weights
-        p_t *= self._obs_weights  # p_t is this call's own array; only h reads it now
+        p_t *= self._obs_weights
         h = -((centred * p_t.reshape(-1)) @ centred.T)
         # The product is not bitwise symmetric; the matrix is.
-        return ll, chosen.sum(axis=1), (h + h.T) / 2.0, floored
+        return chosen.sum(axis=1), (h + h.T) / 2.0
+
+    def evaluate(self, params):
+        """(ll, gradient, Hessian, floored) from one softmax pass."""
+        p = self.probabilities(params)
+        ll, floored = self.chosen_log_likelihood(p)
+        return (ll, *self.derivatives(p), floored)
 
     def score(self, params, grouping="person"):
         """Score rows x_chosen - sum_j p_j x_j, per observation or summed per
@@ -705,6 +713,11 @@ def simulate_dataset(spec, true_params, generator, n_persons, obs_per_person, se
     return Dataset(list(spec.alternatives), observations)
 
 
+@lru_cache(maxsize=8)
+def _person_ids(n_persons):
+    return tuple(f"p{person + 1:06d}" for person in range(n_persons))
+
+
 def _simulate(spec, true_params, generator, n_persons, obs_per_person, seed):
     # (design, attribute -> (n_obs, n_alts) draws, attribute -> alternatives drawn for)
     spec.validate()
@@ -766,7 +779,7 @@ def _simulate(spec, true_params, generator, n_persons, obs_per_person, seed):
         beta_person[:, free.index(name)] += rng.normal(0.0, float(sd), size=n_persons)
 
     avail = np.ones((n_obs, j_count), dtype=bool)
-    person_ids = [f"p{person + 1:06d}" for person in range(n_persons)]
+    person_ids = list(_person_ids(n_persons))
     X, offset = _compile(spec, values, avail)
     # einsum's summation order follows memory layout: summing over a
     # contiguous last axis keeps every utility, and so every draw, as before.

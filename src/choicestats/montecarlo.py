@@ -195,7 +195,8 @@ def _size_power_cell(config, direction, index):
     design, general, covs = _fit_replicate(
         config, {**config.true_params, config.target_parameter: effect}, rep
     )
-    restricted = estimate_design(design.fix_column(target_col, 0.0), EstimationOptions())
+    start = np.delete(general.params_hat, target_col)
+    restricted = estimate_design(design.fix_column(target_col, 0.0), start=start)
     if not restricted.converged:
         raise ChoiceStatsError("restricted model did not converge")
 

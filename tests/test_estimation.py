@@ -138,23 +138,65 @@ class TestOptimiserContract:
         ids=["converged", "max_iterations"],
     )
     def test_one_softmax_pass_per_accepted_step(self, monkeypatch, options, status):
-        # One evaluate at the start and one per accepted step; the line search
-        # adds one log-likelihood pass per trial point, and nothing else runs.
-        calls = {"probabilities": 0, "log_likelihood": 0}
+        # One softmax pass at the start and one per trial point. An accepted
+        # point's derivatives come from its trial pass, so no point is passed
+        # twice and no other kernel entry runs.
+        points = []
+        calls = {"derivatives": 0, "log_likelihood": 0, "evaluate": 0}
+        real_probabilities = DesignArrays.probabilities
+
+        def probabilities(self, params):
+            points.append(tuple(params))
+            return real_probabilities(self, params)
+
+        monkeypatch.setattr(DesignArrays, "probabilities", probabilities)
         for name in calls:
             real = getattr(DesignArrays, name)
 
-            def counting(self, params, _real=real, _name=name):
+            def counting(self, arg, _real=real, _name=name):
                 calls[_name] += 1
-                return _real(self, params)
+                return _real(self, arg)
 
             monkeypatch.setattr(DesignArrays, name, counting)
         design = build_design(three_mode_data(n_persons=200, seed=17), three_mode_spec())
         result = estimate_design(design, options)
         assert result.status == status
         assert result.iterations >= 2
-        assert calls["log_likelihood"] >= result.iterations
-        assert calls["probabilities"] == result.iterations + 1 + calls["log_likelihood"]
+        trial_points = set(points[1:]) - {points[0]}
+        assert len(trial_points) >= result.iterations
+        assert len(points) == 1 + len(trial_points)
+        assert calls == {"derivatives": result.iterations + 1, "log_likelihood": 0, "evaluate": 0}
+
+    @pytest.mark.parametrize(
+        "n_persons, obs_per_person, seed",
+        [(200, 1, 8), (100, 4, 5)],
+        ids=["cross_section", "panel"],
+    )
+    def test_quadratic_phase_takes_full_steps(self, monkeypatch, n_persons, obs_per_person, seed):
+        # These samples end on a full Newton step whose gain is below the
+        # rounding of ll. A strict-gain rule rejects it and halves the step
+        # 25 times; past |g| < 1e-3 every iteration must try one point only.
+        trials = []  # per accepted point, the start first: [|g|_inf, trial points tried from it]
+        real_probabilities = DesignArrays.probabilities
+        real_derivatives = DesignArrays.derivatives
+
+        def probabilities(self, params):
+            if trials:
+                trials[-1][1] += 1
+            return real_probabilities(self, params)
+
+        def derivatives(self, p):
+            gradient, hessian = real_derivatives(self, p)
+            trials.append([np.linalg.norm(gradient, np.inf), 0])
+            return gradient, hessian
+
+        monkeypatch.setattr(DesignArrays, "probabilities", probabilities)
+        monkeypatch.setattr(DesignArrays, "derivatives", derivatives)
+        data = three_mode_data(n_persons=n_persons, obs_per_person=obs_per_person, seed=seed)
+        result = estimate_design(build_design(data, three_mode_spec()))
+        assert result.converged
+        quadratic = [n for g, n in trials[:-1] if g < 1e-3]
+        assert quadratic and set(quadratic) == {1}
 
     def test_declared_start_values_are_used(self):
         data = three_mode_data(n_persons=60, seed=22)

@@ -5,6 +5,7 @@ scalar anchors were computed with mpmath at 40 digits and are frozen below.
 """
 
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ import scipy.stats
 
 from choicestats import (
     ConfidenceInterval,
+    Dataset,
     IdentificationError,
     NestingError,
     asymptotic_ci,
@@ -270,6 +272,23 @@ class TestLagrangeMultiplier:
             lm_test(np.array([1.0]), np.array([[-4.0]]), 1)
 
 
+class _BadHessian:
+    # -hessian comes back negative definite, forcing the score outer-product
+    # route.
+    def __init__(self, design):
+        self.design = design
+
+    def evaluate(self, p):
+        ll, gradient, hessian, floored = self.design.evaluate(p)
+        return ll, gradient, -hessian, floored
+
+    def score(self, p, grouping):
+        return self.design.score(p, grouping=grouping)
+
+    def bhhh(self, p):
+        return self.design.bhhh(p)
+
+
 class TestLmAtRestrictedEstimates:
     def test_agrees_with_lr_and_wald_when_restriction_is_false(self):
         dataset = three_mode_data(n_persons=1500, obs_per_person=1, seed=31)
@@ -299,19 +318,28 @@ class TestLmAtRestrictedEstimates:
         design = build_design(dataset, spec)
         params = design.start_values
 
-        class _BadHessian:
-            # -hessian comes back negative definite, forcing the score
-            # outer-product route.
-            def evaluate(self, p):
-                ll, gradient, hessian, floored = design.evaluate(p)
-                return ll, gradient, -hessian, floored
-
-            def score(self, p, grouping):
-                return design.score(p, grouping=grouping)
-
         rows = design.score(params, grouping="person")
         want = lm_test(design.evaluate(params)[1], rows.T @ rows, 1)
-        got = lm_test_at(_BadHessian(), params, 1)
+        got = lm_test_at(_BadHessian(design), params, 1)
+        assert got.statistic == pytest.approx(want.statistic, rel=1e-12)
+        assert got.p_value == pytest.approx(want.p_value, rel=1e-12)
+
+    def test_bhhh_fallback_counts_person_weights(self):
+        # Weights of 2 are the sample with every person twice, so the
+        # fallback information doubles with the gradient.
+        dataset = three_mode_data(n_persons=200, obs_per_person=2, seed=32)
+        spec = three_mode_spec()
+        design = build_design(dataset, spec)
+        copies = [
+            replace(obs, person_id=obs.person_id + copy, obs_id=obs.obs_id + copy)
+            for copy in ("a", "b")
+            for obs in dataset.observations
+        ]
+        duplicated = build_design(Dataset(dataset.alternatives, copies), spec)
+        params = design.start_values
+        doubled = design.weighted(np.full(design.n_persons, 2.0))
+        want = lm_test_at(_BadHessian(duplicated), params, 1)
+        got = lm_test_at(_BadHessian(doubled), params, 1)
         assert got.statistic == pytest.approx(want.statistic, rel=1e-12)
         assert got.p_value == pytest.approx(want.p_value, rel=1e-12)
 

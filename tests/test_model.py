@@ -19,6 +19,7 @@ from choicestats import (
     SpecMismatchError,
     UtilityTerm,
     build_design,
+    estimate_design,
     simulate_dataset,
     simulate_design,
 )
@@ -26,6 +27,7 @@ from choicestats.model import PROBABILITY_FLOOR
 from testtools import (
     GRADIENT_RTOL,
     HESSIAN_RTOL,
+    THREE_MODE_TRUE,
     assert_close_rel,
     binary_spec,
     concat_take_persons,
@@ -176,6 +178,33 @@ class TestDerivatives:
         h = design.evaluate(np.array([0.3, 0.1, -0.04, -0.1]))[2]
         eigenvalues = np.linalg.eigvalsh(h)
         assert (eigenvalues <= 1e-10).all()
+
+    def test_hessian_is_accurate_for_attributes_with_a_large_common_mean(self):
+        # Travel times in [10000, 10060]: the uncentred form sum p x x' -
+        # xbar xbar' cancels about 1e8 against a spread of about 300 per
+        # entry, which the centred form does not. Checked at the MLE against
+        # an extended-precision evaluation of the same formula; the uncentred
+        # form misses by about 1e-10 of the largest entry.
+        generator = GeneratorSpec(
+            attributes=(
+                AttributeRule("tt", dist="uniform", low=10000.0, high=10060.0),
+                AttributeRule("cost", dist="uniform", low=1.0, high=12.0),
+            )
+        )
+        design = simulate_design(
+            three_mode_spec(), THREE_MODE_TRUE, generator, n_persons=1000, obs_per_person=1, seed=4
+        )
+        result = estimate_design(design)
+        assert result.converged
+        params = result.params_hat
+        X = design.X.astype(np.longdouble)
+        v = X @ params.astype(np.longdouble) + design.offset
+        p = np.exp(v - v.max(axis=1, keepdims=True))
+        p /= p.sum(axis=1, keepdims=True)
+        centred = X - np.einsum("nj,njk->nk", p, X)[:, None, :]
+        want = -np.einsum("nj,nja,njb->ab", p, centred, centred)
+        got = design.evaluate(params)[2]
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_score_rows_sum_to_gradient(self):
         data = three_mode_data(n_persons=50, obs_per_person=3, seed=8)

@@ -5,11 +5,13 @@ import csv
 import numpy as np
 import pytest
 
+import choicestats.montecarlo as montecarlo_module
 from choicestats import (
     REJECTION_METHODS,
     ExperimentConfig,
     MonteCarloReport,
     coverage_experiment,
+    estimate_design,
     sampling_distribution_summary,
     save_rows,
     size_and_power_experiment,
@@ -196,6 +198,25 @@ class TestSizePower:
         parallel = size_and_power_experiment(config, jobs=3)
         assert serial.rows == parallel.rows
         assert serial.rates == parallel.rates
+
+    def test_restricted_fit_starts_from_the_general_estimate(self, monkeypatch):
+        # The restricted model is the general one with the target fixed at 0,
+        # so its fit starts from the general estimate with the target removed.
+        fits = []
+
+        def recording(design, options=None, start=None, start_index=0):
+            result = estimate_design(design, options, start=start, start_index=start_index)
+            fits.append((design.free_names, start, result))
+            return result
+
+        monkeypatch.setattr(montecarlo_module, "estimate_design", recording)
+        config = make_config(n_persons=60)
+        montecarlo_module._size_power_cell(config, "less", 1)
+        (general_names, general_start, general), (restricted_names, start, _) = fits
+        assert general_start is None
+        assert restricted_names == [n for n in general_names if n != "b_cost"]
+        target = general_names.index("b_cost")
+        np.testing.assert_array_equal(start, np.delete(general.params_hat, target))
 
     def test_effect_sizes_must_include_null(self):
         with pytest.raises(ValueError):

@@ -503,7 +503,10 @@ def cmd_montecarlo(args):
     outdir = _outdir(args)
     doc = read_json(args.config)
     kind = doc.get("experiment", "size_power")
-    config = ExperimentConfig.from_dict(doc)
+    try:
+        config = ExperimentConfig.from_dict(doc)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"malformed experiment config: {exc!r}", source=args.config) from exc
     if args.seed is not None:
         config.seed = args.seed
     if kind == "size_power":

@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .errors import DataError
-from .model import Dataset, ModelSpec, Observation, ParameterDef, UtilityTerm
+from .model import Dataset, ModelSpec, ParameterDef, UtilityTerm
 
 RESERVED_COLUMNS = ("person_id", "obs_id", "alt_id", "avail", "chosen")
 
@@ -54,11 +54,12 @@ def load_dataset(path):
         col = {name: header.index(name) for name in RESERVED_COLUMNS}
         attr_cols = [(i, name) for i, name in enumerate(header) if name not in RESERVED_COLUMNS]
 
-        alternatives = []
-        alt_pos = {}
-        # obs_id -> [person_id, first_line, {alt: (line, avail, chosen, attrs)}]
-        groups = {}
-        order = []
+        alt_pos = {}  # alternative -> column
+        obs_pos = {}  # observation id -> row
+        person_ids, first_lines = [], []
+        cells = {}  # (row, column) -> line, in file order
+        avail, chosen = [], []
+        values = [[] for _ in attr_cols]  # per attribute: a float, or None if empty
         for line, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
@@ -73,74 +74,72 @@ def load_dataset(path):
                 raise DataError(
                     "person_id, obs_id and alt_id must be non-empty", source=source, line=line
                 )
-            if alt_id not in alt_pos:
-                alt_pos[alt_id] = len(alternatives)
-                alternatives.append(alt_id)
-            avail = _flag(row[col["avail"]], "avail", source, line)
-            chosen = _flag(row[col["chosen"]], "chosen", source, line)
-            attrs = {}
-            for i, name in attr_cols:
-                cell = row[i].strip()
-                if not cell:
-                    continue
+            j = alt_pos.setdefault(alt_id, len(alt_pos))
+            avail.append(_flag(row[col["avail"]], "avail", source, line))
+            chosen.append(_flag(row[col["chosen"]], "chosen", source, line))
+            for (c, name), column in zip(attr_cols, values):
+                cell = row[c].strip()
                 try:
-                    attrs[name] = float(cell)
+                    column.append(float(cell) if cell else None)
                 except ValueError:
                     raise DataError(
-                        f"column '{name}' is not numeric: '{row[i]}'", source=source, line=line
+                        f"column '{name}' is not numeric: '{row[c]}'", source=source, line=line
                     )
-            group = groups.get(obs_id)
-            if group is None:
-                group = [person_id, line, {}]
-                groups[obs_id] = group
-                order.append(obs_id)
-            elif group[0] != person_id:
+            i = obs_pos.setdefault(obs_id, len(obs_pos))
+            if i == len(person_ids):
+                person_ids.append(person_id)
+                first_lines.append(line)
+            elif person_ids[i] != person_id:
                 raise DataError(
                     f"observation '{obs_id}' appears under two persons "
-                    f"('{group[0]}' and '{person_id}')",
+                    f"('{person_ids[i]}' and '{person_id}')",
                     source=source,
                     line=line,
                 )
-            if alt_id in group[2]:
+            if (i, j) in cells:
                 raise DataError(
                     f"duplicate row for observation '{obs_id}', alternative '{alt_id}'",
                     source=source,
                     line=line,
                 )
-            group[2][alt_id] = (line, avail, chosen, attrs)
+            cells[i, j] = line
 
-    if not order:
+    if not obs_pos:
         raise DataError("file contains a header but no data rows", source=source, line=1)
 
-    observations = []
-    for obs_id in order:
-        person_id, first_line, rows = groups[obs_id]
-        for alt in alternatives:
-            if alt not in rows:
-                raise DataError(
-                    f"observation '{obs_id}' has no row for alternative '{alt}'",
-                    source=source,
-                    line=first_line,
-                )
-        chosen_alts = [alt for alt in alternatives if rows[alt][2]]
-        if len(chosen_alts) != 1:
-            raise DataError(
-                f"observation '{obs_id}' must have exactly one chosen row, "
-                f"got {len(chosen_alts)}",
-                source=source,
-                line=first_line,
-            )
-        observations.append(
-            Observation(
-                person_id=person_id,
-                obs_id=obs_id,
-                chosen=alt_pos[chosen_alts[0]],
-                availability=tuple(rows[alt][1] for alt in alternatives),
-                attributes=tuple(dict(rows[alt][3]) for alt in alternatives),
-            )
+    obs_ids, alternatives = list(obs_pos), list(alt_pos)
+    shape = (len(obs_ids), len(alternatives))
+    rows, columns = np.array(list(cells)).T
+
+    def grid(cell_values, fill):
+        out = np.full(shape, fill)
+        out[rows, columns] = cell_values
+        return out
+
+    present, picked = grid(True, False), grid(chosen, False)
+    n_chosen = picked.sum(axis=1)
+    bad = np.column_stack([~present.all(axis=1), n_chosen != 1])
+    if bad.any():
+        i, check = np.argwhere(bad)[0]
+        raise DataError(
+            f"observation '{obs_ids[i]}' has no row for alternative "
+            f"'{alternatives[np.argmin(present[i])]}'"
+            if check == 0
+            else f"observation '{obs_ids[i]}' must have exactly one chosen row, got {n_chosen[i]}",
+            source=source,
+            line=first_lines[i],
         )
 
-    dataset = Dataset(alternatives, observations)
+    values = [np.array(column, dtype=object) for column in values]
+    dataset = Dataset(
+        alternatives,
+        person_ids,
+        obs_ids,
+        picked.argmax(axis=1),
+        grid(avail, False),
+        {name: grid(v.astype(float), np.nan) for (_, name), v in zip(attr_cols, values)},
+        {name: grid(np.not_equal(v, None), False) for (_, name), v in zip(attr_cols, values)},
+    )
     try:
         dataset.validate()
     except Exception as exc:
@@ -150,34 +149,36 @@ def load_dataset(path):
 
 def save_dataset(dataset, path):
     """Write a dataset back to the long CSV format accepted by load_dataset."""
-    names = sorted({name for obs in dataset.observations for attrs in obs.attributes for name in attrs})
+    names = sorted(dataset.attributes)
+    # Nested lists of Python floats: repr gives the shortest round-trip
+    # text, where a numpy scalar's repr would name its type.
+    values = [dataset.attributes[name].tolist() for name in names]
+    carried = [dataset.carried[name].tolist() for name in names]
+    avail, chosen = dataset.avail.tolist(), dataset.chosen.tolist()
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(list(RESERVED_COLUMNS) + names)
-        for obs in dataset.observations:
+        for i, (person_id, obs_id) in enumerate(zip(dataset.person_ids, dataset.obs_ids)):
             for j, alt in enumerate(dataset.alternatives):
-                attrs = obs.attributes[j]
                 writer.writerow(
-                    [
-                        obs.person_id,
-                        obs.obs_id,
-                        alt,
-                        int(obs.availability[j]),
-                        int(obs.chosen == j),
-                    ]
-                    + [repr(attrs[name]) if name in attrs else "" for name in names]
+                    [person_id, obs_id, alt, int(avail[i][j]), int(chosen[i] == j)]
+                    + [repr(v[i][j]) if c[i][j] else "" for v, c in zip(values, carried)]
                 )
 
 
 def read_json(path):
+    """The JSON object in ``path``; any other document raises DataError."""
     source = str(path)
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON: {exc.msg}", source=source, line=exc.lineno) from exc
     except OSError as exc:
         raise DataError(f"cannot read file: {exc}", source=source) from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"expected a JSON object, got {type(doc).__name__}", source=source)
+    return doc
 
 
 def model_spec_from_doc(doc):

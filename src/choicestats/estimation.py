@@ -8,7 +8,7 @@ local optima, and an eigenvalue-based identification check.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

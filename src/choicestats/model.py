@@ -1,6 +1,6 @@
 """Multinomial logit model core.
 
-Data containers (observations, datasets, model specifications), choice
+Data containers (columnar datasets, model specifications), choice
 probabilities with overflow-safe evaluation, the sample log-likelihood with
 its analytic score and Hessian, and a seeded simulator for experiments.
 
@@ -13,12 +13,11 @@ optimisation stays vectorised.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from itertools import compress
-from typing import Mapping, Sequence
+from typing import Mapping
 
 import numpy as np
 
@@ -177,86 +176,97 @@ class ModelSpec:
         return np.array([p.start for p in self.free_parameters()], dtype=float)
 
 
-@dataclass(frozen=True)
-class Observation:
-    """A single choice situation.
+@dataclass(eq=False)
+class Dataset:
+    """Choice data as columns over a fixed alternative order.
 
-    ``chosen`` and ``availability`` are positional with respect to the owning
-    dataset's alternative order; ``attributes`` holds one mapping of attribute
-    name to value per alternative, in the same order.
+    Lists and ``(n_obs,)`` arrays hold one entry per observation, and
+    ``(n_obs, n_alts)`` arrays one column per alternative, in order.
+
+    Attributes
+    ----------
+    alternatives, person_ids, obs_ids : list of str
+    chosen : ndarray of int, shape (n_obs,)
+        Position of the chosen alternative.
+    avail : ndarray of bool, shape (n_obs, n_alts)
+    attributes : dict of str to ndarray, shape (n_obs, n_alts)
+        Attribute values, NaN where an alternative does not carry one.
+    carried : dict of str to ndarray of bool, shape (n_obs, n_alts)
+        The cells that carry each attribute, so that build_design can tell
+        a missing value from a non-finite one read from the data.
     """
 
-    person_id: str
-    obs_id: str
-    chosen: int
-    availability: tuple[bool, ...]
-    attributes: tuple[Mapping[str, float], ...]
-
-
-@dataclass
-class Dataset:
-    """An ordered collection of observations over a fixed alternative set."""
-
     alternatives: list[str]
-    observations: list[Observation]
+    person_ids: list[str]
+    obs_ids: list[str]
+    chosen: np.ndarray
+    avail: np.ndarray
+    attributes: dict[str, np.ndarray]
+    carried: dict[str, np.ndarray]
 
     def persons(self):
         """Person identifiers in order of first appearance."""
-        seen = {}
-        for obs in self.observations:
-            seen.setdefault(obs.person_id, None)
-        return list(seen)
+        return list(dict.fromkeys(self.person_ids))
 
     @property
     def n_obs(self):
-        return len(self.observations)
+        return len(self.obs_ids)
 
     @property
     def n_persons(self):
         return len(self.persons())
 
     def validate(self):
-        if not self.observations:
+        n, j = self.n_obs, len(self.alternatives)
+        if not n:
             raise SpecMismatchError("dataset contains no observations")
-        j = len(self.alternatives)
-        seen_obs = set()
-        for obs in self.observations:
-            if len(obs.availability) != j or len(obs.attributes) != j:
+        names = sorted(self.attributes.keys() | self.carried.keys())
+        columns = [("person_ids", self.person_ids, (n,)), ("chosen", self.chosen, (n,))]
+        columns += [("avail", self.avail, (n, j))] + [
+            (f"{kind} '{name}'", getattr(self, kind).get(name), (n, j))
+            for kind in ("attributes", "carried")
+            for name in names
+        ]
+        for column, values, expected in columns:
+            if np.shape(values) != expected:
                 raise SpecMismatchError(
-                    f"observation '{obs.obs_id}' is not aligned with the "
-                    f"{j} dataset alternatives"
+                    f"column {column} has shape {np.shape(values)}, not {expected} "
+                    f"for {n} observations of {j} alternatives"
                 )
-            if obs.obs_id in seen_obs:
-                raise SpecMismatchError(f"duplicate observation id '{obs.obs_id}'")
-            seen_obs.add(obs.obs_id)
-            if not any(obs.availability):
-                raise SpecMismatchError(f"observation '{obs.obs_id}' has no available alternative")
-            if not (0 <= obs.chosen < j):
-                raise SpecMismatchError(f"observation '{obs.obs_id}' chose an unknown alternative")
-            if not obs.availability[obs.chosen]:
-                raise SpecMismatchError(
-                    f"observation '{obs.obs_id}' chose unavailable alternative "
-                    f"'{self.alternatives[obs.chosen]}'"
-                )
+        # One row per observation, one column per check in the order below;
+        # the first failing check of the first failing observation is named.
+        _, first, inverse = np.unique(self.obs_ids, return_index=True, return_inverse=True)
+        known = (self.chosen >= 0) & (self.chosen < j)
+        chosen_avail = self.avail[np.arange(n), np.where(known, self.chosen, 0)]
+        bad = np.column_stack(
+            [first[inverse] != np.arange(n), ~self.avail.any(axis=1), ~known, ~chosen_avail]
+        )
+        if bad.any():
+            i, check = np.argwhere(bad)[0]
+            obs = self.obs_ids[i]
+            raise SpecMismatchError((
+                f"duplicate observation id '{obs}'",
+                f"observation '{obs}' has no available alternative",
+                f"observation '{obs}' chose an unknown alternative",
+                f"observation '{obs}' chose unavailable alternative "
+                f"'{self.alternatives[self.chosen[i]] if known[i] else ''}'",
+            )[check])
 
     def reordered(self, alternatives):
-        """The same data with positional fields permuted to a new alt order."""
+        """The same data with its alternative columns permuted to a new order."""
         if set(alternatives) != set(self.alternatives):
             raise SpecMismatchError(
                 f"alternative sets differ: dataset {self.alternatives} vs {list(alternatives)}"
             )
         perm = [self.alternatives.index(alt) for alt in alternatives]
-        observations = [
-            Observation(
-                person_id=o.person_id,
-                obs_id=o.obs_id,
-                chosen=perm.index(o.chosen),
-                availability=tuple(o.availability[p] for p in perm),
-                attributes=tuple(o.attributes[p] for p in perm),
-            )
-            for o in self.observations
-        ]
-        return Dataset(list(alternatives), observations)
+        return replace(
+            self,
+            alternatives=list(alternatives),
+            chosen=np.argsort(perm)[self.chosen],
+            avail=self.avail[:, perm],
+            attributes={name: values[:, perm] for name, values in self.attributes.items()},
+            carried={name: mask[:, perm] for name, mask in self.carried.items()},
+        )
 
 
 @dataclass
@@ -477,42 +487,36 @@ def build_design(dataset, spec):
     if dataset.alternatives != spec.alternatives:
         dataset = dataset.reordered(spec.alternatives)
 
-    observations = dataset.observations
     checks = [
         (j, t.attribute)
         for j, alt in enumerate(spec.alternatives)
         for t in spec.utilities.get(alt, [])
         if t.attribute != CONST_ATTRIBUTE
     ]
-    shape = (len(observations), len(spec.alternatives))
-    # One column per attribute; NaN where an alternative lacks it.
+    avail = dataset.avail
+    absent = np.full(avail.shape, np.nan)
     columns = {
-        name: np.array(
-            [attrs.get(name, math.nan) for obs in observations for attrs in obs.attributes],
-            dtype=float,
-        ).reshape(shape)
+        name: dataset.attributes.get(name, absent)
         for name in dict.fromkeys(attribute for _, attribute in checks)
     }
-    avail = np.array([obs.availability for obs in observations], dtype=bool)
 
     # The first bad value by observation, then alternative, then term.
     bad = [avail[:, j] & ~np.isfinite(columns[attribute][:, j]) for j, attribute in checks]
     if np.any(bad):
         i, c = np.argwhere(np.column_stack(bad))[0]
         j, attribute = checks[c]
-        obs = observations[i]
         problem = "is not finite for alternative"
-        if obs.attributes[j].get(attribute) is None:
+        if attribute not in dataset.carried or not dataset.carried[attribute][i, j]:
             problem = "is missing for available alternative"
         raise SpecMismatchError(
-            f"observation '{obs.obs_id}': attribute '{attribute}' {problem} "
+            f"observation '{dataset.obs_ids[i]}': attribute '{attribute}' {problem} "
             f"'{spec.alternatives[j]}'"
         )
 
     person_ids = dataset.persons()
     person_pos = {pid: i for i, pid in enumerate(person_ids)}
-    chosen = np.array([obs.chosen for obs in observations], dtype=np.int64)
-    person_index = np.array([person_pos[obs.person_id] for obs in observations], dtype=np.int64)
+    chosen = np.array(dataset.chosen, dtype=np.int64)
+    person_index = np.array([person_pos[pid] for pid in dataset.person_ids], dtype=np.int64)
     X, offset = _compile(spec, columns, avail)
     ones = np.ones(len(person_ids))
     return DesignArrays(
@@ -690,27 +694,19 @@ def simulate_dataset(spec, true_params, generator, n_persons, obs_per_person, se
     design, values, carried = _simulate(
         spec, true_params, generator, n_persons, obs_per_person, seed
     )
-    by_alternative = []  # one attribute dict per observation, per alternative
-    for j, alt in enumerate(spec.alternatives):
-        names = [name for name in values if alt in carried[name]]
-        columns = [values[name][:, j].tolist() for name in names]
-        rows = zip(*columns) if columns else [()] * design.n_obs
-        by_alternative.append([{n: x for n, x in zip(names, row)} for row in rows])
-    ids = design.person_ids
-    available = (True,) * design.n_alts
-    observations = [
-        Observation(
-            person_id=ids[person],
-            obs_id=f"{ids[person]}.{i % obs_per_person + 1}",
-            chosen=chosen,
-            availability=available,
-            attributes=attributes,
-        )
-        for i, (person, chosen, attributes) in enumerate(
-            zip(design.person_index.tolist(), design.chosen.tolist(), zip(*by_alternative))
-        )
-    ]
-    return Dataset(list(spec.alternatives), observations)
+    masks = {
+        name: np.tile([alt in carried[name] for alt in spec.alternatives], (design.n_obs, 1))
+        for name in values
+    }
+    return Dataset(
+        list(spec.alternatives),
+        [pid for pid in design.person_ids for _ in range(obs_per_person)],
+        [f"{pid}.{t}" for pid in design.person_ids for t in range(1, obs_per_person + 1)],
+        design.chosen.copy(),
+        np.ones((design.n_obs, design.n_alts), dtype=bool),
+        {name: np.where(masks[name], draws, np.nan) for name, draws in values.items()},
+        masks,
+    )
 
 
 @lru_cache(maxsize=8)

@@ -11,11 +11,9 @@ import pytest
 
 from choicestats import (
     ConvergenceError,
-    Dataset,
     EstimationOptions,
     EstimationResult,
     ExperimentConfig,
-    Observation,
     ReplicateFailureWarning,
     build_design,
     load_dataset,
@@ -32,6 +30,7 @@ from choicestats.dataio import read_json, write_json
 from testtools import (
     THREE_MODE_TRUE,
     binary_spec,
+    hand_dataset,
     three_mode_data,
     three_mode_generator,
     three_mode_spec,
@@ -45,18 +44,9 @@ def cli_files(tmp_path_factory):
     save_model_spec(three_mode_spec(), root / "spec.json")
 
     # Constant attribute gap: the constant and the coefficient collide.
-    collinear = Dataset(
+    collinear = hand_dataset(
         ["car", "bus"],
-        [
-            Observation(
-                person_id=f"p{i}",
-                obs_id=f"p{i}-1",
-                chosen=i % 2,
-                availability=(True, True),
-                attributes=({"tt": 30.0}, {"tt": 10.0}),
-            )
-            for i in range(12)
-        ],
+        [(f"p{i}", f"p{i}-1", i % 2, (True, True), ({"tt": 30.0}, {"tt": 10.0})) for i in range(12)],
     )
     save_dataset(collinear, root / "collinear.csv")
     save_model_spec(binary_spec(), root / "binary_spec.json")
@@ -369,6 +359,13 @@ class TestReportCommand:
         assert main(argv) == 1
         assert "command tag" in capsys.readouterr().err
 
+    def test_results_that_are_not_an_object_exit_1(self, tmp_path, capsys):
+        write_json([], tmp_path / "results.json")
+        argv = ["report", "--results", str(tmp_path / "results.json"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "expected a JSON object, got list" in err
+
 
 class TestBootstrapCommand:
     def test_outputs_and_job_invariance(self, cli_files, tmp_path, capsys):
@@ -528,6 +525,24 @@ class TestMontecarloCommand:
         ]
         assert main(argv) == 1
         assert "missing required keys" in capsys.readouterr().err
+
+    def test_config_that_is_not_an_object_exits_1(self, tmp_path, capsys):
+        write_json([], tmp_path / "config.json")
+        argv = ["montecarlo", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "expected a JSON object, got list" in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_config_with_an_empty_spec_exits_1(self, cli_files, tmp_path, capsys):
+        doc = read_json(cli_files / "mc_size.json")
+        doc["spec"] = {}
+        path = tmp_path / "config.json"
+        write_json(doc, path)
+        assert main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed experiment config: KeyError('alternatives')")
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 class TestCompileOnce:

@@ -1,11 +1,16 @@
 """CSV loader with line-precise errors, JSON round trips."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choicestats import DataError, load_dataset, load_model_spec, save_dataset, save_model_spec
 from choicestats.dataio import decode_matrix, encode_matrix, read_json, write_json
-from testtools import three_mode_data, three_mode_spec
+from testtools import hand_dataset, same_data, three_mode_data, three_mode_spec
 
 GOOD_CSV = """person_id,obs_id,alt_id,avail,chosen,tt,cost
 p1,p1.1,car,1,1,20,4
@@ -32,12 +37,11 @@ class TestLoadDataset:
         assert data.alternatives == ["car", "bus", "rail"]
         assert data.n_obs == 3
         assert data.n_persons == 2
-        first = data.observations[0]
-        assert first.chosen == 0
-        assert first.attributes[1]["tt"] == 35.0
+        assert data.chosen[0] == 0
+        assert data.attributes["tt"][0, 1] == 35.0
         # Unavailable rail row with empty cells carries no attributes.
-        assert data.observations[1].availability == (True, True, False)
-        assert data.observations[1].attributes[2] == {}
+        assert data.avail[1].tolist() == [True, True, False]
+        assert not any(mask[1, 2] for mask in data.carried.values())
 
     def test_round_trip_through_save(self, tmp_path):
         original = three_mode_data(n_persons=12, obs_per_person=2, seed=9)
@@ -45,7 +49,46 @@ class TestLoadDataset:
         save_dataset(original, path)
         loaded = load_dataset(path)
         assert loaded.alternatives == original.alternatives
-        assert loaded.observations == original.observations
+        assert same_data(loaded, original)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_save_then_load_returns_the_same_columns(self, data):
+        # Absent cells, unavailable alternatives and non-finite values all
+        # come back as written; a NaN cell stays carried, an empty one not.
+        ids = st.text(alphabet="abcxyz019._-", min_size=1, max_size=4)
+        alternatives = data.draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+        names = data.draw(st.lists(st.sampled_from(("tt", "cost", "wait")), unique=True))
+        value = st.none() | st.floats(allow_nan=True, allow_infinity=True)
+        observations = []
+        for i in range(data.draw(st.integers(1, 6))):
+            avail = data.draw(
+                st.lists(st.booleans(), min_size=len(alternatives), max_size=len(alternatives))
+                .filter(any)
+            )
+            chosen = data.draw(st.sampled_from([j for j, ok in enumerate(avail) if ok]))
+            attributes = [
+                {name: x for name in names if (x := data.draw(value)) is not None}
+                for _ in alternatives
+            ]
+            person = data.draw(st.sampled_from(("p1", "p2", "p3")))
+            observations.append((person, f"o{i}", chosen, avail, attributes))
+        original = hand_dataset(alternatives, observations)
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "data.csv"
+            save_dataset(original, path)
+            loaded = load_dataset(path)
+        assert same_data(loaded, original)
+
+    def test_numpy_scalar_values_are_written_as_numbers(self, tmp_path):
+        original = hand_dataset(
+            ["car", "bus"],
+            [("p1", "o1", 0, (True, True), ({"tt": np.float64(1.5)}, {"tt": np.float64(2.0)}))],
+        )
+        path = tmp_path / "data.csv"
+        save_dataset(original, path)
+        assert path.read_text(encoding="utf-8").splitlines()[1] == "p1,o1,car,1,1,1.5"
+        assert same_data(load_dataset(path), original)
 
     @pytest.mark.parametrize(
         "mutate, expected_line",

@@ -16,7 +16,6 @@ from choicestats import (
     EstimationDisagreementWarning,
     EstimationOptions,
     ModelSpec,
-    Observation,
     ParameterDef,
     StartPointError,
     UtilityTerm,
@@ -26,7 +25,7 @@ from choicestats import (
     estimate_design,
     multi_start,
 )
-from testtools import binary_spec, three_mode_data, three_mode_spec
+from testtools import binary_spec, hand_dataset, three_mode_data, three_mode_spec
 
 TWO_ALTS = ("car", "bus")
 
@@ -46,15 +45,15 @@ def constants_only_data(alternatives, counts):
         for _ in range(count):
             n += 1
             observations.append(
-                Observation(
-                    person_id=f"p{n}",
-                    obs_id=f"o{n}",
-                    chosen=j,
-                    availability=tuple(True for _ in alternatives),
-                    attributes=tuple({} for _ in alternatives),
+                (
+                    f"p{n}",
+                    f"o{n}",
+                    j,
+                    tuple(True for _ in alternatives),
+                    tuple({} for _ in alternatives),
                 )
             )
-    return Dataset(list(alternatives), observations)
+    return hand_dataset(alternatives, observations)
 
 
 class TestClosedForms:
@@ -249,14 +248,12 @@ class TestDegenerateProblems:
             },
         )
         base = three_mode_data(n_persons=100, seed=25)
-        observations = [
-            Observation(
-                o.person_id, o.obs_id, min(o.chosen, 1),
-                (True, True), (o.attributes[0], o.attributes[1]),
-            )
-            for o in base.observations
-        ]
-        data = Dataset(list(TWO_ALTS), observations)
+        data = Dataset(
+            list(TWO_ALTS), base.person_ids, base.obs_ids, np.minimum(base.chosen, 1),
+            np.ones((base.n_obs, 2), dtype=bool),
+            {name: values[:, :2] for name, values in base.attributes.items()},
+            {name: mask[:, :2] for name, mask in base.carried.items()},
+        )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             result = estimate(data, spec)
@@ -274,12 +271,12 @@ class TestDegenerateProblems:
         for i in range(40):
             tt = rng.uniform(5.0, 60.0, size=2)
             observations.append(
-                Observation(
+                (
                     f"p{i}", f"o{i}", int(np.argmin(tt)), (True, True),
                     ({"tt": float(tt[0])}, {"tt": float(tt[1])}),
                 )
             )
-        data = Dataset(list(TWO_ALTS), observations)
+        data = hand_dataset(TWO_ALTS, observations)
         spec = ModelSpec(
             alternatives=TWO_ALTS,
             parameters=(ParameterDef("b_tt"),),

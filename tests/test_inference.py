@@ -14,7 +14,6 @@ import scipy.stats
 
 from choicestats import (
     ConfidenceInterval,
-    Dataset,
     IdentificationError,
     NestingError,
     asymptotic_ci,
@@ -34,7 +33,7 @@ from choicestats import (
     z_for_level,
 )
 
-from testtools import assert_close_rel, three_mode_data, three_mode_spec
+from testtools import assert_close_rel, take_observations, three_mode_data, three_mode_spec
 
 mpmath.mp.dps = 40
 
@@ -330,12 +329,12 @@ class TestLmAtRestrictedEstimates:
         dataset = three_mode_data(n_persons=200, obs_per_person=2, seed=32)
         spec = three_mode_spec()
         design = build_design(dataset, spec)
-        copies = [
-            replace(obs, person_id=obs.person_id + copy, obs_id=obs.obs_id + copy)
-            for copy in ("a", "b")
-            for obs in dataset.observations
-        ]
-        duplicated = build_design(Dataset(dataset.alternatives, copies), spec)
+        copies = replace(
+            take_observations(dataset, np.tile(np.arange(dataset.n_obs), 2)),
+            person_ids=[pid + copy for copy in ("a", "b") for pid in dataset.person_ids],
+            obs_ids=[oid + copy for copy in ("a", "b") for oid in dataset.obs_ids],
+        )
+        duplicated = build_design(copies, spec)
         params = design.start_values
         doubled = design.weighted(np.full(design.n_persons, 2.0))
         want = lm_test_at(_BadHessian(duplicated), params, 1)

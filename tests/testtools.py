@@ -11,6 +11,7 @@ import numpy as np
 
 from choicestats import (
     AttributeRule,
+    Dataset,
     GeneratorSpec,
     ModelSpec,
     ParameterDef,
@@ -92,6 +93,66 @@ def three_mode_data(n_persons=400, obs_per_person=1, seed=21, true=None, heterog
     )
 
 
+def hand_dataset(alternatives, observations):
+    """Dataset from one ``(person_id, obs_id, chosen, availability,
+    attributes)`` tuple per observation.
+
+    ``chosen`` is a position in ``alternatives``; ``availability`` and
+    ``attributes`` (a dict of attribute values) hold one entry per
+    alternative, and an attribute absent from an alternative's dict is not
+    carried there. Nothing is validated, so invalid data can be built.
+    """
+    shape = (len(observations), len(alternatives))
+    cells = [obs[4] for obs in observations]
+    names = dict.fromkeys(name for row in cells for attrs in row for name in attrs)
+    return Dataset(
+        alternatives=list(alternatives),
+        person_ids=[obs[0] for obs in observations],
+        obs_ids=[obs[1] for obs in observations],
+        chosen=np.array([obs[2] for obs in observations], dtype=np.int64),
+        avail=np.array([obs[3] for obs in observations], dtype=bool).reshape(shape),
+        attributes={
+            name: np.array(
+                [[a.get(name, np.nan) for a in row] for row in cells], dtype=float
+            ).reshape(shape)
+            for name in names
+        },
+        carried={
+            name: np.array([[name in a for a in row] for row in cells], dtype=bool).reshape(shape)
+            for name in names
+        },
+    )
+
+
+def take_observations(dataset, rows):
+    """The observations at positions ``rows``, in that order."""
+    rows = np.asarray(rows, dtype=np.int64)
+    return Dataset(
+        alternatives=list(dataset.alternatives),
+        person_ids=[dataset.person_ids[i] for i in rows],
+        obs_ids=[dataset.obs_ids[i] for i in rows],
+        chosen=dataset.chosen[rows],
+        avail=dataset.avail[rows],
+        attributes={name: values[rows] for name, values in dataset.attributes.items()},
+        carried={name: mask[rows] for name, mask in dataset.carried.items()},
+    )
+
+
+def same_data(a, b):
+    """Whether two datasets hold the same columns, NaN cells matching NaN."""
+    return (
+        a.alternatives == b.alternatives
+        and a.person_ids == b.person_ids
+        and a.obs_ids == b.obs_ids
+        and np.array_equal(a.chosen, b.chosen)
+        and np.array_equal(a.avail, b.avail)
+        and a.attributes.keys() == b.attributes.keys()
+        and a.carried.keys() == b.carried.keys()
+        and all(np.array_equal(v, b.attributes[k], equal_nan=True) for k, v in a.attributes.items())
+        and all(np.array_equal(m, b.carried[k]) for k, m in a.carried.items())
+    )
+
+
 def fd_gradient(design, params):
     """Central difference of the log-likelihood, one coordinate at a time."""
     params = np.asarray(params, dtype=float)
@@ -131,12 +192,12 @@ def loop_compile(dataset, spec):
     fixed = {p.name: p.fixed_value for p in spec.parameters if p.fixed}
     X = np.zeros((dataset.n_obs, len(spec.alternatives), len(free)))
     offset = np.zeros((dataset.n_obs, len(spec.alternatives)))
-    for i, obs in enumerate(dataset.observations):
+    for i in range(dataset.n_obs):
         for j, alt in enumerate(spec.alternatives):
-            if not obs.availability[j]:
+            if not dataset.avail[i, j]:
                 continue
             for term in spec.utilities.get(alt, []):
-                x = 1.0 if term.attribute == "_const" else obs.attributes[j][term.attribute]
+                x = 1.0 if term.attribute == "_const" else dataset.attributes[term.attribute][i, j]
                 if term.param in fixed:
                     offset[i, j] += fixed[term.param] * x
                 else:

@@ -81,6 +81,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
+def _positive_int(text):
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser():
     parser = _Parser(prog="choicestats", description=__doc__)
     parser.add_argument("--version", action="version", version=f"choicestats {__version__}")
@@ -92,7 +102,7 @@ def _build_parser():
             p.add_argument("--spec", required=True, help="model specification JSON")
         p.add_argument("--out", default=None, help=f"output directory (default ${OUTDIR_ENV} or .)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
+        p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (at least 1)")
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
         p.add_argument("--stars", action="store_true", help="append significance stars (needs --se or --t)")
         p.add_argument("--se", action="store_true", help="show standard-error columns")

@@ -20,7 +20,11 @@ from .errors import (
     ProbabilityUnderflowWarning,
     StartPointError,
 )
-from .linalg import require_symmetric, solve_positive_definite
+from .linalg import (
+    require_symmetric,
+    solve_positive_definite,
+    solve_symmetric_positive_definite,
+)
 from .model import build_design
 from .util import seed_from
 
@@ -127,9 +131,12 @@ def check_identification(hessian, threshold=1e-10, names=None):
 
 def _ascent_direction(design, params, gradient, hessian):
     # Newton when -H is positive definite, else the BHHH direction built
-    # from person-grouped score outer products.
+    # from person-grouped score outer products. DesignArrays.derivatives
+    # returns a bitwise-symmetric Hessian, so only finiteness is checked.
+    if not np.isfinite(hessian).all():
+        raise ValueError("negative hessian contains non-finite entries")
     try:
-        return solve_positive_definite(-hessian, gradient, name="negative hessian")
+        return solve_symmetric_positive_definite(-hessian, gradient, name="negative hessian")
     except IdentificationError:
         return solve_positive_definite(design.bhhh(params), gradient, name="bhhh matrix")
 
@@ -155,7 +162,7 @@ def estimate_design(design, options=None, start=None, start_index=0):
     iterations = 0
     while True:
         gradient, hessian = design.derivatives(p)
-        if np.linalg.norm(gradient, np.inf) <= options.gradient_tolerance:
+        if np.abs(gradient).max() <= options.gradient_tolerance:
             status = STATUS_CONVERGED
             break
         if iterations == options.max_iterations:
@@ -199,7 +206,7 @@ def estimate_design(design, options=None, start=None, start_index=0):
         names=list(design.free_names),
         ll_hat=ll,
         ll_0=design.null_log_likelihood(),
-        gradient_norm=float(np.linalg.norm(gradient, np.inf)),
+        gradient_norm=float(np.abs(gradient).max()),
         hessian_at_optimum=hessian,
         iterations=iterations,
         status=status,

@@ -58,7 +58,14 @@ def solve_positive_definite(matrix, rhs, rel_threshold=1e-12, name="matrix"):
     Used for ascent directions, where an indefinite or singular matrix must
     trigger the caller's fallback rather than produce a garbage direction.
     """
-    m = require_symmetric(matrix, name=name)
+    return solve_symmetric_positive_definite(
+        require_symmetric(matrix, name=name), rhs, rel_threshold, name
+    )
+
+
+def solve_symmetric_positive_definite(m, rhs, rel_threshold=1e-12, name="matrix"):
+    """:func:`solve_positive_definite` for a finite matrix already known to be
+    bitwise symmetric, which the symmetry check would return unchanged."""
     w, v = np.linalg.eigh(m)
     largest = float(w.max(initial=0.0))
     if largest <= 0.0 or float(w.min()) <= rel_threshold * largest:

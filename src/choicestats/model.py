@@ -316,7 +316,8 @@ class DesignArrays:
         self.X = self._Xt.transpose(2, 1, 0)
         self.offset = self._offset_t.T
         self.avail = self._avail_t.T
-        self._unavail_t = ~self._avail_t
+        # The offset where an alternative is available, -inf where it is not.
+        self._bias_t = np.where(self._avail_t, self._offset_t, -np.inf)
         # Position of each chosen entry in the flattened (n_alts, n_obs) rows.
         self._chosen_flat = self.chosen * self.n_obs + np.arange(self.n_obs)
         self.person_weights = np.asarray(self.person_weights, dtype=float)
@@ -346,8 +347,7 @@ class DesignArrays:
         view of the kernel's (n_alts, n_obs) array.
         """
         v = (params @ self._Xt.reshape(self.k, -1)).reshape(self._offset_t.shape)
-        v += self._offset_t
-        v[self._unavail_t] = -np.inf
+        v += self._bias_t
         v -= v.max(axis=0)
         np.exp(v, out=v)
         v /= v.sum(axis=0)
@@ -777,15 +777,19 @@ def _simulate(spec, true_params, generator, n_persons, obs_per_person, seed):
     avail = np.ones((n_obs, j_count), dtype=bool)
     person_ids = list(_person_ids(n_persons))
     X, offset = _compile(spec, values, avail)
-    # einsum's summation order follows memory layout: summing over a
-    # contiguous last axis keeps every utility, and so every draw, as before.
-    v = offset + np.einsum("njk,nk->nj", np.ascontiguousarray(X), beta_person[person_of_obs])
-    v -= v.max(axis=1, keepdims=True)
-    p = np.exp(v)
-    p /= p.sum(axis=1, keepdims=True)
-    cum = np.cumsum(p, axis=1)
+    # Alternative-major (n_alts, n_obs) rows, as in the kernel, each
+    # observation at its person's coefficients.
+    beta_obs = np.repeat(beta_person.T, obs_per_person, axis=1)
+    v = np.zeros((j_count, n_obs))
+    for x, beta in zip(X.transpose(2, 1, 0), beta_obs):
+        v += x * beta
+    v += offset.T
+    v -= v.max(axis=0)
+    np.exp(v, out=v)
+    v /= v.sum(axis=0)
+    cum = np.cumsum(v, axis=0)
     u = rng.random(n_obs)
-    chosen = np.minimum((cum < u[:, None]).sum(axis=1), j_count - 1)
+    chosen = np.minimum((cum < u).sum(axis=0), j_count - 1)
     design = DesignArrays(
         X, offset, avail, chosen, person_of_obs, person_ids, free, spec.starts(), np.ones(n_persons)
     )

@@ -164,16 +164,22 @@ def _declared_direction(spec, target):
 
 
 def _fit_replicate(config, true_params, rep):
-    """Simulate replication ``rep`` at ``true_params``, fit it, and take its covariances."""
+    """Simulate replication ``rep`` at ``true_params``, fit it, and take its covariances.
+
+    The fit starts at the true parameters. The MNL log-likelihood is concave,
+    so the estimate depends on the start only within the convergence
+    tolerance, and the truth is the closest start the experiment knows.
+    """
+    truth = [true_params[name] for name in config.spec.free_names()]
     design = simulate_design(
         config.spec,
-        true_params,
+        truth,
         config.generator,
         config.n_persons,
         config.obs_per_person,
         seed_from(config.seed, rep),
     )
-    result = estimate_design(design, EstimationOptions())
+    result = estimate_design(design, EstimationOptions(), start=truth)
     if not result.converged:
         raise ChoiceStatsError("replication did not converge")
     covs = covariance_set(

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
+import os
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -35,6 +35,15 @@ def reject_unknown_keys(doc, allowed, context):
         )
 
 
+#: Contiguous blocks per worker process. Blocks go to whichever worker is
+#: free, so one slow stretch of indices cannot leave the other workers idle.
+BLOCKS_PER_WORKER = 8
+
+# (fn, args) of the parallel_map a worker process serves, set once per
+# worker by the pool initializer; never set in the calling process.
+_worker_task = None
+
+
 def _run_chunk(fn, args, first, count):
     out = []
     with warnings.catch_warnings():
@@ -47,22 +56,45 @@ def _run_chunk(fn, args, first, count):
     return out
 
 
+def _init_worker(fn, args):
+    global _worker_task
+    _worker_task = (fn, args)
+
+
+def _run_block(block):
+    return _run_chunk(*_worker_task, *block)
+
+
+def _usable_cpus():
+    """CPUs this process may run on, or the machine's count where the
+    platform cannot say."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def parallel_map(fn, args, total, jobs=1):
     """``[fn(*args, i) for i in range(total)]``, run as replicates.
 
     A replicate that raises ChoiceStatsError or ValueError yields None in its
-    slot; warnings raised inside replicates are silenced. The indices are
-    split into at most ``jobs`` contiguous chunks, run in worker processes
-    when there is more than one, so ``fn`` must be a module-level function.
-    Each replicate must derive its seeds from its index alone; the result is
-    then identical for any job count.
+    slot; warnings raised inside replicates are silenced. With more than one
+    worker, ``min(jobs, total, usable CPUs)`` processes each receive ``fn``
+    and ``args`` once, at start-up, so ``fn`` must be a module-level
+    function. The indices are split into about BLOCKS_PER_WORKER contiguous
+    blocks per worker, and each block goes to whichever worker is free next;
+    results come back in index order. Each replicate must derive its seeds
+    from its index alone; the result is then identical for any job count.
     """
-    n_chunks = min(max(1, int(jobs or 1)), total)
-    if n_chunks <= 1:
+    workers = min(max(1, int(jobs or 1)), total, _usable_cpus())
+    if workers <= 1:
         return _run_chunk(fn, args, 0, total)
-    bounds = np.linspace(0, total, n_chunks + 1).astype(int)
-    firsts = [int(a) for a in bounds[:-1]]
-    counts = [int(b - a) for a, b in zip(bounds[:-1], bounds[1:])]
-    with ProcessPoolExecutor(max_workers=n_chunks) as pool:
-        chunks = pool.map(_run_chunk, [fn] * n_chunks, [args] * n_chunks, firsts, counts)
-        return [out for chunk in chunks for out in chunk]
+    # Imported here: a serial run never loads the multiprocessing machinery.
+    from concurrent.futures import ProcessPoolExecutor
+
+    bounds = np.linspace(0, total, min(total, BLOCKS_PER_WORKER * workers) + 1).astype(int)
+    blocks = [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:])]
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_init_worker, initargs=(fn, args)
+    ) as pool:
+        return [out for block in pool.map(_run_block, blocks) for out in block]

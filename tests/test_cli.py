@@ -188,6 +188,18 @@ class TestExitCodes:
             main(["estimate", "--data", str(cli_files / "data.csv")])
         assert exc.value.code == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-2"])
+    def test_jobs_below_one_exits_1(self, cli_files, tmp_path, capsys, jobs):
+        argv = [
+            "bootstrap", "--data", str(cli_files / "data.csv"), "--spec", str(cli_files / "spec.json"),
+            "--out", str(tmp_path), "--S", "4", "--jobs", jobs,
+        ]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 1
+        assert "argument --jobs: must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "results.json").exists()
+
     def test_unreadable_data_exits_1(self, cli_files, tmp_path, capsys):
         argv = [
             "estimate",

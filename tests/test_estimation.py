@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from choicestats import (
@@ -15,6 +15,7 @@ from choicestats import (
     DivergenceWarning,
     EstimationDisagreementWarning,
     EstimationOptions,
+    IdentificationError,
     ModelSpec,
     ParameterDef,
     StartPointError,
@@ -25,6 +26,8 @@ from choicestats import (
     estimate_design,
     multi_start,
 )
+from choicestats import estimation as estimation_module
+from choicestats.linalg import solve_positive_definite
 from testtools import binary_spec, hand_dataset, three_mode_data, three_mode_spec
 
 TWO_ALTS = ("car", "bus")
@@ -352,3 +355,53 @@ class TestMultiStart:
         monkeypatch.setattr(est, "estimate_design", fake)
         with pytest.warns(EstimationDisagreementWarning):
             est.multi_start(build_design(data, three_mode_spec()), EstimationOptions(n_starts=2))
+
+
+class _FourIdentityBhhhDesign:
+    # The BHHH fallback gets 4 I, so its direction is gradient / 4.
+    def bhhh(self, params):
+        return 4.0 * np.eye(2)
+
+
+class TestNewtonStep:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), k=st.integers(1, 6), scale=st.sampled_from([1e-6, 1.0, 1e4]))
+    def test_direction_equals_the_checked_solve(self, data, k, scale):
+        # -H = A A' as DesignArrays.derivatives would return it: symmetrised
+        # by (h + h') / 2, which makes it bitwise symmetric.
+        entries = st.floats(-10.0, 10.0, allow_nan=False)
+        a = np.array(data.draw(st.lists(entries, min_size=k * (k + 2), max_size=k * (k + 2))))
+        gradient = np.array(data.draw(st.lists(entries, min_size=k, max_size=k)))
+        h = -scale * (a.reshape(k, k + 2) @ a.reshape(k, k + 2).T)
+        h = (h + h.T) / 2.0
+        try:
+            expected = solve_positive_definite(-h, gradient, name="negative hessian")
+        except IdentificationError:
+            assume(False)
+        got = estimation_module._ascent_direction(None, None, gradient, h)
+        assert got.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "eigenvalues, newton",
+        [
+            ((1.0, 2e-12), True),
+            ((1.0, 0.5e-12), False),
+            ((3.0, 1e-12 * 3.0), False),
+            ((1.0, -1.0), False),
+            ((0.0, 0.0), False),
+            ((-1.0, -2.0), False),
+        ],
+    )
+    def test_eigenvalue_rule_picks_newton_or_bhhh(self, eigenvalues, newton):
+        hessian = -np.diag(eigenvalues)
+        gradient = np.array([1.0, 2.0])
+        direction = estimation_module._ascent_direction(_FourIdentityBhhhDesign(), None, gradient, hessian)
+        expected = gradient / np.array(eigenvalues) if newton else gradient / 4.0
+        np.testing.assert_allclose(direction, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_hessian_raises(self, bad):
+        hessian = -np.eye(2)
+        hessian[0, 1] = hessian[1, 0] = bad
+        with pytest.raises(ValueError, match="^negative hessian contains non-finite entries$"):
+            estimation_module._ascent_direction(_FourIdentityBhhhDesign(), None, np.ones(2), hessian)

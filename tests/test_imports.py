@@ -1,4 +1,5 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and importing
+the package loads no process pool.
 
 No linter runs on the package, so this parses each module and fails on an
 imported name that nothing in the module reads. A name listed in the
@@ -6,6 +7,9 @@ module's ``__all__`` counts as used: it is re-exported.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,3 +50,18 @@ def test_the_scan_finds_an_unused_import():
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_importing_the_package_loads_no_process_pool():
+    # parallel_map imports the pool only when it runs more than one worker.
+    code = "import sys, choicestats; print('concurrent.futures.process' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "False"

@@ -1,5 +1,6 @@
 """Probability core, derivatives against finite differences, simulation."""
 
+import hashlib
 import warnings
 
 import numpy as np
@@ -832,3 +833,82 @@ class TestSimulateDesign:
         assert (got[0], got[3]) == (want[0], want[3])
         assert got[1].tobytes() == want[1].tobytes()
         assert got[2].tobytes() == want[2].tobytes()
+
+
+def _pinned_case(case):
+    spec, gen, true, obs_per_person = three_mode_spec(), three_mode_generator(), THREE_MODE_TRUE, 1
+    if case == "heterogeneity":
+        gen = GeneratorSpec(attributes=gen.attributes, heterogeneity={"b_tt": 0.03})
+    elif case == "restricted":
+        spec = _wait_spec(None)
+        wait = AttributeRule("wait", dist="uniform", low=0.0, high=15.0, alternatives=("bus", "rail"))
+        gen = GeneratorSpec(attributes=(*gen.attributes, wait))
+        true = {**THREE_MODE_TRUE, "b_wait": -0.08}
+    elif case == "panel":
+        obs_per_person = 3
+    return spec, true, gen, 400, obs_per_person
+
+
+# sha256 of (chosen, X) bytes from simulate_design, recorded before the
+# simulator's utilities and draws moved to alternative-major arrays.
+SIMULATOR_DIGESTS = {
+    ("plain", 1): (
+        "c1bb4cbc2616fbef9bdc340fbed2bf0433a9f1a977dee895dba39b00e741f2e5",
+        "ef3686bef70b3b46058211b4e89a78e64cd9ac6f478d343452c9951c426cc425",
+    ),
+    ("plain", 2): (
+        "3cdd8b98c06ee2c60521b3d60d28ca96d0a3aa2c78584a336f3c801267923a32",
+        "1e6b0ddd451748c8299d57b758a228ce62cfaaa9ee695ca5ac09b0618e06d3de",
+    ),
+    ("plain", 3): (
+        "2e6979b2417dab9ed295011359eee403d062fc4e8d947ffd96d2901bafedbfe3",
+        "a2a94e82aa99d48d9405752b97c818ec8079b7b460ecffa5c522716ac25f7843",
+    ),
+    ("heterogeneity", 1): (
+        "a44cab1e8110fcd427565e203589b4c58a6993d57d09dd25f3ca140e3204a228",
+        "ef3686bef70b3b46058211b4e89a78e64cd9ac6f478d343452c9951c426cc425",
+    ),
+    ("heterogeneity", 2): (
+        "95589fb556ec51e326933f8e2dd3e86238317b73bf54abb5139e2210147e9dee",
+        "1e6b0ddd451748c8299d57b758a228ce62cfaaa9ee695ca5ac09b0618e06d3de",
+    ),
+    ("heterogeneity", 3): (
+        "02940e8e3e226a73be6191433dd285b65a1841c4eeb4df88fd14c487fad69586",
+        "a2a94e82aa99d48d9405752b97c818ec8079b7b460ecffa5c522716ac25f7843",
+    ),
+    ("restricted", 1): (
+        "0cd70a058cebdfea2dc3ae27b67b7c250a7651d59e8d5ac1b501fcd77d1da3c8",
+        "655833d5f654f6ed5e737164ed5122fb04f8cdbfaa87cb8d3d19396e93d693e3",
+    ),
+    ("restricted", 2): (
+        "6906bc8cc4ac7e281100a55dd0331475112a5a28b4f5ba472834ac7ca4690996",
+        "f6ae712968934518cdcc01677aff3fff27638be37e1865945767e30b371c08d3",
+    ),
+    ("restricted", 3): (
+        "1bd89657932d060e319e96f1d2d54339ae3370d28727d5b01fdb0b9148b951a7",
+        "7f2c08042df54630758556102e9c254b96a679c4b473a36e6c7e8e77aa68e735",
+    ),
+    ("panel", 1): (
+        "6c802337c61d8721eb99554eb1ed81925afd9c2a349e4358acc9e30bffcf66a0",
+        "24756c2ebc1ab2fcd36e15fdaffea9fcb94f900b0c83c5d53545cbba47f08365",
+    ),
+    ("panel", 2): (
+        "6ce2006060add297f1211b0bee272d60d8f748e13759696cf2cc77a6abc9f12d",
+        "17aba1311e9939e8cc72b4b42d72cd3ccf1404f8b6579b88211bd6d4343f062b",
+    ),
+    ("panel", 3): (
+        "821ab1a03b429211fea8b75f4db48c1f76bbe2b8e08c625049483011d381e17a",
+        "708f31a98f2726fc7379be77163b368e92d18f769b82a6ed99dbaea2c2023c39",
+    ),
+}
+
+
+@pytest.mark.parametrize("case, seed", sorted(SIMULATOR_DIGESTS))
+def test_simulator_draws_are_pinned(case, seed):
+    design = simulate_design(*_pinned_case(case), seed)
+    assert (design.chosen.dtype, design.X.dtype) == (np.int64, np.float64)
+    digests = tuple(
+        hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+        for a in (design.chosen, design.X)
+    )
+    assert digests == SIMULATOR_DIGESTS[case, seed]

@@ -213,7 +213,7 @@ class TestSizePower:
         config = make_config(n_persons=60)
         montecarlo_module._size_power_cell(config, "less", 1)
         (general_names, general_start, general), (restricted_names, start, _) = fits
-        assert general_start is None
+        assert general_start == [{**config.true_params, "b_cost": -0.4}[n] for n in general_names]
         assert restricted_names == [n for n in general_names if n != "b_cost"]
         target = general_names.index("b_cost")
         np.testing.assert_array_equal(start, np.delete(general.params_hat, target))

@@ -166,14 +166,14 @@ def quantile_interval(draws, level, center):
 
 def hpd_interval(draws, level, center):
     """Narrowest interval spanned by ceil(level * S) consecutive order
-    statistics; ties broken toward the lower window start."""
+    statistics, level * S read to quantile_interval's 1e-9 tolerance; ties
+    broken toward the lower window start."""
     level = float(level)
     if not 0.0 < level < 1.0:
         raise ValueError(f"level must be in (0, 1), got {level}")
     sorted_draws = _check_draws(draws)
     s = sorted_draws.size
-    m = math.ceil(level * s)
-    m = max(m, 2)
+    m = max(math.ceil(level * s - _INTEGRAL_TOLERANCE), 2)
     widths = sorted_draws[m - 1 :] - sorted_draws[: s - m + 1]
     best = int(np.argmin(widths))
     lower = float(sorted_draws[best])

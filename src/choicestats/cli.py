@@ -117,13 +117,13 @@ def _build_parser():
         default="auto",
         help="one: declared parameter direction; two: two-sided; auto: direction of the estimate",
     )
-    p_est.add_argument("--starts", type=int, default=1, help="number of optimisation starts")
+    p_est.add_argument("--starts", type=_positive_int, default=1, help="number of optimisation starts")
 
     p_boot = sub.add_parser("bootstrap", help="person-level bootstrap intervals and p-values")
     common(p_boot)
     p_boot.add_argument("--ci-level", type=float, default=0.95)
     p_boot.add_argument("--S", type=int, default=400, dest="s_samples", help="bootstrap replicates")
-    p_boot.add_argument("--starts", type=int, default=1)
+    p_boot.add_argument("--starts", type=_positive_int, default=1)
 
     p_mc = sub.add_parser("montecarlo", help="size/power or coverage experiment from a config")
     p_mc.add_argument("--config", required=True, help="experiment configuration JSON")
@@ -178,7 +178,7 @@ def _sidedness_for(param, flag):
 def _fit_data(args):
     spec = load_model_spec(args.spec)
     design = build_design(load_dataset(args.data), spec)
-    options = EstimationOptions(n_starts=max(1, args.starts), seed=args.seed)
+    options = EstimationOptions(n_starts=args.starts, seed=args.seed)
     if options.n_starts > 1:
         try:
             best, runs = multi_start(design, options)
@@ -565,7 +565,10 @@ def cmd_report(args):
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if not 0.0 < getattr(args, "ci_level", 0.5) < 1.0:
+        parser.error(f"argument --ci-level: must be in (0, 1), got {args.ci_level}")
     handlers = {
         "estimate": cmd_estimate,
         "bootstrap": cmd_bootstrap,

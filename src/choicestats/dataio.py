@@ -13,17 +13,9 @@ import numpy as np
 
 from .errors import DataError
 from .model import Dataset, ModelSpec, ParameterDef, UtilityTerm
+from .util import first_failure
 
 RESERVED_COLUMNS = ("person_id", "obs_id", "alt_id", "avail", "chosen")
-
-
-def _flag(raw, column, source, line):
-    value = raw.strip()
-    if value == "0":
-        return False
-    if value == "1":
-        return True
-    raise DataError(f"column '{column}' must be 0 or 1, got '{raw}'", source=source, line=line)
 
 
 def load_dataset(path):
@@ -33,118 +25,112 @@ def load_dataset(path):
     column is an attribute; empty cells mean the attribute does not apply to
     that alternative. Exactly one chosen row per observation, and every
     observation must carry a row for every alternative seen in the file.
+    Blank records are skipped and cells stripped. The first failing record
+    is reported, at its first failing check in the order of ``checks``.
     """
     source = str(path)
     try:
         fh = open(path, encoding="utf-8", newline="")
     except OSError as exc:
         raise DataError(f"cannot read file: {exc}", source=source) from exc
+    rows, end = [], None
     with fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError("file is empty; a header row is mandatory", source=source, line=1)
-        header = [h.strip() for h in header]
-        missing = [c for c in RESERVED_COLUMNS if c not in header]
-        if missing:
-            raise DataError(f"missing required columns: {missing}", source=source, line=1)
-        if len(set(header)) != len(header):
-            raise DataError("duplicate column names in header", source=source, line=1)
-        col = {name: header.index(name) for name in RESERVED_COLUMNS}
-        attr_cols = [(i, name) for i, name in enumerate(header) if name not in RESERVED_COLUMNS]
+            rows.extend(reader)
+        except csv.Error as exc:
+            end = DataError(f"cannot parse CSV: {exc}", source=source, line=reader.line_num)
+        except UnicodeDecodeError as exc:  # decoded in blocks: the byte is on this line or later
+            raise DataError(f"not UTF-8 text: {exc.reason}", source, reader.line_num + 1) from None
+    if not rows:
+        raise end or DataError("file is empty; a header row is mandatory", source=source, line=1)
+    header = [h.strip() for h in rows.pop(0)]
+    missing = [c for c in RESERVED_COLUMNS if c not in header]
+    if missing:
+        raise DataError(f"missing required columns: {missing}", source=source, line=1)
+    if len(set(header)) != len(header):
+        raise DataError("duplicate column names in header", source=source, line=1)
 
-        alt_pos = {}  # alternative -> column
-        obs_pos = {}  # observation id -> row
-        person_ids, first_lines = [], []
-        cells = {}  # (row, column) -> line, in file order
-        avail, chosen = [], []
-        values = [[] for _ in attr_cols]  # per attribute: a float, or None if empty
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise DataError(
-                    f"expected {len(header)} fields, got {len(row)}", source=source, line=line
-                )
-            person_id = row[col["person_id"]].strip()
-            obs_id = row[col["obs_id"]].strip()
-            alt_id = row[col["alt_id"]].strip()
-            if not person_id or not obs_id or not alt_id:
-                raise DataError(
-                    "person_id, obs_id and alt_id must be non-empty", source=source, line=line
-                )
-            j = alt_pos.setdefault(alt_id, len(alt_pos))
-            avail.append(_flag(row[col["avail"]], "avail", source, line))
-            chosen.append(_flag(row[col["chosen"]], "chosen", source, line))
-            for (c, name), column in zip(attr_cols, values):
-                cell = row[c].strip()
-                try:
-                    column.append(float(cell) if cell else None)
-                except ValueError:
-                    raise DataError(
-                        f"column '{name}' is not numeric: '{row[c]}'", source=source, line=line
-                    )
-            i = obs_pos.setdefault(obs_id, len(obs_pos))
-            if i == len(person_ids):
-                person_ids.append(person_id)
-                first_lines.append(line)
-            elif person_ids[i] != person_id:
-                raise DataError(
-                    f"observation '{obs_id}' appears under two persons "
-                    f"('{person_ids[i]}' and '{person_id}')",
-                    source=source,
-                    line=line,
-                )
-            if (i, j) in cells:
-                raise DataError(
-                    f"duplicate row for observation '{obs_id}', alternative '{alt_id}'",
-                    source=source,
-                    line=line,
-                )
-            cells[i, j] = line
-
-    if not obs_pos:
-        raise DataError("file contains a header but no data rows", source=source, line=1)
-
+    # rows[i] is record i + 2; blank records are skipped and a ragged one ends them.
+    nonblank = np.fromiter(map(bool, map(str.strip, map("".join, rows))), bool, len(rows))
+    ragged = np.flatnonzero(nonblank & (np.fromiter(map(len, rows), int, len(rows)) != len(header)))
+    if ragged.size:
+        stop = int(ragged[0])
+        end = DataError(f"expected {len(header)} fields, got {len(rows[stop])}", source, stop + 2)
+        nonblank[stop:] = False
+    kept = np.flatnonzero(nonblank)
+    if not kept.size:
+        raise end or DataError("file contains a header but no data rows", source=source, line=1)
+    cells = dict(zip(header, zip(*map(rows.__getitem__, kept.tolist()))))
+    del rows
+    # Python strings, as a numpy string array drops trailing NULs: '1\x00' would pass.
+    person, obs, alt, avail, chosen = (
+        np.array([c.strip() for c in cells[name]], object) for name in RESERVED_COLUMNS
+    )
+    bad_flags = [(flag != "0") & (flag != "1") for flag in (avail, chosen)]
+    avail, chosen = avail == "1", chosen == "1"
+    obs_pos, alt_pos = {}, {}
+    obs_index = np.array([obs_pos.setdefault(o, len(obs_pos)) for o in obs], dtype=np.intp)
+    alt_index = np.array([alt_pos.setdefault(a, len(alt_pos)) for a in alt], dtype=np.intp)
     obs_ids, alternatives = list(obs_pos), list(alt_pos)
-    shape = (len(obs_ids), len(alternatives))
-    rows, columns = np.array(list(cells)).T
+    names = [name for name in header if name not in RESERVED_COLUMNS]
+    values, carried, not_numeric = zip(*map(_numbers, map(cells.get, names))) if names else [()] * 3
+    _, first = np.unique(obs_index, return_index=True)  # each observation's first row
+    key = obs_index * len(alternatives) + alt_index
+    _, first_cell, cell = np.unique(key, return_index=True, return_inverse=True)
+    checks = [(person == "") | (obs == "") | (alt == ""), *bad_flags, *not_numeric]
+    checks += [person != person[first[obs_index]], first_cell[cell] != np.arange(len(kept))]
+    failure = first_failure(checks)
+    if failure:
+        r, check = failure
+        texts = ["person_id, obs_id and alt_id must be non-empty"]
+        texts += [f"column '{c}' must be 0 or 1, got '{cells[c][r]}'" for c in RESERVED_COLUMNS[3:]]
+        texts += [f"column '{name}' is not numeric: '{cells[name][r]}'" for name in names]
+        texts.append(f"observation '{obs[r]}' appears under two persons "
+                     f"('{person[first[obs_index[r]]]}' and '{person[r]}')")
+        texts.append(f"duplicate row for observation '{obs[r]}', alternative '{alt[r]}'")
+        raise DataError(texts[check], source=source, line=int(kept[r]) + 2)
+    if end:
+        raise end
 
     def grid(cell_values, fill):
-        out = np.full(shape, fill)
-        out[rows, columns] = cell_values
+        out = np.full((len(obs_ids), len(alternatives)), fill)
+        out[obs_index, alt_index] = cell_values
         return out
 
-    present, picked = grid(True, False), grid(chosen, False)
-    n_chosen = picked.sum(axis=1)
-    bad = np.column_stack([~present.all(axis=1), n_chosen != 1])
-    if bad.any():
-        i, check = np.argwhere(bad)[0]
-        raise DataError(
-            f"observation '{obs_ids[i]}' has no row for alternative "
-            f"'{alternatives[np.argmin(present[i])]}'"
-            if check == 0
-            else f"observation '{obs_ids[i]}' must have exactly one chosen row, got {n_chosen[i]}",
-            source=source,
-            line=first_lines[i],
-        )
+    present, picked, avail = grid(True, False), grid(chosen, False), grid(avail, False)
+    n_chosen, chosen = picked.sum(axis=1), picked.argmax(axis=1)
+    # Whole observations: their rows, then the Dataset.validate checks rows can fail.
+    stages = [~present.all(1), n_chosen != 1], [~avail.any(1), (picked & ~avail).any(1)]
+    for stage, failure in enumerate(map(first_failure, stages)):
+        if failure:
+            i, check = failure
+            what = [
+                f"has no row for alternative '{alternatives[np.argmin(present[i])]}'",
+                f"must have exactly one chosen row, got {n_chosen[i]}",
+                "has no available alternative",
+                f"chose unavailable alternative '{alternatives[chosen[i]]}'",
+            ][2 * stage + check]
+            raise DataError(f"observation '{obs_ids[i]}' {what}", source, int(kept[first[i]]) + 2)
+    values = {name: grid(v, np.nan) for name, v in zip(names, values)}
+    carried = {name: grid(c, False) for name, c in zip(names, carried)}
+    return Dataset(alternatives, person[first].tolist(), obs_ids, chosen, avail, values, carried)
 
-    values = [np.array(column, dtype=object) for column in values]
-    dataset = Dataset(
-        alternatives,
-        person_ids,
-        obs_ids,
-        picked.argmax(axis=1),
-        grid(avail, False),
-        {name: grid(v.astype(float), np.nan) for (_, name), v in zip(attr_cols, values)},
-        {name: grid(np.not_equal(v, None), False) for (_, name), v in zip(attr_cols, values)},
-    )
+
+def _numbers(column):
+    """(values, carried, bad) of an attribute column: an empty cell is NaN
+    and not carried, a cell that is not a number is bad."""
+    n = len(column)
     try:
-        dataset.validate()
-    except Exception as exc:
-        raise DataError(str(exc), source=source) from exc
-    return dataset
+        return np.array(column, dtype=float), np.ones(n, bool), np.zeros(n, bool)
+    except ValueError:
+        values, carried, bad = np.full(n, np.nan), np.ones(n, bool), np.zeros(n, bool)
+    for r, cell in enumerate(c.strip() for c in column):
+        try:
+            values[r], carried[r] = float(cell or "nan"), bool(cell)
+        except ValueError:
+            bad[r] = True
+    return values, carried, bad
 
 
 def save_dataset(dataset, path):

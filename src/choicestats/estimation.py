@@ -41,21 +41,22 @@ DIVERGENCE_BOUND = 50.0
 #: this are flagged as disagreeing.
 DISAGREEMENT_TOLERANCE = 1e-4
 
+#: Trial points per line search (the full step, then halvings), and the
+#: standard deviation of the noise on the start values of later multi-starts.
+STEP_HALVING_MAX = 25
+START_PERTURBATION_SCALE = 1.0
+
 
 @dataclass(frozen=True)
 class EstimationOptions:
     max_iterations: int = 200
     gradient_tolerance: float = 1e-6
-    step_halving_max: int = 25
     n_starts: int = 1
-    start_perturbation_scale: float = 1.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations < 1 or self.step_halving_max < 1 or self.n_starts < 1:
-            raise ValueError("max_iterations, step_halving_max and n_starts must be >= 1")
-        if not (self.gradient_tolerance > 0 and self.start_perturbation_scale > 0):
-            raise ValueError("tolerances and perturbation scale must be positive")
+        if self.max_iterations < 1 or self.n_starts < 1 or not self.gradient_tolerance > 0:
+            raise ValueError("max_iterations and n_starts must be >= 1, gradient_tolerance > 0")
 
 
 @dataclass(frozen=True)
@@ -177,7 +178,7 @@ def estimate_design(design, options=None, start=None, start_index=0):
         # step first, that moves the point without losing more than that
         # rounding is accepted; the gradient test still decides convergence.
         slack = 1e-13 * max(1.0, abs(ll))
-        for halving in range(options.step_halving_max):
+        for halving in range(STEP_HALVING_MAX):
             candidate = params + 0.5**halving * direction
             p = design.probabilities(candidate)
             ll_candidate, floored_candidate = design.chosen_log_likelihood(p)
@@ -249,9 +250,7 @@ def multi_start(design, options=None):
             start = design.start_values.copy()
         else:
             rng = np.random.default_rng(seed_from(options.seed, i))
-            start = design.start_values + options.start_perturbation_scale * rng.standard_normal(
-                design.k
-            )
+            start = design.start_values + START_PERTURBATION_SCALE * rng.standard_normal(design.k)
         runs.append(estimate_design(design, options, start=start, start_index=i))
 
     converged = [r for r in runs if r.converged]

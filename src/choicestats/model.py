@@ -25,7 +25,7 @@ from .errors import (
     IdentificationRiskWarning,
     SpecMismatchError,
 )
-from .util import reject_unknown_keys
+from .util import first_failure, reject_unknown_keys
 
 #: Attribute name reserved for a constant regressor of value 1.
 CONST_ATTRIBUTE = "_const"
@@ -235,14 +235,16 @@ class Dataset:
                 )
         # One row per observation, one column per check in the order below;
         # the first failing check of the first failing observation is named.
-        _, first, inverse = np.unique(self.obs_ids, return_index=True, return_inverse=True)
+        # Ids as Python strings: a numpy string array drops trailing NULs.
+        ids = np.array(self.obs_ids, dtype=object)
+        _, first, inverse = np.unique(ids, return_index=True, return_inverse=True)
         known = (self.chosen >= 0) & (self.chosen < j)
         chosen_avail = self.avail[np.arange(n), np.where(known, self.chosen, 0)]
-        bad = np.column_stack(
+        failure = first_failure(
             [first[inverse] != np.arange(n), ~self.avail.any(axis=1), ~known, ~chosen_avail]
         )
-        if bad.any():
-            i, check = np.argwhere(bad)[0]
+        if failure:
+            i, check = failure
             obs = self.obs_ids[i]
             raise SpecMismatchError((
                 f"duplicate observation id '{obs}'",
@@ -501,9 +503,9 @@ def build_design(dataset, spec):
     }
 
     # The first bad value by observation, then alternative, then term.
-    bad = [avail[:, j] & ~np.isfinite(columns[attribute][:, j]) for j, attribute in checks]
-    if np.any(bad):
-        i, c = np.argwhere(np.column_stack(bad))[0]
+    failure = first_failure([avail[:, j] & ~np.isfinite(columns[a][:, j]) for j, a in checks])
+    if failure:
+        i, c = failure
         j, attribute = checks[c]
         problem = "is not finite for alternative"
         if attribute not in dataset.carried or not dataset.carried[attribute][i, j]:

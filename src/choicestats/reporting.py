@@ -109,10 +109,11 @@ def format_significant(value, digits=4):
         return f"{0.0:.{digits - 1}f}"
     if not math.isfinite(value):
         return str(value)
-    exponent = math.floor(math.log10(abs(value)))
-    decimals = digits - 1 - exponent
+    # Rounded first: a carry to the next power of ten (9.9996 to 1.000e+01) costs a decimal.
+    mantissa, _, exponent = f"{value:.{digits - 1}e}".partition("e")
+    decimals = digits - 1 - int(exponent)
     if decimals <= 0:
-        return f"{round(value, decimals):.0f}"
+        return mantissa.replace(".", "") + "0" * -decimals
     return f"{value:.{decimals}f}"
 
 

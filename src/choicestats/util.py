@@ -35,6 +35,13 @@ def reject_unknown_keys(doc, allowed, context):
         )
 
 
+def first_failure(checks):
+    """(row, check) for the first row failing any of ``checks``, boolean arrays
+    over the rows in check order, and its first failing check; else None."""
+    if np.any(checks):
+        return divmod(int(np.argmax(np.column_stack(checks))), len(checks))
+
+
 #: Contiguous blocks per worker process. Blocks go to whichever worker is
 #: free, so one slow stretch of indices cannot leave the other workers idle.
 BLOCKS_PER_WORKER = 8

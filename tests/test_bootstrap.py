@@ -1,7 +1,11 @@
 """Person-level bootstrap: resampling, replicates, intervals, empirical p."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import choicestats.bootstrap as bootstrap_module
 from choicestats import (
@@ -213,6 +217,12 @@ class TestHpdInterval:
                 quant = quantile_interval(draws, level, center=1.0)
                 assert hpd.width <= quant.width + 1e-12
 
+    def test_integral_level_times_s_is_not_rounded_up(self):
+        # 0.68 * 75 is 51.00000000000001 in floating point: 51 order
+        # statistics, not 52, as quantile_interval reads it.
+        ci = hpd_interval(np.arange(1.0, 76.0), 0.68, center=38.0)
+        assert (ci.lower, ci.upper) == (1.0, 51.0)
+
     def test_level_and_draw_validation(self):
         with pytest.raises(ValueError):
             hpd_interval(np.arange(float(MIN_DRAWS - 1)), 0.95, center=0.0)
@@ -270,6 +280,77 @@ class TestAsymmetryIndex:
     def test_degenerate_bounds_rejected(self):
         with pytest.raises(ValueError):
             asymmetry_index(1.0, 1.0, 1.0)
+
+
+#: Draws on a grid of eighths, so that sums and reflections are exact.
+_DRAWS = st.lists(st.integers(-800, 800), min_size=MIN_DRAWS, max_size=80).map(
+    lambda values: np.array(values, dtype=float) / 8.0
+)
+#: Levels, among them some whose product with S is integral up to rounding.
+_LEVELS = st.sampled_from((0.5, 0.68, 0.8, 0.9, 0.95, 0.99)) | st.floats(0.05, 0.99)
+
+
+class TestIntervalProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(draws=_DRAWS, level=_LEVELS)
+    def test_hpd_spans_ceil_level_s_order_statistics(self, draws, level):
+        s = draws.size
+        # The fewest order statistics covering level * S, read to 1e-9.
+        m = next(m for m in range(2, s + 1) if m >= level * s - 1e-9)
+        ordered = np.sort(draws)
+        widths = ordered[m - 1 :] - ordered[: s - m + 1]
+        hpd = hpd_interval(draws, level, center=0.0)
+        start = int(np.argmin(widths))
+        assert (hpd.lower, hpd.upper) == (ordered[start], ordered[start + m - 1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(draws=_DRAWS, level=_LEVELS)
+    def test_hpd_is_never_wider_than_equal_tail(self, draws, level):
+        hpd = hpd_interval(draws, level, center=0.0)
+        quantile = quantile_interval(draws, level, center=0.0)
+        assert hpd.width <= quantile.width + 1e-12 * max(1.0, np.abs(draws).max())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        draws=_DRAWS,
+        level=_LEVELS,
+        share=st.floats(0.0, 1.0),
+        scale=st.sampled_from((0.25, 1.0, 3.0, 64.0)),
+        shift=st.integers(-50, 50),
+    )
+    def test_asymmetry_index_bounds_reflection_and_affine_invariance(
+        self, draws, level, share, scale, shift
+    ):
+        quantile = quantile_interval(draws, level, center=0.0)
+        assume(quantile.width > 0)
+        center = quantile.lower + share * quantile.width
+        index = quantile_interval(draws, level, center).asymmetry_index
+        assert -1.0 <= index <= 1.0
+        reflected = quantile_interval(-draws, level, -center).asymmetry_index
+        assert reflected == pytest.approx(-index, abs=1e-9)
+        moved = quantile_interval(scale * draws + shift, level, scale * center + shift)
+        assert moved.asymmetry_index == pytest.approx(index, abs=1e-9)
+        hpd = hpd_interval(draws, level, center=0.0)
+        if hpd.width > 0:
+            inside = hpd.lower + share * hpd.width
+            assert -1.0 <= hpd_interval(draws, level, inside).asymmetry_index <= 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        draws=st.lists(
+            st.sampled_from((0.0, -1.5, 2.0, np.nan, np.inf)) | st.floats(-5, 5),
+            min_size=MIN_DRAWS,
+            max_size=60,
+        ).filter(lambda values: np.isfinite(values).sum() >= MIN_DRAWS),
+        mle=st.sampled_from((-0.5, 0.5)) | st.floats(-5, 5).filter(bool),
+    )
+    def test_empirical_p_value_is_crossings_over_s(self, draws, mle):
+        finite = [d for d in draws if math.isfinite(d)]
+        crossings = sum(1 for d in finite if (d <= 0.0 if mle > 0.0 else d >= 0.0))
+        p = empirical_p_value(np.array(draws), mle)
+        assert (p.crossings, p.s_converged) == (crossings, len(finite))
+        assert p.value == crossings / len(finite)
+        assert p.below_resolution == (crossings == 0)
 
 
 class TestDrawsRoundTrip:

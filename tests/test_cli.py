@@ -200,6 +200,38 @@ class TestExitCodes:
         assert "argument --jobs: must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "results.json").exists()
 
+    @pytest.mark.parametrize("level", ["1.5", "0", "1", "-0.2", "nan"])
+    def test_ci_level_outside_the_unit_interval_exits_1_before_fitting(
+        self, cli_files, tmp_path, capsys, monkeypatch, level
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the arguments were checked")
+
+        monkeypatch.setattr(cli_module, "estimate_design", no_fit)
+        for command, extra in (("estimate", []), ("bootstrap", ["--S", "4"])):
+            argv = [
+                command, "--data", str(cli_files / "data.csv"), "--spec", str(cli_files / "spec.json"),
+                "--out", str(tmp_path), "--ci-level", level, *extra,
+            ]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+            assert "argument --ci-level: must be in (0, 1)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("starts", ["0", "-4"])
+    def test_starts_below_one_exits_1(self, cli_files, tmp_path, capsys, starts):
+        for command in ("estimate", "bootstrap"):
+            argv = [
+                command, "--data", str(cli_files / "data.csv"), "--spec", str(cli_files / "spec.json"),
+                "--out", str(tmp_path), "--starts", starts,
+            ]
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 1
+            assert "argument --starts: must be at least 1" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_unreadable_data_exits_1(self, cli_files, tmp_path, capsys):
         argv = [
             "estimate",
@@ -606,6 +638,23 @@ class TestCompileOnce:
         data = ["--data", str(cli_files / "data.csv"), "--spec", str(cli_files / "spec.json")]
         assert main([*argv, *data, "--out", str(tmp_path)]) == 0
         assert len(build_calls) == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["estimate"], ["estimate", "--starts", "3"], ["bootstrap", "--S", "10"]],
+        ids=["estimate", "estimate_starts", "bootstrap"],
+    )
+    def test_command_validates_dataset_once(self, cli_files, tmp_path, capsys, monkeypatch, argv):
+        real, calls = model.Dataset.validate, []
+
+        def counting(dataset):
+            calls.append(dataset)
+            return real(dataset)
+
+        monkeypatch.setattr(model.Dataset, "validate", counting)
+        data = ["--data", str(cli_files / "data.csv"), "--spec", str(cli_files / "spec.json")]
+        assert main([*argv, *data, "--out", str(tmp_path)]) == 0
+        assert len(calls) == 1
 
     def test_coverage_rep_with_bootstrap_builds_design_once(self, build_calls, simulate_calls):
         row = montecarlo_module._coverage_rep(self._config(bootstrap_s=3), 0)

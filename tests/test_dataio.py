@@ -1,5 +1,6 @@
 """CSV loader with line-precise errors, JSON round trips."""
 
+import csv
 import tempfile
 from pathlib import Path
 
@@ -8,9 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choicestats import DataError, load_dataset, load_model_spec, save_dataset, save_model_spec
+from choicestats import DataError, Dataset, load_dataset, load_model_spec, save_dataset, save_model_spec
 from choicestats.dataio import decode_matrix, encode_matrix, read_json, write_json
-from testtools import hand_dataset, same_data, three_mode_data, three_mode_spec
+from testtools import (
+    hand_dataset,
+    loop_load_dataset,
+    same_data,
+    three_mode_data,
+    three_mode_spec,
+)
 
 GOOD_CSV = """person_id,obs_id,alt_id,avail,chosen,tt,cost
 p1,p1.1,car,1,1,20,4
@@ -145,6 +152,183 @@ class TestLoadDataset:
     def test_missing_file_reports_path(self, tmp_path):
         with pytest.raises(DataError):
             load_dataset(tmp_path / "nowhere.csv")
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda t: t.replace("p1,p1.2,bus,1,1,30,2", "p1,p1.2,bus,0,1,30,2"),
+             "observation 'p1.2' chose unavailable alternative 'bus'"),
+            (lambda t: t.replace("p2,p2.1,car,1,", "p2,p2.1,car,0,").replace(
+                "p2,p2.1,bus,1,", "p2,p2.1,bus,0,").replace("p2,p2.1,rail,1,", "p2,p2.1,rail,0,"),
+             "observation 'p2.1' has no available alternative"),
+        ],
+    )
+    def test_availability_errors_carry_the_observation_line(self, tmp_path, mutate, message):
+        path = write(tmp_path, mutate(GOOD_CSV))
+        first_line = {"p1.2": 5, "p2.1": 8}[message.split("'")[1]]
+        with pytest.raises(DataError) as excinfo:
+            load_dataset(path)
+        assert str(excinfo.value) == f"{path}:{first_line}: {message}"
+
+    def test_rows_are_checked_before_observations_are(self, tmp_path):
+        # p1.1 chose an unavailable alternative; a later row has a bad flag.
+        bad = GOOD_CSV.replace("p1,p1.1,car,1,1,20,4", "p1,p1.1,car,0,1,20,4").replace(
+            "p2,p2.1,bus,1,0,50,2.5", "p2,p2.1,bus,1,x,50,2.5"
+        )
+        with pytest.raises(DataError, match="column 'chosen' must be 0 or 1") as excinfo:
+            load_dataset(write(tmp_path, bad))
+        assert excinfo.value.line == 9
+
+    @pytest.mark.parametrize(
+        "tail, line",
+        [
+            # A field beyond the csv module's limit of 131,072 characters.
+            ("p2,p2.1,rail,1,1,30," + "9" * 200_000 + "\n", 10),
+            # An unterminated quote swallows the rest of the file into one
+            # field, which passes the limit on the line after it.
+            ('p2,p2.1,rail,1,1,30,"3.5\n' + "9" * 200_000 + "\n", 11),
+        ],
+    )
+    def test_csv_syntax_errors_carry_file_and_line(self, tmp_path, tail, line):
+        text = GOOD_CSV.replace("p2,p2.1,rail,1,1,30,3.5\n", "") + tail
+        path = write(tmp_path, text)
+        with pytest.raises(DataError, match="cannot parse CSV: field larger than field limit") as excinfo:
+            load_dataset(path)
+        assert excinfo.value.line == line
+        assert str(excinfo.value).startswith(f"{path}:{line}: ")
+
+    @pytest.mark.parametrize("rows_before", [0, 2000])
+    def test_bytes_that_are_not_utf8_fail_the_file(self, tmp_path, rows_before):
+        # The text is decoded in blocks, so the line given is where the
+        # block holding the bad byte starts, at or before that byte's line.
+        # An earlier row's bad flag does not win: the file is not text.
+        text = GOOD_CSV.replace("p1,p1.1,bus,1,0,", "p1,p1.1,bus,x,0,")
+        text += "".join(f"q{i},q{i}.1,car,1,1,1,1\n" for i in range(rows_before))
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8") + b"p3,p3.1,car,1,1,\xff,1\n")
+        with pytest.raises(DataError, match="not UTF-8 text: invalid start byte") as excinfo:
+            load_dataset(path)
+        bad_line = 11 + rows_before
+        assert bad_line - 500 < excinfo.value.line <= bad_line
+        assert str(excinfo.value).startswith(f"{path}:{excinfo.value.line}: ")
+
+
+#: A valid cell value for each reserved column, and a few for attributes.
+_ATTRIBUTE_CELLS = ("1", "2.5", "-3e2", "nan", "inf", "1e400", "")
+_BAD_CELLS = ("x", "1.0", "2", "--1", "1\x00", "\x001", " ", "", "yes", "1 2", "\x1c1")
+
+
+@st.composite
+def faulty_csv_records(draw):
+    """The records of a valid choice file, header first, each a list of
+    cells, with up to four injected faults."""
+    alternatives = draw(st.lists(st.sampled_from(("car", "bus", "rail")), min_size=1, max_size=3, unique=True))
+    names = draw(st.lists(st.sampled_from(("tt", "cost")), unique=True))
+    header = ["person_id", "obs_id", "alt_id", "avail", "chosen", *names]
+    header = draw(st.permutations(header))
+    records = []
+    for i in range(draw(st.integers(1, 4))):
+        person = draw(st.sampled_from(("p1", "p2")))
+        picked = draw(st.integers(0, len(alternatives) - 1))
+        for j, alt in enumerate(alternatives):
+            row = {"person_id": person, "obs_id": f"o{i}", "alt_id": alt, "avail": "1",
+                   "chosen": "1" if j == picked else "0"}
+            row.update((name, draw(st.sampled_from(_ATTRIBUTE_CELLS))) for name in names)
+            records.append([row[c] for c in header])
+    records = draw(st.permutations(records))
+    width = len(header)
+    column = {name: c for c, name in enumerate(header)}
+    blank_first = False
+    blank = st.sampled_from([[], [""], [" "], [""] * width, [" \t"] * width, [""] * (width + 2)])
+    for _ in range(draw(st.integers(0, 4))):
+        fault = draw(st.sampled_from((
+            "blank", "ragged", "pad", "nul", "empty_id", "flag", "number",
+            "split", "duplicate", "delete", "chosen", "avail", "blank_first",
+        )))
+        at = draw(st.integers(0, len(records)))
+        if fault == "blank_first":
+            # A blank first record is the header: the required columns are
+            # reported missing, not the file empty.
+            blank_first = True
+            continue
+        if fault == "blank":
+            records.insert(at, draw(blank))
+            continue
+        rows = [r for r in range(len(records)) if len(records[r]) == width]
+        if not rows:
+            continue
+        r = draw(st.sampled_from(rows))
+        cell = draw(st.integers(0, width - 1))
+        row = records[r]
+        if fault == "ragged":
+            records[r] = row[:-1] if draw(st.booleans()) else row + [""]
+        elif fault == "pad":
+            row[cell] = draw(st.sampled_from((" ", "\t", "  "))) + row[cell] + " "
+        elif fault == "nul":
+            row[cell] += "\x00"
+        elif fault == "empty_id":
+            row[column[draw(st.sampled_from(("person_id", "obs_id", "alt_id")))]] = draw(st.sampled_from(("", "  ")))
+        elif fault == "flag":
+            row[column[draw(st.sampled_from(("avail", "chosen")))]] = draw(st.sampled_from(_BAD_CELLS))
+        elif fault == "number" and names:
+            row[column[draw(st.sampled_from(names))]] = draw(st.sampled_from(_BAD_CELLS))
+        elif fault == "split":
+            row[column["person_id"]] = "p9"
+        elif fault == "duplicate":
+            records.insert(at, list(row))
+        elif fault == "delete":
+            del records[r]
+        elif fault == "chosen":
+            row[column["chosen"]] = "1" if row[column["chosen"]].strip() == "0" else "0"
+        elif fault == "avail":
+            row[column["avail"]] = "0"
+    return [[]] * blank_first + [header] + records
+
+
+class TestLoaderMatchesRowLoop:
+    """load_dataset against loop_load_dataset, the record-at-a-time reference."""
+
+    @staticmethod
+    def outcome(loader, path):
+        try:
+            return loader(path)
+        except DataError as exc:
+            return exc
+
+    @settings(max_examples=400, deadline=None)
+    @given(records=faulty_csv_records())
+    def test_same_dataset_or_same_error(self, records):
+        with tempfile.TemporaryDirectory() as directory:
+            path = Path(directory) / "data.csv"
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                csv.writer(fh).writerows(records)
+            expected = self.outcome(loop_load_dataset, path)
+            actual = self.outcome(load_dataset, path)
+        if isinstance(expected, Dataset):
+            assert isinstance(actual, Dataset), actual
+            assert same_data(actual, expected)
+        elif expected.line is None:
+            # The two availability checks, which now name the observation's first line.
+            assert isinstance(actual, DataError) and actual.line is not None
+            assert str(actual) == str(expected).replace(f"{path}: ", f"{path}:{actual.line}: ", 1)
+        else:
+            assert isinstance(actual, DataError), actual
+            assert (str(actual), actual.line) == (str(expected), expected.line)
+
+    def test_a_blank_first_record_is_a_header_without_the_required_columns(self, tmp_path):
+        path = write(tmp_path, "\n" + GOOD_CSV)
+        for loader in (load_dataset, loop_load_dataset):
+            with pytest.raises(DataError, match="missing required columns") as excinfo:
+                loader(path)
+            assert excinfo.value.line == 1
+
+    def test_a_nul_suffixed_flag_is_not_a_flag(self, tmp_path):
+        # numpy string arrays drop trailing NULs, which would read '1\x00' as 1.
+        path = write(tmp_path, GOOD_CSV.replace("p1,p1.1,bus,1,0,", "p1,p1.1,bus,1\x00,0,"))
+        for loader in (load_dataset, loop_load_dataset):
+            with pytest.raises(DataError, match="column 'avail' must be 0 or 1") as excinfo:
+                loader(path)
+            assert excinfo.value.line == 3
 
 
 class TestModelSpecIO:

@@ -11,6 +11,8 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choicestats import (
     ConfidenceInterval,
@@ -220,6 +222,18 @@ class TestWald:
     def test_invalid_se_rejected(self):
         with pytest.raises(ValueError):
             wald_test(1.0, 0.0)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        estimate=st.floats(-50, 50),
+        se=st.floats(1e-3, 10),
+        h0=st.sampled_from((0.0, 1.0)) | st.floats(-5, 5),
+    )
+    def test_two_sided_t_wald_and_chi_square_p_values_agree(self, estimate, se, h0):
+        t = t_test(estimate, se, h0, sidedness="two_sided")
+        p_wald = wald_test(estimate, se, h0).p_value
+        assert abs(t.p_value - p_wald) <= 1e-12
+        assert abs(t.p_value - chisq_sf(t.statistic**2, 1)) <= 1e-12
 
 
 class TestLikelihoodRatio:

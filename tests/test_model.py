@@ -623,6 +623,12 @@ class TestDatasetValidationMessages:
         rows[4][1] = "o0"
         assert _validation_message(rows) == "duplicate observation id 'o1'"
 
+    def test_ids_differing_by_a_trailing_nul_are_distinct(self):
+        rows = _valid_rows()
+        rows[1][1] = "o0\x00"
+        data = hand_dataset(TWO_ALTS, rows)
+        data.validate()
+
     def test_no_available_alternative(self):
         rows = _valid_rows()
         rows[1][3] = rows[3][3] = (False, False)

@@ -6,6 +6,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from choicestats import (
     Column,
@@ -134,6 +136,72 @@ class TestNumberFormats:
     )
     def test_estimate_switches_to_scientific_below_cutover(self, value, want):
         assert format_estimate(value) == want
+
+
+    @pytest.mark.parametrize(
+        "value, want",
+        [(9.9996, "10.00"), (0.99996, "1.000"), (999.96, "1000"), (-9.9996, "-10.00"), (9.9994, "9.999")],
+    )
+    def test_a_carry_into_the_next_power_of_ten_keeps_the_digit_count(self, value, want):
+        assert format_significant(value, 4) == want
+        assert format_estimate(value) == want
+
+    def test_large_values_print_zeros_beyond_the_significant_digits(self):
+        assert format_significant(1e300, 4) == "1" + "0" * 300
+        assert format_significant(-1.23456e20, 3) == "-123" + "0" * 18
+
+
+def significant_digits(text):
+    """The digits of a rendered number that count as significant, and the
+    value of one unit in the last of them."""
+    mantissa, _, exponent = text.lstrip("-").partition("E")
+    whole, _, fraction = mantissa.partition(".")
+    digits = (whole + fraction).lstrip("0")
+    unit = 10.0 ** (int(exponent or 0) - len(fraction))
+    if not fraction:
+        # Trailing zeros of a whole number only hold its place.
+        stripped = digits.rstrip("0")
+        unit *= 10.0 ** (len(digits) - len(stripped))
+        digits = stripped
+    return digits, unit
+
+
+#: Finite non-zero values, many of them just below a power of ten.
+_VALUES = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300),
+    st.builds(
+        lambda e, k: 10.0**e * (1.0 - 0.5 * 10.0**-k), st.integers(-12, 15), st.integers(1, 9)
+    ),
+).flatmap(lambda v: st.sampled_from((v, -v)))
+
+
+class TestNumberFormatProperties:
+    @settings(max_examples=500, deadline=None)
+    @given(value=_VALUES, digits=st.integers(1, 8))
+    def test_exactly_the_requested_significant_digits(self, value, digits):
+        for render in (format_significant, format_estimate):
+            text = render(value, digits)
+            shown, unit = significant_digits(text)
+            assert len(shown) <= digits
+            if "." in text or "E" in text:
+                assert len(shown) == digits or set(shown) <= {"0"}, text
+            assert abs(float(text) - value) <= 0.5 * unit * (1 + 1e-9), text
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        p=st.floats(0.0, 1.0) | st.sampled_from((0.0, 1e-300, 0.0005, 0.000999999, 0.001, 0.0015, 1.0)),
+        p_digits=st.integers(1, 6),
+        floor_digits=st.integers(1, 6),
+    )
+    def test_p_values_are_never_printed_as_zero_or_below_the_floor(self, p, p_digits, floor_digits):
+        options = ReportOptions(p_digits=p_digits, apa_floor=10.0**-min(floor_digits, p_digits))
+        text = format_p_value(p, options)
+        if text.startswith("< "):
+            bound = float(text[2:])
+            assert bound > 0 and p < bound and bound >= options.apa_floor
+        else:
+            assert float(text) >= options.apa_floor and float(text) > 0
+            assert abs(float(text) - p) <= 0.5 * 10.0**-p_digits * (1 + 1e-9)
 
 
 class TestPValueFormat:

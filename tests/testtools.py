@@ -7,10 +7,13 @@ the yardstick the analytic derivatives are measured against, so they must
 not share code with the implementations under test.
 """
 
+import csv
+
 import numpy as np
 
 from choicestats import (
     AttributeRule,
+    DataError,
     Dataset,
     GeneratorSpec,
     ModelSpec,
@@ -18,6 +21,7 @@ from choicestats import (
     UtilityTerm,
     simulate_dataset,
 )
+from choicestats.dataio import RESERVED_COLUMNS
 from choicestats.model import PROBABILITY_FLOOR
 
 GRADIENT_STEP_SCALE = 1e-6
@@ -151,6 +155,139 @@ def same_data(a, b):
         and all(np.array_equal(v, b.attributes[k], equal_nan=True) for k, v in a.attributes.items())
         and all(np.array_equal(m, b.carried[k]) for k, m in a.carried.items())
     )
+
+
+def _flag(raw, column, source, line):
+    value = raw.strip()
+    if value == "0":
+        return False
+    if value == "1":
+        return True
+    raise DataError(f"column '{column}' must be 0 or 1, got '{raw}'", source=source, line=line)
+
+
+def loop_load_dataset(path):
+    """load_dataset one record at a time, each check raising as it fails.
+
+    The reference for load_dataset's column-wise parse, which must return the
+    same Dataset or raise the same message at the same line. Observations
+    are validated here by Dataset.validate, whose errors carry no line.
+    """
+    source = str(path)
+    try:
+        fh = open(path, encoding="utf-8", newline="")
+    except OSError as exc:
+        raise DataError(f"cannot read file: {exc}", source=source) from exc
+    with fh:
+        reader = csv.reader(fh)
+        try:
+            return _loop_rows(reader, source)
+        except csv.Error as exc:
+            raise DataError(f"cannot parse CSV: {exc}", source=source, line=reader.line_num)
+
+
+def _loop_rows(reader, source):
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise DataError("file is empty; a header row is mandatory", source=source, line=1)
+    header = [h.strip() for h in header]
+    missing = [c for c in RESERVED_COLUMNS if c not in header]
+    if missing:
+        raise DataError(f"missing required columns: {missing}", source=source, line=1)
+    if len(set(header)) != len(header):
+        raise DataError("duplicate column names in header", source=source, line=1)
+    col = {name: header.index(name) for name in RESERVED_COLUMNS}
+    attr_cols = [(i, name) for i, name in enumerate(header) if name not in RESERVED_COLUMNS]
+
+    alt_pos = {}  # alternative -> column
+    obs_pos = {}  # observation id -> row
+    person_ids, first_lines = [], []
+    cells = {}  # (row, column) -> line, in file order
+    avail, chosen = [], []
+    values = [[] for _ in attr_cols]  # per attribute: a float, or None if empty
+    for line, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) != len(header):
+            raise DataError(f"expected {len(header)} fields, got {len(row)}", source=source, line=line)
+        person_id = row[col["person_id"]].strip()
+        obs_id = row[col["obs_id"]].strip()
+        alt_id = row[col["alt_id"]].strip()
+        if not person_id or not obs_id or not alt_id:
+            raise DataError("person_id, obs_id and alt_id must be non-empty", source=source, line=line)
+        j = alt_pos.setdefault(alt_id, len(alt_pos))
+        avail.append(_flag(row[col["avail"]], "avail", source, line))
+        chosen.append(_flag(row[col["chosen"]], "chosen", source, line))
+        for (c, name), column in zip(attr_cols, values):
+            cell = row[c].strip()
+            try:
+                column.append(float(cell) if cell else None)
+            except ValueError:
+                raise DataError(f"column '{name}' is not numeric: '{row[c]}'", source=source, line=line)
+        i = obs_pos.setdefault(obs_id, len(obs_pos))
+        if i == len(person_ids):
+            person_ids.append(person_id)
+            first_lines.append(line)
+        elif person_ids[i] != person_id:
+            raise DataError(
+                f"observation '{obs_id}' appears under two persons "
+                f"('{person_ids[i]}' and '{person_id}')",
+                source=source,
+                line=line,
+            )
+        if (i, j) in cells:
+            raise DataError(
+                f"duplicate row for observation '{obs_id}', alternative '{alt_id}'",
+                source=source,
+                line=line,
+            )
+        cells[i, j] = line
+
+    if not obs_pos:
+        raise DataError("file contains a header but no data rows", source=source, line=1)
+
+    obs_ids, alternatives = list(obs_pos), list(alt_pos)
+    shape = (len(obs_ids), len(alternatives))
+    rows, columns = np.array(list(cells)).T
+
+    def grid(cell_values, fill):
+        out = np.full(shape, fill)
+        out[rows, columns] = cell_values
+        return out
+
+    present, picked = grid(True, False), grid(chosen, False)
+    n_chosen = picked.sum(axis=1)
+    for i in range(len(obs_ids)):
+        if not present[i].all():
+            raise DataError(
+                f"observation '{obs_ids[i]}' has no row for alternative "
+                f"'{alternatives[np.argmin(present[i])]}'",
+                source=source,
+                line=first_lines[i],
+            )
+        if n_chosen[i] != 1:
+            raise DataError(
+                f"observation '{obs_ids[i]}' must have exactly one chosen row, got {n_chosen[i]}",
+                source=source,
+                line=first_lines[i],
+            )
+
+    values = [np.array(column, dtype=object) for column in values]
+    dataset = Dataset(
+        alternatives,
+        person_ids,
+        obs_ids,
+        picked.argmax(axis=1),
+        grid(avail, False),
+        {name: grid(v.astype(float), np.nan) for (_, name), v in zip(attr_cols, values)},
+        {name: grid(np.not_equal(v, None), False) for (_, name), v in zip(attr_cols, values)},
+    )
+    try:
+        dataset.validate()
+    except Exception as exc:
+        raise DataError(str(exc), source=source) from exc
+    return dataset
 
 
 def fd_gradient(design, params):

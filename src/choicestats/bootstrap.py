@@ -12,15 +12,14 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ReplicateFailureWarning
-from .estimation import EstimationOptions, estimate_design
+from .errors import ConvergenceError
+from .estimation import STATUS_CONVERGED, EstimationOptions, estimate_design
 from .inference import ConfidenceInterval
-from .util import parallel_map, seed_from
+from .util import Failure, parallel_map, seed_from
 
 #: Below this many draws, empirical quantiles are too coarse to report.
 MIN_DRAWS = 10
@@ -50,7 +49,10 @@ class BootstrapResult:
 def _bootstrap_replicate(design, options, base_seed, mle, s):
     n = design.n_persons
     drawn = np.random.default_rng(seed_from(base_seed, s)).integers(0, n, n)
-    return estimate_design(design.weighted(np.bincount(drawn, minlength=n)), options, start=mle)
+    result = estimate_design(design.weighted(np.bincount(drawn, minlength=n)), options, start=mle)
+    if not result.converged:
+        raise ConvergenceError(result.status)
+    return result.params_hat
 
 
 def bootstrap_run(design, options=None, s_samples=400, base_seed=0, jobs=1, mle=None):
@@ -59,41 +61,27 @@ def bootstrap_run(design, options=None, s_samples=400, base_seed=0, jobs=1, mle=
     Replicate s draws n_persons persons with replacement, with a seed
     derived from (base_seed, s), and fits the design weighted by each
     person's draw count, starting from the full-sample estimate ``mle``
-    (estimated here from the declared start values when not given). Failed
-    replicates are kept as NaN rows, flagged not-converged, and excluded
-    downstream; more than 10% failures raises ReplicateFailureWarning.
+    (estimated here from the declared start values when not given). A
+    failed replicate is kept as a NaN row, flagged not-converged, with the
+    failure reason as its status (a fit's own status when it does not
+    converge), and excluded downstream.
     """
     if s_samples < 2:
         raise ValueError(f"s_samples must be >= 2, got {s_samples}")
     options = options or EstimationOptions()
     if mle is None:
         mle = estimate_design(design, options).params_hat
-    results = parallel_map(_bootstrap_replicate, (design, options, base_seed, mle), s_samples, jobs)
-
-    draws = np.vstack([np.full(design.k, np.nan) if r is None else r.params_hat for r in results])
-    statuses = tuple("failed" if r is None else r.status for r in results)
-    converged = np.array([r is not None and r.converged for r in results], dtype=bool)
-    n_failed = int(s_samples - converged.sum())
-    if n_failed > 0.1 * s_samples:
-        tally = {}
-        for status, ok in zip(statuses, converged):
-            if not ok:
-                tally[status] = tally.get(status, 0) + 1
-        warnings.warn(
-            f"{n_failed} of {s_samples} bootstrap replicates failed "
-            f"(by status: {tally}); downstream statistics use the "
-            f"{s_samples - n_failed} converged replicates only",
-            ReplicateFailureWarning,
-            stacklevel=2,
-        )
+    outcomes = parallel_map(_bootstrap_replicate, (design, options, base_seed, mle), s_samples, jobs)
+    failed = [isinstance(out, Failure) for out in outcomes]
+    nan_row = np.full(design.k, np.nan)
     return BootstrapResult(
         s_samples=int(s_samples),
         base_seed=int(base_seed),
-        draws=draws,
-        converged=converged,
-        n_failed=n_failed,
+        draws=np.vstack([nan_row if bad else out for out, bad in zip(outcomes, failed)]),
+        converged=~np.array(failed),
+        n_failed=sum(failed),
         names=list(design.free_names),
-        statuses=statuses,
+        statuses=tuple(out.reason if bad else STATUS_CONVERGED for out, bad in zip(outcomes, failed)),
     )
 
 
@@ -269,5 +257,5 @@ def load_draws(path):
         converged=converged,
         n_failed=int(draws.shape[0] - converged.sum()),
         names=names,
-        statuses=(),
+        statuses=tuple(STATUS_CONVERGED if ok else "failed" for ok in converged),
     )

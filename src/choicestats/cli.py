@@ -577,18 +577,12 @@ def main(argv=None):
     }
     try:
         return handlers[args.command](args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (SpecMismatchError, NestingError, ValueError) as exc:
+    except (DataError, SpecMismatchError, NestingError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (IdentificationError, CovarianceError) as exc:
         print(f"identification failure: {exc}", file=sys.stderr)
         return EXIT_IDENTIFICATION
-    except ConvergenceError as exc:
-        print(f"non-convergence: {exc} (statuses: {', '.join(exc.statuses)})", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 
@@ -40,8 +41,13 @@ def load_dataset(path):
             rows.extend(reader)
         except csv.Error as exc:
             end = DataError(f"cannot parse CSV: {exc}", source=source, line=reader.line_num)
-        except UnicodeDecodeError as exc:  # decoded in blocks: the byte is on this line or later
-            raise DataError(f"not UTF-8 text: {exc.reason}", source, reader.line_num + 1) from None
+        except UnicodeDecodeError:  # decoded in blocks, so the byte's line is found in the raw file
+            raw = Path(path).read_bytes()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = raw.count(b"\n", 0, exc.start) + 1
+                raise DataError(f"not UTF-8 text: {exc.reason}", source, line) from None
     if not rows:
         raise end or DataError("file is empty; a header row is mandatory", source=source, line=1)
     header = [h.strip() for h in rows.pop(0)]

@@ -41,7 +41,7 @@ class IdentificationError(ChoiceStatsError):
 
 
 class ConvergenceError(ChoiceStatsError):
-    """No estimation run reached convergence; ``runs`` holds the failed fits."""
+    """A fit did not converge; ``runs`` holds multi-start's failed fits."""
 
     def __init__(self, message, statuses=(), runs=()):
         super().__init__(message)
@@ -78,4 +78,4 @@ class EstimationDisagreementWarning(UserWarning):
 
 
 class ReplicateFailureWarning(UserWarning):
-    """More than 10 percent of bootstrap replicates failed to converge."""
+    """More than 10 percent of a run's replicates failed."""

@@ -16,18 +16,17 @@ measured size, and results are identical at any job count.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .bootstrap import bootstrap_run, quantile_interval
 from .covariance import covariance_set
-from .errors import ChoiceStatsError, ReplicateFailureWarning
+from .errors import ChoiceStatsError
 from .estimation import EstimationOptions, estimate_design
 from .inference import asymptotic_ci, lm_test_at, lr_test, normal_cdf, t_test, wald_test
 from .model import GeneratorSpec, simulate_design
-from .util import parallel_map, reject_unknown_keys, seed_from
+from .util import Failure, parallel_map, reject_unknown_keys, seed_from
 
 ### config
 
@@ -249,11 +248,12 @@ def size_and_power_experiment(config, jobs=1):
     total = config.replications * n_effects
     rows = parallel_map(_size_power_cell, (config, direction), total, jobs)
     for i, row in enumerate(rows):
-        if row is None:
+        if isinstance(row, Failure):
             effect = config.effect_sizes[i % n_effects]
             rows[i] = {"rep": i // n_effects, "effect": effect, "converged": False}
 
     rates = []
+    sampling = {}
     failures = 0
     for effect in config.effect_sizes:
         cells = [r for r in rows if r["effect"] == effect]
@@ -262,15 +262,8 @@ def size_and_power_experiment(config, jobs=1):
         for method in REJECTION_METHODS:
             flags = [r[f"reject_{method}"] for r in good]
             rates.append({"effect": effect, "method": method, **_rate(flags)})
-    _warn_failures(failures, total)
-
-    sampling = {}
-    for effect in config.effect_sizes:
-        estimates = np.array(
-            [[r["estimate"]] for r in rows if r["effect"] == effect and r["converged"]]
-        )
-        if estimates.shape[0] >= 50:
-            mean, sd, gap = sampling_distribution_summary(estimates)
+        if len(good) >= 50:
+            mean, sd, gap = sampling_distribution_summary(np.array([[r["estimate"]] for r in good]))
             sampling[repr(effect)] = {
                 "mean": float(mean[0]),
                 "sd": float(sd[0]),
@@ -330,11 +323,12 @@ def coverage_experiment(config, jobs=1):
     """How often the level-C intervals contain the true target coefficient."""
     config.validate()
     rows = parallel_map(_coverage_rep, (config,), config.replications, jobs)
-    rows = [row or {"rep": rep, "converged": False} for rep, row in enumerate(rows)]
+    for rep, row in enumerate(rows):
+        if isinstance(row, Failure):
+            rows[rep] = {"rep": rep, "converged": False}
 
     good = [r for r in rows if r["converged"]]
     failures = len(rows) - len(good)
-    _warn_failures(failures, config.replications)
 
     methods = ["classical", "robust"] + (["bootstrap"] if config.bootstrap_s >= 2 else [])
     rates = []
@@ -399,16 +393,6 @@ def _rate(flags):
         return {"rate": None, "rate_se": None, "n": 0}
     rate = float(np.mean(flags))
     return {"rate": rate, "rate_se": math.sqrt(rate * (1.0 - rate) / len(flags)), "n": len(flags)}
-
-
-def _warn_failures(failures, total):
-    if failures > 0.1 * total:
-        warnings.warn(
-            f"{failures} of {total} replication cells failed estimation and "
-            "were excluded from all rates",
-            ReplicateFailureWarning,
-            stacklevel=3,
-        )
 
 
 def save_rows(rows, path):

@@ -100,6 +100,10 @@ class ReportOptions:
             raise ValueError(
                 f"star thresholds must increase strictly, got {self.star_thresholds}"
             )
+        # Above the p grid's step, a floor off the grid lets rounding print a p below it.
+        on_grid = float(f"{self.apa_floor:.{self.p_digits}f}") == self.apa_floor
+        if self.apa_floor > 10.0**-self.p_digits and not on_grid:
+            raise ValueError(f"apa_floor {self.apa_floor} is not a multiple of 10**-{self.p_digits}")
 
 
 def format_significant(value, digits=4):

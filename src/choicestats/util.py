@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import os
 import warnings
+from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ChoiceStatsError
+from .errors import ChoiceStatsError, ReplicateFailureWarning
 
 
 def seed_from(*parts):
@@ -42,6 +44,13 @@ def first_failure(checks):
         return divmod(int(np.argmax(np.column_stack(checks))), len(checks))
 
 
+@dataclass(frozen=True)
+class Failure:
+    """A replicate that raised ChoiceStatsError; ``reason`` is its message."""
+
+    reason: str
+
+
 #: Contiguous blocks per worker process. Blocks go to whichever worker is
 #: free, so one slow stretch of indices cannot leave the other workers idle.
 BLOCKS_PER_WORKER = 8
@@ -58,8 +67,8 @@ def _run_chunk(fn, args, first, count):
         for i in range(first, first + count):
             try:
                 out.append(fn(*args, i))
-            except (ChoiceStatsError, ValueError):
-                out.append(None)
+            except ChoiceStatsError as exc:
+                out.append(Failure(str(exc)))
     return out
 
 
@@ -84,8 +93,10 @@ def _usable_cpus():
 def parallel_map(fn, args, total, jobs=1):
     """``[fn(*args, i) for i in range(total)]``, run as replicates.
 
-    A replicate that raises ChoiceStatsError or ValueError yields None in its
-    slot; warnings raised inside replicates are silenced. With more than one
+    A replicate that raises ChoiceStatsError leaves a Failure in its slot;
+    any other exception propagates. When more than 10% of the slots fail,
+    one ReplicateFailureWarning tallies them by reason. Warnings raised
+    inside replicates are silenced. With more than one
     worker, ``min(jobs, total, usable CPUs)`` processes each receive ``fn``
     and ``args`` once, at start-up, so ``fn`` must be a module-level
     function. The indices are split into about BLOCKS_PER_WORKER contiguous
@@ -95,13 +106,24 @@ def parallel_map(fn, args, total, jobs=1):
     """
     workers = min(max(1, int(jobs or 1)), total, _usable_cpus())
     if workers <= 1:
-        return _run_chunk(fn, args, 0, total)
-    # Imported here: a serial run never loads the multiprocessing machinery.
-    from concurrent.futures import ProcessPoolExecutor
+        outcomes = _run_chunk(fn, args, 0, total)
+    else:
+        # Imported here: a serial run never loads the multiprocessing machinery.
+        from concurrent.futures import ProcessPoolExecutor
 
-    bounds = np.linspace(0, total, min(total, BLOCKS_PER_WORKER * workers) + 1).astype(int)
-    blocks = [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:])]
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(fn, args)
-    ) as pool:
-        return [out for block in pool.map(_run_block, blocks) for out in block]
+        bounds = np.linspace(0, total, min(total, BLOCKS_PER_WORKER * workers) + 1).astype(int)
+        blocks = [(int(a), int(b - a)) for a, b in zip(bounds[:-1], bounds[1:])]
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_init_worker, initargs=(fn, args)
+        ) as pool:
+            outcomes = [out for block in pool.map(_run_block, blocks) for out in block]
+    reasons = Counter(out.reason for out in outcomes if isinstance(out, Failure))
+    failed = sum(reasons.values())
+    if failed > 0.1 * total:
+        warnings.warn(
+            f"{failed} of {total} replicates failed (by reason: {dict(sorted(reasons.items()))}); "
+            "only the others count downstream",
+            ReplicateFailureWarning,
+            stacklevel=3,
+        )
+    return outcomes

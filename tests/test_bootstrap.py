@@ -1,5 +1,6 @@
 """Person-level bootstrap: resampling, replicates, intervals, empirical p."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ import choicestats.bootstrap as bootstrap_module
 from choicestats import (
     MIN_DRAWS,
     BootstrapResult,
+    ChoiceStatsError,
     EmpiricalPValue,
     ReplicateFailureWarning,
     asymmetry_index,
@@ -92,7 +94,7 @@ class TestBootstrapRun:
         def flaky(design, options, **kwargs):
             calls["n"] += 1
             if calls["n"] % 3 == 0:
-                raise ValueError("synthetic replicate failure")
+                raise ChoiceStatsError("synthetic replicate failure")
             return real(design, options, **kwargs)
 
         monkeypatch.setattr(bootstrap_module, "estimate_design", flaky)
@@ -107,10 +109,38 @@ class TestBootstrapRun:
         assert np.isnan(failed_rows).all()
         assert result.converged_draws().shape == (10, 4)
         assert all(
-            status == "failed"
+            status == "synthetic replicate failure"
             for status, ok in zip(result.statuses, result.converged)
             if not ok
         )
+
+    def test_nonconverged_replicate_is_a_nan_row_with_its_status(self, monkeypatch):
+        real = bootstrap_module.estimate_design
+        calls = {"n": 0}
+
+        def stalling(design, options, **kwargs):
+            calls["n"] += 1
+            result = real(design, options, **kwargs)
+            return dataclasses.replace(result, status="max_iterations") if calls["n"] == 2 else result
+
+        monkeypatch.setattr(bootstrap_module, "estimate_design", stalling)
+        dataset = three_mode_data(n_persons=40, obs_per_person=1, seed=13)
+        design = build_design(dataset, three_mode_spec())
+        mle = real(design).params_hat
+        result = bootstrap_run(design, s_samples=12, base_seed=1, mle=mle)
+
+        assert result.statuses == ("converged", "max_iterations") + ("converged",) * 10
+        assert result.converged.tolist() == [True, False] + [True] * 10
+        assert np.isnan(result.draws[1]).all() and np.isfinite(result.draws[[0, 2]]).all()
+        assert result.n_failed == 1
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_value_error_in_a_replicate_propagates(self, jobs):
+        # A start vector of the wrong length is a shape bug, not a failed replicate.
+        dataset = three_mode_data(n_persons=40, obs_per_person=1, seed=13)
+        design = build_design(dataset, three_mode_spec())
+        with pytest.raises(ValueError, match="start vector must have length 4"):
+            bootstrap_run(design, s_samples=4, base_seed=1, jobs=jobs, mle=np.zeros(3))
 
     def test_draws_scatter_around_full_data_estimate(self):
         from choicestats import estimate
@@ -366,6 +396,12 @@ class TestDrawsRoundTrip:
         assert back.s_samples == result.s_samples
         assert back.n_failed == result.n_failed
         assert back.base_seed is None
+        assert back.statuses == ("converged",) * 12
+
+        # The file keeps only the converged flag, so a failure's reason reads back as "failed".
+        failed = dataclasses.replace(result, converged=np.arange(12) != 3, n_failed=1)
+        save_draws(failed, path)
+        assert load_draws(path).statuses == ("converged",) * 3 + ("failed",) + ("converged",) * 8
 
     def test_saved_header_names_parameters(self, tmp_path):
         result = small_run(s_samples=12)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from choicestats import (
+    ChoiceStatsError,
     ConvergenceError,
     EstimationOptions,
     EstimationResult,
@@ -489,7 +490,7 @@ class TestMontecarloCommand:
 
     def test_rates_without_converged_cells_are_null(self, cli_files, tmp_path, capsys, monkeypatch):
         def fail(design, options=None, **kwargs):
-            raise ValueError("synthetic fit failure")
+            raise ChoiceStatsError("synthetic fit failure")
 
         monkeypatch.setattr(montecarlo_module, "estimate_design", fail)
         argv = ["montecarlo", "--config", str(cli_files / "mc_size.json"), "--out", str(tmp_path)]

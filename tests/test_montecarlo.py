@@ -218,6 +218,17 @@ class TestSizePower:
         target = general_names.index("b_cost")
         np.testing.assert_array_equal(start, np.delete(general.params_hat, target))
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_value_error_in_a_cell_propagates(self, monkeypatch, jobs):
+        # The direction reaches the workers with the cell's arguments. An
+        # unknown one makes each cell's t test raise ValueError: a bug, not
+        # a failed cell.
+        monkeypatch.setattr(
+            montecarlo_module, "_declared_direction", lambda spec, target: ("sideways", ())
+        )
+        with pytest.raises(ValueError, match="sidedness must be one of"):
+            size_and_power_experiment(make_config(n_persons=60), jobs=jobs)
+
     def test_effect_sizes_must_include_null(self):
         with pytest.raises(ValueError):
             size_and_power_experiment(make_config(effect_sizes=(-0.4,)))

@@ -191,10 +191,17 @@ class TestNumberFormatProperties:
     @given(
         p=st.floats(0.0, 1.0) | st.sampled_from((0.0, 1e-300, 0.0005, 0.000999999, 0.001, 0.0015, 1.0)),
         p_digits=st.integers(1, 6),
-        floor_digits=st.integers(1, 6),
+        # i * 10**-d: on the p grid, below its step, or above it and off it.
+        floor=st.builds(lambda i, d: float(f"{i}e-{d}"), st.integers(1, 50), st.integers(1, 6)),
     )
-    def test_p_values_are_never_printed_as_zero_or_below_the_floor(self, p, p_digits, floor_digits):
-        options = ReportOptions(p_digits=p_digits, apa_floor=10.0**-min(floor_digits, p_digits))
+    def test_p_values_are_never_printed_as_zero_or_below_the_floor(self, p, p_digits, floor):
+        try:
+            options = ReportOptions(p_digits=p_digits, apa_floor=floor)
+        except ValueError:
+            # Refused only above the grid's step and off the grid.
+            steps = round(floor * 10**p_digits)
+            assert floor > 10.0**-p_digits and float(f"{steps}e-{p_digits}") != floor
+            return
         text = format_p_value(p, options)
         if text.startswith("< "):
             bound = float(text[2:])
@@ -217,6 +224,13 @@ class TestPValueFormat:
         # Below display resolution but above the APA floor: never "0.000".
         options = ReportOptions(apa_floor=1e-6)
         assert format_p_value(0.0001, options) == "< .001"
+
+    def test_floor_off_the_grid_is_refused(self):
+        # p = 0.0012 would print as 0.001, below the floor.
+        with pytest.raises(ValueError, match=r"apa_floor 0\.0012 is not a multiple of 10\*\*-3"):
+            ReportOptions(apa_floor=0.0012)
+        assert format_p_value(0.0015, ReportOptions(apa_floor=0.002)) == "< .002"
+        assert format_p_value(0.002, ReportOptions(apa_floor=0.002)) == "0.002"
 
     def test_sidedness_annotation(self):
         assert format_p_value(0.05, sidedness="one_sided_less") == "0.050 (1-sided, H1 <)"

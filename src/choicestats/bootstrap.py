@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .estimation import STATUS_CONVERGED, EstimationOptions, estimate_design
+from .errors import ConvergenceError, IdentificationError
+from .estimation import STATUS_CONVERGED, EstimationOptions, _start_vector, estimate_design
 from .inference import ConfidenceInterval
+from .linalg import solve_symmetric_positive_definite
 from .util import Failure, parallel_map, seed_from
 
 #: Below this many draws, empirical quantiles are too coarse to report.
@@ -46,10 +47,38 @@ class BootstrapResult:
         return int(self.converged.sum())
 
 
-def _bootstrap_replicate(design, options, base_seed, mle, s):
+def _person_terms(design, theta):
+    """(n_persons, k + k*k): each person's weighted score at theta, then its
+    information (the negative Hessian) flattened row by row."""
+    p, x = design.probabilities(theta), design.X
+    centred = x - np.einsum("nj,njk->nk", p, x)[:, None, :]
+    information = np.zeros((design.n_persons, design.k * design.k))
+    rows = np.einsum("nj,nja,njb->nab", p, centred, centred).reshape(design.n_obs, -1)
+    np.add.at(information, design.person_index, rows)
+    terms = np.hstack([design.score(theta, grouping="person"), information])
+    return terms * design.person_weights[:, None]
+
+
+def _one_step_start(mle, terms, counts):
+    """The first Newton iterate from mle of the design weighted by counts,
+    mle + (sum_i c_i I_i)^-1 sum_i c_i s_i, or mle itself when that
+    information matrix is not positive definite."""
+    k = mle.size
+    summed = counts @ terms
+    information = summed[k:].reshape(k, k)
+    information = (information + information.T) / 2.0
+    try:
+        return mle + solve_symmetric_positive_definite(information, summed[:k])
+    except IdentificationError:
+        return mle
+
+
+def _bootstrap_replicate(design, options, base_seed, mle, terms, s):
     n = design.n_persons
     drawn = np.random.default_rng(seed_from(base_seed, s)).integers(0, n, n)
-    result = estimate_design(design.weighted(np.bincount(drawn, minlength=n)), options, start=mle)
+    counts = np.bincount(drawn, minlength=n)
+    start = _one_step_start(mle, terms, counts)
+    result = estimate_design(design.weighted(counts), options, start=start)
     if not result.converged:
         raise ConvergenceError(result.status)
     return result.params_hat
@@ -60,8 +89,10 @@ def bootstrap_run(design, options=None, s_samples=400, base_seed=0, jobs=1, mle=
 
     Replicate s draws n_persons persons with replacement, with a seed
     derived from (base_seed, s), and fits the design weighted by each
-    person's draw count, starting from the full-sample estimate ``mle``
-    (estimated here from the declared start values when not given). A
+    person's draw count. It starts one Newton step from the full-sample
+    estimate ``mle`` (estimated here from the declared start values when not
+    given): the step its own first iteration would take, found from each
+    person's score and information at ``mle``, computed once per run. A
     failed replicate is kept as a NaN row, flagged not-converged, with the
     failure reason as its status (a fit's own status when it does not
     converge), and excluded downstream.
@@ -71,7 +102,9 @@ def bootstrap_run(design, options=None, s_samples=400, base_seed=0, jobs=1, mle=
     options = options or EstimationOptions()
     if mle is None:
         mle = estimate_design(design, options).params_hat
-    outcomes = parallel_map(_bootstrap_replicate, (design, options, base_seed, mle), s_samples, jobs)
+    mle = _start_vector(design, mle)
+    args = (design, options, base_seed, mle, _person_terms(design, mle))
+    outcomes = parallel_map(_bootstrap_replicate, args, s_samples, jobs)
     failed = [isinstance(out, Failure) for out in outcomes]
     nan_row = np.full(design.k, np.nan)
     return BootstrapResult(

@@ -142,6 +142,14 @@ def _ascent_direction(design, params, gradient, hessian):
         return solve_positive_definite(design.bhhh(params), gradient, name="bhhh matrix")
 
 
+def _start_vector(design, start):
+    """A float copy of ``start``, or of the declared start values when it is None."""
+    params = design.start_values.copy() if start is None else np.asarray(start, dtype=float).copy()
+    if params.shape != (design.k,):
+        raise ValueError(f"start vector must have length {design.k}, got shape {params.shape}")
+    return params
+
+
 def estimate_design(design, options=None, start=None, start_index=0):
     """Run the optimiser against an already compiled design.
 
@@ -151,9 +159,7 @@ def estimate_design(design, options=None, start=None, start_index=0):
     the end, the result.
     """
     options = options or EstimationOptions()
-    params = design.start_values.copy() if start is None else np.asarray(start, dtype=float).copy()
-    if params.shape != (design.k,):
-        raise ValueError(f"start vector must have length {design.k}, got shape {params.shape}")
+    params = _start_vector(design, start)
     p = design.probabilities(params)
     ll, floored = design.chosen_log_likelihood(p)
     if not np.isfinite(ll):

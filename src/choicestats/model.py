@@ -279,7 +279,9 @@ class DesignArrays:
     ``(k, n_alts, n_obs)`` array for ``X`` and ``(n_alts, n_obs)`` arrays for
     ``offset`` and ``avail``, so utilities are one matrix-vector product and
     the softmax and its weighted sums run over contiguous rows. The public
-    attributes below are transposed views of that storage, not copies.
+    attributes below are transposed views of that storage, not copies. Each
+    design also keeps every observation's chosen row of ``X``, which the
+    gradient and the score rows use.
 
     Attributes
     ----------
@@ -322,6 +324,7 @@ class DesignArrays:
         self._bias_t = np.where(self._avail_t, self._offset_t, -np.inf)
         # Position of each chosen entry in the flattened (n_alts, n_obs) rows.
         self._chosen_flat = self.chosen * self.n_obs + np.arange(self.n_obs)
+        self._x_chosen = np.take(self._Xt.reshape(self.k, -1), self._chosen_flat, axis=1)
         self.person_weights = np.asarray(self.person_weights, dtype=float)
         self._obs_weights = self.person_weights[self.person_index]
 
@@ -360,12 +363,14 @@ class DesignArrays:
         says whether a chosen probability was clamped at PROBABILITY_FLOOR."""
         p_chosen = np.take(p.T, self._chosen_flat)
         floored = bool(np.any(p_chosen < PROBABILITY_FLOOR))
-        log_p = np.log(np.maximum(p_chosen, PROBABILITY_FLOOR))
-        return float(np.sum(self._obs_weights * log_p)), floored
+        if floored:
+            p_chosen = np.maximum(p_chosen, PROBABILITY_FLOOR)
+        return float(np.sum(self._obs_weights * np.log(p_chosen))), floored
 
     def _xbar(self, p_t):
-        """(k, n_obs) probability-weighted mean of each observation's rows."""
-        return (self._Xt * p_t).sum(axis=1)
+        """(k, n_obs) probability-weighted mean of each observation's rows,
+        without a (k, n_alts, n_obs) product array."""
+        return np.einsum("kjn,jn->kn", self._Xt, p_t)
 
     def log_likelihood(self, params):
         return self.chosen_log_likelihood(self.probabilities(params))[0]
@@ -380,15 +385,16 @@ class DesignArrays:
 
         The Hessian is -sum_n w_n sum_j p_nj (x_nj - xbar_n)(x_nj - xbar_n)',
         one matrix product over the centred design; the gradient sums the
-        weighted centred chosen rows, w_n being the weight of observation n's
-        person. Centring before either sum keeps them accurate near the
-        optimum, where the uncentred forms cancel. Weights multiply before
-        each sum, so unit weights leave every bit as without them.
+        weighted chosen rows less xbar_n, w_n being the weight of observation
+        n's person; the chosen rows are stored with the design. Centring before
+        either sum keeps them accurate near the optimum, where the uncentred
+        forms cancel. Weights multiply before each sum, so unit weights leave
+        every bit as without them.
         """
         p_t = p.T
-        centred = (self._Xt - self._xbar(p_t)[:, None, :]).reshape(self.k, -1)
-        chosen = np.take(centred, self._chosen_flat, axis=1)
-        chosen *= self._obs_weights
+        xbar = self._xbar(p_t)
+        centred = (self._Xt - xbar[:, None, :]).reshape(self.k, -1)
+        chosen = (self._x_chosen - xbar) * self._obs_weights
         p_t *= self._obs_weights
         h = -((centred * p_t.reshape(-1)) @ centred.T)
         # The product is not bitwise symmetric; the matrix is.
@@ -404,8 +410,7 @@ class DesignArrays:
         """Score rows x_chosen - sum_j p_j x_j, per observation or summed per
         person; unweighted, so a person of weight m gives one row, not m."""
         p_t = self.probabilities(params).T
-        x_chosen = np.take(self._Xt.reshape(self.k, -1), self._chosen_flat, axis=1)
-        rows = x_chosen - self._xbar(p_t)
+        rows = self._x_chosen - self._xbar(p_t)
         if grouping == "observation":
             return rows.T
         if grouping != "person":

@@ -19,6 +19,8 @@ import json
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bootstrap import EmpiricalPValue
 
 DEFAULT_STAR_THRESHOLDS = (0.01, 0.05, 0.10)
@@ -154,7 +156,8 @@ def format_p_value(p, options=None, sidedness=None):
 
 
 def _strip_leading_zero(x):
-    text = f"{x:.10f}".rstrip("0")
+    # Every digit of the shortest repr, so the text reads back as x itself.
+    text = np.format_float_positional(x, trim="-")
     return text[1:] if text.startswith("0.") else text
 
 

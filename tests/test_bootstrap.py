@@ -13,13 +13,16 @@ from choicestats import (
     MIN_DRAWS,
     BootstrapResult,
     ChoiceStatsError,
+    DesignArrays,
     EmpiricalPValue,
+    EstimationOptions,
     ReplicateFailureWarning,
     asymmetry_index,
     bootstrap_covariance,
     bootstrap_run,
     build_design,
     empirical_p_value,
+    estimate_design,
     hpd_interval,
     load_draws,
     quantile_interval,
@@ -66,26 +69,76 @@ class TestBootstrapRun:
             bootstrap_run(design, s_samples=1)
 
     def test_replicates_start_from_the_full_sample_estimate(self, monkeypatch):
+        # Each replicate starts one Newton step from the full-sample estimate:
+        # the step of its own weighted design, found from the persons' scores
+        # and information at the estimate.
         real = bootstrap_module.estimate_design
         starts = []
 
         def recording(design, options, **kwargs):
-            starts.append(kwargs.get("start"))
+            starts.append((design, kwargs.get("start")))
             return real(design, options, **kwargs)
 
         monkeypatch.setattr(bootstrap_module, "estimate_design", recording)
         dataset = three_mode_data(n_persons=40, obs_per_person=1, seed=13)
         design = build_design(dataset, three_mode_spec())
         mle = real(design).params_hat
+        terms = bootstrap_module._person_terms(design, mle)
         given = bootstrap_run(design, s_samples=5, base_seed=1, mle=mle)
-        assert len(starts) == 5 and all(start is mle for start in starts)
+        assert len(starts) == 5
+        for replicate, start in starts:
+            counts = np.zeros(design.n_persons)
+            counts[[design.person_ids.index(p) for p in replicate.person_ids]] = (
+                replicate.person_weights
+            )
+            want = bootstrap_module._one_step_start(mle, terms, counts)
+            assert np.array_equal(start, want) and not np.array_equal(start, mle)
         # Without one, the run fits the full sample first, from the declared
-        # start values, and starts every replicate there.
+        # start values, and starts every replicate from there.
+        given_starts = [start for _, start in starts]
         starts.clear()
         fitted = bootstrap_run(design, s_samples=5, base_seed=1)
-        assert starts[0] is None and len(starts) == 6
-        assert all(np.array_equal(start, mle) for start in starts[1:])
+        assert starts[0][1] is None and len(starts) == 6
+        assert all(np.array_equal(a, b) for (_, a), b in zip(starts[1:], given_starts))
         assert np.array_equal(fitted.draws, given.draws)
+
+    def test_one_step_start_is_the_first_newton_iterate(self):
+        dataset = three_mode_data(n_persons=60, obs_per_person=2, seed=3)
+        design = build_design(dataset, three_mode_spec())
+        mle = estimate_design(design).params_hat
+        terms = bootstrap_module._person_terms(design, mle)
+        rng = np.random.default_rng(3)
+        for _ in range(5):
+            counts = np.bincount(rng.integers(0, 60, 60), minlength=60)
+            first = estimate_design(
+                design.weighted(counts), EstimationOptions(max_iterations=1), start=mle
+            )
+            assert first.iterations == 1
+            start = bootstrap_module._one_step_start(mle, terms, counts)
+            np.testing.assert_allclose(start, first.params_hat, rtol=1e-10, atol=0)
+
+    def test_singular_replicate_information_falls_back_to_the_estimate(self):
+        # Person 0's information is singular, person 1's is 2 I; both scores are ones.
+        mle = np.array([0.5, -1.0])
+        terms = np.array([[1.0, 1.0, 1.0, 1.0, 1.0, 1.0], [1.0, 1.0, 2.0, 0.0, 0.0, 2.0]])
+        assert bootstrap_module._one_step_start(mle, terms, np.array([3, 0])) is mle
+        start = bootstrap_module._one_step_start(mle, terms, np.array([0, 2]))
+        np.testing.assert_array_equal(start, mle + 0.5)
+
+    def test_a_replicate_takes_three_softmax_passes(self, monkeypatch):
+        real = DesignArrays.probabilities
+        calls = []
+
+        def counting(design, params):
+            calls.append(design.n_obs)
+            return real(design, params)
+
+        monkeypatch.setattr(DesignArrays, "probabilities", counting)
+        dataset = three_mode_data(n_persons=500, obs_per_person=4, seed=1)
+        design = build_design(dataset, three_mode_spec())
+        result = bootstrap_run(design, s_samples=30, base_seed=1)
+        assert result.n_failed == 0
+        assert len(calls) <= 3 * 30 + 10
 
     def test_replicate_failures_flagged_and_warned(self, monkeypatch):
         real = bootstrap_module.estimate_design

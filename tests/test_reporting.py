@@ -191,8 +191,10 @@ class TestNumberFormatProperties:
     @given(
         p=st.floats(0.0, 1.0) | st.sampled_from((0.0, 1e-300, 0.0005, 0.000999999, 0.001, 0.0015, 1.0)),
         p_digits=st.integers(1, 6),
-        # i * 10**-d: on the p grid, below its step, or above it and off it.
-        floor=st.builds(lambda i, d: float(f"{i}e-{d}"), st.integers(1, 50), st.integers(1, 6)),
+        # i * 10**-d: on the p grid, below its step, or above it and off it;
+        # or any float, mostly off every grid.
+        floor=st.builds(lambda i, d: float(f"{i}e-{d}"), st.integers(1, 50), st.integers(1, 6))
+        | st.floats(1e-20, 1.0),
     )
     def test_p_values_are_never_printed_as_zero_or_below_the_floor(self, p, p_digits, floor):
         try:
@@ -224,6 +226,16 @@ class TestPValueFormat:
         # Below display resolution but above the APA floor: never "0.000".
         options = ReportOptions(apa_floor=1e-6)
         assert format_p_value(0.0001, options) == "< .001"
+
+    def test_floors_print_every_digit_they_need(self):
+        # Floors finer than ten decimals, and one whose digits run past ten:
+        # the printed bound must read back as the floor.
+        assert format_p_value(0.0, ReportOptions(apa_floor=1e-12)) == "< .000000000001"
+        options = ReportOptions(p_digits=12, apa_floor=1e-14)
+        assert format_p_value(1e-13, options) == "< .000000000001"
+        floor = 1.192092896e-07
+        text = format_p_value(0.0, ReportOptions(p_digits=1, apa_floor=floor))
+        assert text == "< .0000001192092896" and float(text[2:]) >= floor
 
     def test_floor_off_the_grid_is_refused(self):
         # p = 0.0012 would print as 0.001, below the floor.

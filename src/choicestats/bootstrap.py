@@ -47,22 +47,10 @@ class BootstrapResult:
         return int(self.converged.sum())
 
 
-def _person_terms(design, theta):
-    """(n_persons, k + k*k): each person's weighted score at theta, then its
-    information (the negative Hessian) flattened row by row."""
-    p, x = design.probabilities(theta), design.X
-    centred = x - np.einsum("nj,njk->nk", p, x)[:, None, :]
-    information = np.zeros((design.n_persons, design.k * design.k))
-    rows = np.einsum("nj,nja,njb->nab", p, centred, centred).reshape(design.n_obs, -1)
-    np.add.at(information, design.person_index, rows)
-    terms = np.hstack([design.score(theta, grouping="person"), information])
-    return terms * design.person_weights[:, None]
-
-
 def _one_step_start(mle, terms, counts):
     """The first Newton iterate from mle of the design weighted by counts,
-    mle + (sum_i c_i I_i)^-1 sum_i c_i s_i, or mle itself when that
-    information matrix is not positive definite."""
+    mle + (sum_i c_i I_i)^-1 sum_i c_i s_i, from DesignArrays.person_terms
+    rows, or mle itself when that information is not positive definite."""
     k = mle.size
     summed = counts @ terms
     information = summed[k:].reshape(k, k)
@@ -92,7 +80,7 @@ def bootstrap_run(design, options=None, s_samples=400, base_seed=0, jobs=1, mle=
     person's draw count. It starts one Newton step from the full-sample
     estimate ``mle`` (estimated here from the declared start values when not
     given): the step its own first iteration would take, found from each
-    person's score and information at ``mle``, computed once per run. A
+    person's score and information at ``mle``, one pass per run. A
     failed replicate is kept as a NaN row, flagged not-converged, with the
     failure reason as its status (a fit's own status when it does not
     converge), and excluded downstream.
@@ -103,7 +91,8 @@ def bootstrap_run(design, options=None, s_samples=400, base_seed=0, jobs=1, mle=
     if mle is None:
         mle = estimate_design(design, options).params_hat
     mle = _start_vector(design, mle)
-    args = (design, options, base_seed, mle, _person_terms(design, mle))
+    terms = design.person_terms(design.probabilities(mle), information=True)
+    args = (design, options, base_seed, mle, terms * design.person_weights[:, None])
     outcomes = parallel_map(_bootstrap_replicate, args, s_samples, jobs)
     failed = [isinstance(out, Failure) for out in outcomes]
     nan_row = np.full(design.k, np.nan)

@@ -280,8 +280,8 @@ class DesignArrays:
     ``offset`` and ``avail``, so utilities are one matrix-vector product and
     the softmax and its weighted sums run over contiguous rows. The public
     attributes below are transposed views of that storage, not copies. Each
-    design also keeps every observation's chosen row of ``X``, which the
-    gradient and the score rows use.
+    design also keeps every observation's chosen row of ``X`` for the
+    gradient and the score rows, which :meth:`person_terms` sums per person.
 
     Attributes
     ----------
@@ -406,19 +406,31 @@ class DesignArrays:
         ll, floored = self.chosen_log_likelihood(p)
         return (ll, *self.derivatives(p), floored)
 
-    def score(self, params, grouping="person"):
-        """Score rows x_chosen - sum_j p_j x_j, per observation or summed per
-        person; unweighted, so a person of weight m gives one row, not m."""
-        p_t = self.probabilities(params).T
-        rows = self._x_chosen - self._xbar(p_t)
-        if grouping == "observation":
-            return rows.T
-        if grouping != "person":
-            raise ValueError(f"grouping must be 'person' or 'observation', got '{grouping}'")
+    def person_terms(self, p, information=False):
+        """Per-person unweighted score rows, sums of x_chosen - xbar_n, from an
+        array :meth:`probabilities` returned; with ``information``, then the k*k
+        entries of sum_n sum_j p_nj c_nj c_nj', c_nj = x_nj - xbar_n, by row."""
+        p_t = p.T
+        xbar = self._xbar(p_t)
+        rows = self._x_chosen - xbar
+        if information:
+            centred = self._Xt - xbar[:, None, :]
+            outer = np.einsum("jn,ajn,bjn->abn", p_t, centred, centred)
+            rows = np.vstack([rows, outer.reshape(self.k * self.k, -1)])
         return np.stack(
             [np.bincount(self.person_index, weights=r, minlength=self.n_persons) for r in rows],
             axis=1,
         )
+
+    def score(self, params, grouping="person"):
+        """Score rows x_chosen - sum_j p_j x_j per observation, or per person by
+        :meth:`person_terms`; unweighted, a person of weight m giving one row."""
+        p = self.probabilities(params)
+        if grouping == "person":
+            return self.person_terms(p)
+        if grouping != "observation":
+            raise ValueError(f"grouping must be 'person' or 'observation', got '{grouping}'")
+        return (self._x_chosen - self._xbar(p.T)).T
 
     def bhhh(self, params):
         """sum_i w_i s_i s_i' over persons i with score s_i and weight w_i."""

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .bootstrap import bootstrap_run, quantile_interval
+from .bootstrap import MIN_DRAWS, bootstrap_run, quantile_interval
 from .covariance import covariance_set
 from .errors import ChoiceStatsError
 from .estimation import EstimationOptions, estimate_design
@@ -307,12 +307,11 @@ def _coverage_rep(config, rep):
             base_seed=seed_from(config.seed, rep, 1),
             mle=result.params_hat,
         )
-        try:
-            ci = quantile_interval(boot.converged_draws()[:, target_col], config.ci_level, estimate)
-        except ValueError:
+        if boot.s_converged < MIN_DRAWS:
             # Too few converged replicates for an interval; the rep still counts.
             row["covered_bootstrap"] = None
         else:
+            ci = quantile_interval(boot.converged_draws()[:, target_col], config.ci_level, estimate)
             row["ci_lower_bootstrap"] = ci.lower
             row["ci_upper_bootstrap"] = ci.upper
             row["covered_bootstrap"] = bool(ci.lower <= true_value <= ci.upper)

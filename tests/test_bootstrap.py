@@ -83,7 +83,7 @@ class TestBootstrapRun:
         dataset = three_mode_data(n_persons=40, obs_per_person=1, seed=13)
         design = build_design(dataset, three_mode_spec())
         mle = real(design).params_hat
-        terms = bootstrap_module._person_terms(design, mle)
+        terms = design.person_terms(design.probabilities(mle), information=True)
         given = bootstrap_run(design, s_samples=5, base_seed=1, mle=mle)
         assert len(starts) == 5
         for replicate, start in starts:
@@ -106,7 +106,7 @@ class TestBootstrapRun:
         dataset = three_mode_data(n_persons=60, obs_per_person=2, seed=3)
         design = build_design(dataset, three_mode_spec())
         mle = estimate_design(design).params_hat
-        terms = bootstrap_module._person_terms(design, mle)
+        terms = design.person_terms(design.probabilities(mle), information=True)
         rng = np.random.default_rng(3)
         for _ in range(5):
             counts = np.bincount(rng.integers(0, 60, 60), minlength=60)
@@ -139,6 +139,21 @@ class TestBootstrapRun:
         result = bootstrap_run(design, s_samples=30, base_seed=1)
         assert result.n_failed == 0
         assert len(calls) <= 3 * 30 + 10
+
+    def test_the_person_terms_take_one_softmax_pass_on_the_full_sample(self, monkeypatch):
+        dataset = three_mode_data(n_persons=40, obs_per_person=2, seed=13)
+        design = build_design(dataset, three_mode_spec())
+        mle = estimate_design(design).params_hat
+        real = DesignArrays.probabilities
+        calls = []
+
+        def counting(self, params):
+            calls.append(self is design)
+            return real(self, params)
+
+        monkeypatch.setattr(DesignArrays, "probabilities", counting)
+        bootstrap_run(design, s_samples=5, mle=mle)
+        assert calls.count(True) == 1
 
     def test_replicate_failures_flagged_and_warned(self, monkeypatch):
         real = bootstrap_module.estimate_design

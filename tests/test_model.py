@@ -334,6 +334,32 @@ class TestDesignSurgery:
         np.add.at(want, design.person_index, design.score(params, grouping="observation"))
         assert design.score(params, grouping="person").tobytes() == want.tobytes()
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_person_terms_equal_the_score_and_the_add_at_information(self, data):
+        # Unavailable alternatives leave holes; weights must not enter the
+        # rows, only the weighted sum that makes the Hessian.
+        _, _, design = _random_case(data, st.floats(-3.0, 3.0), 8, 3)
+        if data.draw(st.booleans()):
+            counts = st.lists(st.integers(0, 3), min_size=design.n_persons, max_size=design.n_persons)
+            design = design.weighted(np.array(data.draw(counts.filter(any))))
+        coefficient = st.floats(-1.0, 1.0)
+        params = np.array(data.draw(st.lists(coefficient, min_size=design.k, max_size=design.k)))
+        k = design.k
+
+        terms = design.person_terms(design.probabilities(params), information=True)
+        assert terms.shape == (design.n_persons, k + k * k)
+        assert terms[:, :k].tobytes() == design.score(params, "person").tobytes()
+        p, x = design.probabilities(params), design.X
+        centred = x - np.einsum("nj,njk->nk", p, x)[:, None, :]
+        rows = np.einsum("nj,nja,njb->nab", p, centred, centred).reshape(design.n_obs, -1)
+        want = np.zeros((design.n_persons, k * k))
+        np.add.at(want, design.person_index, rows)
+        assert terms[:, k:].tobytes() == want.tobytes()
+        hessian = design.derivatives(design.probabilities(params))[1]
+        information = (design.person_weights @ terms[:, k:]).reshape(k, k)
+        assert np.all(np.abs(information + hessian) <= 1e-12 * np.abs(hessian).max())
+
     def test_fix_column_moves_contribution_to_offset(self):
         data = three_mode_data(n_persons=25, seed=15)
         design = build_design(data, three_mode_spec())

@@ -1,12 +1,14 @@
 """Replicated-sampling experiments: size/power, coverage, summaries."""
 
 import csv
+import dataclasses
 
 import numpy as np
 import pytest
 
 import choicestats.montecarlo as montecarlo_module
 from choicestats import (
+    MIN_DRAWS,
     REJECTION_METHODS,
     ExperimentConfig,
     MonteCarloReport,
@@ -281,6 +283,39 @@ class TestCoverage:
         assert methods == ["classical", "robust", "bootstrap"]
         boot = report.rate("bootstrap")
         assert 0.5 <= boot <= 1.0
+
+    def test_an_interval_error_is_not_taken_for_too_few_draws(self, monkeypatch):
+        def broken(*args):
+            raise ValueError("bug")
+
+        monkeypatch.setattr(montecarlo_module, "quantile_interval", broken)
+        config = make_config(n_persons=60, bootstrap_s=MIN_DRAWS)
+        with pytest.raises(ValueError, match="bug"):
+            coverage_experiment(config, jobs=1)
+
+    def test_a_rep_with_too_few_converged_draws_has_no_bootstrap_flag(self, monkeypatch):
+        real = montecarlo_module.bootstrap_run
+        converged = []
+
+        def first_mostly_failed(*args, **kwargs):
+            result = real(*args, **kwargs)
+            if not converged:
+                result = dataclasses.replace(
+                    result, converged=np.arange(result.s_samples) < MIN_DRAWS - 1
+                )
+            converged.append(result.s_converged)
+            return result
+
+        monkeypatch.setattr(montecarlo_module, "bootstrap_run", first_mostly_failed)
+        report = coverage_experiment(make_config(n_persons=60, bootstrap_s=MIN_DRAWS + 2), jobs=1)
+        assert converged[0] == MIN_DRAWS - 1 and min(converged[1:]) >= MIN_DRAWS
+        assert report.failures == 0
+        first = report.rows[0]
+        assert first["converged"] and first["covered_bootstrap"] is None
+        assert "ci_lower_bootstrap" not in first
+        assert all(isinstance(row["covered_bootstrap"], bool) for row in report.rows[1:])
+        assert report.rates[2]["method"] == "bootstrap"
+        assert report.rates[2]["n"] == len(report.rows) - 1
 
     def test_job_count_does_not_change_rows(self):
         config = make_config(n_persons=60)

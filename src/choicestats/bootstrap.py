@@ -19,7 +19,7 @@ import numpy as np
 from .errors import ConvergenceError, IdentificationError
 from .estimation import STATUS_CONVERGED, EstimationOptions, _start_vector, estimate_design
 from .inference import ConfidenceInterval
-from .linalg import solve_symmetric_positive_definite
+from .linalg import solve_positive_definite
 from .util import Failure, parallel_map, seed_from
 
 #: Below this many draws, empirical quantiles are too coarse to report.
@@ -56,7 +56,7 @@ def _one_step_start(mle, terms, counts):
     information = summed[k:].reshape(k, k)
     information = (information + information.T) / 2.0
     try:
-        return mle + solve_symmetric_positive_definite(information, summed[:k])
+        return mle + solve_positive_definite(information, summed[:k])
     except IdentificationError:
         return mle
 

@@ -72,6 +72,10 @@ EXIT_INPUT = 1
 EXIT_IDENTIFICATION = 2
 EXIT_NONCONVERGENCE = 3
 
+#: Status of the partial results of a converged fit whose covariance matrices
+#: cannot be formed.
+STATUS_SINGULAR_COVARIANCE = "singular_covariance"
+
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits with code 2 on usage errors; 2 is reserved for
@@ -190,12 +194,13 @@ def _fit_data(args):
     return spec, design, options, best, runs
 
 
-def _estimation_failure_exit(args, outdir, result):
-    """Write partial results for a failed fit, then report it; exit 2 or 3."""
+def _write_partial_results(args, outdir, result, status):
+    """results.json and manifest.json for a run that stops at ``result``;
+    ``status`` is not converged, so ``report`` refuses the file."""
     write_json(
         {
             "command": args.command,
-            "status": result.status,
+            "status": status,
             "estimates": result.params_dict(),
             "ll_hat": result.ll_hat,
             "gradient_norm": result.gradient_norm,
@@ -204,6 +209,11 @@ def _estimation_failure_exit(args, outdir, result):
         outdir / "results.json",
     )
     _write_manifest(outdir, args, ["results.json"])
+
+
+def _estimation_failure_exit(args, outdir, result):
+    """Write partial results for a failed fit, then report it; exit 2 or 3."""
+    _write_partial_results(args, outdir, result, result.status)
     if result.status == STATUS_SINGULAR_HESSIAN:
         report = result.identification
         print("identification failure: the Hessian is singular", file=sys.stderr)
@@ -351,11 +361,16 @@ def cmd_estimate(args):
     if best.status != STATUS_CONVERGED:
         return _estimation_failure_exit(args, outdir, best)
 
-    covs = covariance_set(
-        best.hessian_at_optimum,
-        design.score(best.params_hat, grouping="person"),
-        names=best.names,
-    )
+    try:
+        covs = covariance_set(
+            best.hessian_at_optimum,
+            design.score(best.params_hat, grouping="person"),
+            names=best.names,
+        )
+    except (IdentificationError, CovarianceError):
+        # The fit converged, but its covariance cannot be formed: exit 2.
+        _write_partial_results(args, outdir, best, STATUS_SINGULAR_COVARIANCE)
+        raise
     tests = {}
     intervals = {}
     for i, name in enumerate(best.names):

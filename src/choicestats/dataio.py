@@ -14,9 +14,10 @@ import numpy as np
 
 from .errors import DataError
 from .model import Dataset, ModelSpec, ParameterDef, UtilityTerm
-from .util import first_failure
+from .util import first_failure, reject_unknown_keys
 
 RESERVED_COLUMNS = ("person_id", "obs_id", "alt_id", "avail", "chosen")
+_PARAMETER_KEYS = ("name", "start", "fixed", "fixed_value", "h0_value", "alternative")
 
 
 def load_dataset(path):
@@ -174,10 +175,20 @@ def read_json(path):
 
 
 def model_spec_from_doc(doc):
-    """Build a ModelSpec from its JSON document form (fields verbatim)."""
+    """Build a ModelSpec from its JSON document form (fields verbatim).
+
+    A key the form does not have is an error: a misspelt ``fixed`` would
+    otherwise leave its parameter free without notice.
+    """
     if not isinstance(doc, dict):
         raise ValueError("model document must be a JSON object")
     alternatives = [str(a) for a in doc["alternatives"]]
+    reject_unknown_keys(doc, ("alternatives", "parameters", "utilities"), "model document")
+    for p in doc["parameters"]:
+        reject_unknown_keys(p, _PARAMETER_KEYS, "model parameter")
+    for alt, terms in doc.get("utilities", {}).items():
+        for t in terms:
+            reject_unknown_keys(t, ("param", "attribute"), f"utility term of '{alt}'")
     parameters = [
         ParameterDef(
             name=str(p["name"]),

@@ -29,15 +29,7 @@ class SpecMismatchError(ChoiceStatsError):
 
 
 class IdentificationError(ChoiceStatsError):
-    """Singular or near-singular information matrix.
-
-    The optional ``report`` holds an IdentificationReport with eigenvalue
-    diagnostics and the suspect parameters.
-    """
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
+    """Singular or near-singular information matrix."""
 
 
 class ConvergenceError(ChoiceStatsError):

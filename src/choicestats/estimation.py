@@ -20,11 +20,7 @@ from .errors import (
     ProbabilityUnderflowWarning,
     StartPointError,
 )
-from .linalg import (
-    require_symmetric,
-    solve_positive_definite,
-    solve_symmetric_positive_definite,
-)
+from .linalg import near_null_space, require_symmetric, solve_positive_definite
 from .model import build_design
 from .util import seed_from
 
@@ -92,30 +88,19 @@ class EstimationResult:
         return {name: float(v) for name, v in zip(self.names, self.params_hat)}
 
 
-def check_identification(hessian, threshold=1e-10, names=None):
+def check_identification(hessian, names=None):
     """Eigenvalue-based identification report for a (negative) Hessian.
 
-    identified <=> min|eigenvalue| / max|eigenvalue| > threshold and full
-    rank. Suspects are the parameters loading heaviest on eigenvectors of
-    near-zero eigenvalues.
+    identified <=> no eigenvalue is near-null in the sense of
+    :func:`linalg.near_null_space`. Suspects are the parameters loading
+    heaviest on the eigenvectors of near-null eigenvalues.
     """
-    h = require_symmetric(np.asarray(hessian, dtype=float), name="hessian")
-    eigenvalues, eigenvectors = np.linalg.eigh(h)
-    magnitude = np.abs(eigenvalues)
-    largest = float(magnitude.max())
-    if largest == 0.0:
-        rank = 0
-        condition = np.inf
-        near_null = np.ones(len(eigenvalues), dtype=bool)
-    else:
-        near_null = magnitude <= threshold * largest
-        rank = int(np.sum(~near_null))
-        smallest = float(magnitude.min())
-        condition = np.inf if smallest == 0.0 else largest / smallest
-    identified = (not np.any(near_null)) and rank == h.shape[0]
+    magnitude, eigenvectors, near_null = near_null_space(hessian, name="hessian")
+    smallest = float(magnitude.min())
+    condition = np.inf if smallest == 0.0 else float(magnitude.max()) / smallest
     suspects = []
     if names is None:
-        names = [f"param_{i}" for i in range(h.shape[0])]
+        names = [f"param_{i}" for i in range(magnitude.size)]
     for idx in np.flatnonzero(near_null):
         loadings = np.abs(eigenvectors[:, idx])
         heavy = loadings >= 0.5 * loadings.max()
@@ -123,9 +108,9 @@ def check_identification(hessian, threshold=1e-10, names=None):
             if names[pos] not in suspects:
                 suspects.append(names[pos])
     return IdentificationReport(
-        hessian_rank=rank,
+        hessian_rank=int(np.sum(~near_null)),
         condition_number=condition,
-        is_identified=bool(identified),
+        is_identified=not near_null.any(),
         suspect_parameters=tuple(suspects),
     )
 
@@ -137,9 +122,10 @@ def _ascent_direction(design, params, gradient, hessian):
     if not np.isfinite(hessian).all():
         raise ValueError("negative hessian contains non-finite entries")
     try:
-        return solve_symmetric_positive_definite(-hessian, gradient, name="negative hessian")
+        return solve_positive_definite(-hessian, gradient, name="negative hessian")
     except IdentificationError:
-        return solve_positive_definite(design.bhhh(params), gradient, name="bhhh matrix")
+        bhhh = require_symmetric(design.bhhh(params), name="bhhh matrix")
+        return solve_positive_definite(bhhh, gradient, name="bhhh matrix")
 
 
 def _start_vector(design, start):

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IdentificationError, NestingError
-from .linalg import solve_positive_definite
+from .errors import NestingError
+from .estimation import _ascent_direction
+from .linalg import require_symmetric, solve_positive_definite
 
 _SQRT2 = math.sqrt(2.0)
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -259,6 +260,25 @@ def wald_test(estimate, se, h0_value=0.0):
     )
 
 
+def _chi_square_test(method, d, statistic):
+    """TestResult of ``method`` against chi2(d). ``d`` is checked before
+    ``statistic()``, which runs the test's own checks and returns its
+    statistic; a negative statistic is rounding and counts as 0."""
+    d_value = float(d)
+    if not d_value.is_integer() or d_value < 1:
+        raise ValueError(f"number of restrictions must be a positive integer, got {d}")
+    df = int(d_value)
+    value = max(0.0, float(statistic()))
+    return TestResult(
+        method=method,
+        statistic=value,
+        df=df,
+        sidedness="chi_square",
+        p_value=chisq_sf(value, df),
+        h0_description=f"H0: {df} restriction(s) hold",
+    )
+
+
 def lr_test(ll_general, ll_restricted, d):
     """Likelihood ratio test: LR = 2(LL_general - LL_restricted) ~ chi2(d).
 
@@ -268,24 +288,17 @@ def lr_test(ll_general, ll_restricted, d):
     """
     ll_general = float(ll_general)
     ll_restricted = float(ll_restricted)
-    d_value = float(d)
-    if not d_value.is_integer() or d_value < 1:
-        raise ValueError(f"number of restrictions must be a positive integer, got {d}")
-    if ll_general < ll_restricted - NESTING_TOLERANCE:
-        raise NestingError(
-            f"general log-likelihood {ll_general:.6f} is below the restricted "
-            f"one {ll_restricted:.6f}; the models are not nested or an "
-            "optimisation failed"
-        )
-    statistic = max(0.0, 2.0 * (ll_general - ll_restricted))
-    return TestResult(
-        method="lr",
-        statistic=statistic,
-        df=int(d_value),
-        sidedness="chi_square",
-        p_value=chisq_sf(statistic, int(d_value)),
-        h0_description=f"H0: {int(d_value)} restriction(s) hold",
-    )
+
+    def statistic():
+        if ll_general < ll_restricted - NESTING_TOLERANCE:
+            raise NestingError(
+                f"general log-likelihood {ll_general:.6f} is below the restricted "
+                f"one {ll_restricted:.6f}; the models are not nested or an "
+                "optimisation failed"
+            )
+        return 2.0 * (ll_general - ll_restricted)
+
+    return _chi_square_test("lr", d, statistic)
 
 
 def lm_test(score_at_restricted, info_at_restricted, d):
@@ -296,39 +309,28 @@ def lm_test(score_at_restricted, info_at_restricted, d):
     """
     g = np.asarray(score_at_restricted, dtype=float)
     info = np.asarray(info_at_restricted, dtype=float)
-    d_value = float(d)
-    if not d_value.is_integer() or d_value < 1:
-        raise ValueError(f"number of restrictions must be a positive integer, got {d}")
-    if g.ndim != 1 or info.shape != (g.size, g.size):
-        raise ValueError(
-            f"score of length {g.size} needs a {g.size}x{g.size} information "
-            f"matrix, got shape {info.shape}"
-        )
-    solved = solve_positive_definite(info, g, name="information matrix")
-    statistic = max(0.0, float(g @ solved))
-    return TestResult(
-        method="lm",
-        statistic=statistic,
-        df=int(d_value),
-        sidedness="chi_square",
-        p_value=chisq_sf(statistic, int(d_value)),
-        h0_description=f"H0: {int(d_value)} restriction(s) hold",
-    )
+
+    def statistic():
+        if g.ndim != 1 or info.shape != (g.size, g.size):
+            raise ValueError(
+                f"score of length {g.size} needs a {g.size}x{g.size} information "
+                f"matrix, got shape {info.shape}"
+            )
+        symmetric = require_symmetric(info, name="information matrix")
+        return g @ solve_positive_definite(symmetric, g, name="information matrix")
+
+    return _chi_square_test("lm", d, statistic)
 
 
 def lm_test_at(design, params, d):
-    """LM test from a compiled general-model design at restricted estimates.
-
-    Information defaults to the negative analytic Hessian; when that is not
-    invertible the design's BHHH matrix (``design.bhhh``: person-grouped
-    score outer products, times the person weights) substitutes.
-    """
+    """LM test from a compiled general-model design at restricted estimates:
+    the gradient times the optimiser's own step there (Newton on the
+    negative analytic Hessian, else the BHHH step of ``design.bhhh``)."""
     params = np.asarray(params, dtype=float)
     _, gradient, hessian, _ = design.evaluate(params)
-    try:
-        return lm_test(gradient, -hessian, d)
-    except IdentificationError:
-        return lm_test(gradient, design.bhhh(params), d)
+    return _chi_square_test(
+        "lm", d, lambda: gradient @ _ascent_direction(design, params, gradient, hessian)
+    )
 
 
 def asymptotic_ci(estimate, se, level=0.95, method="asymptotic_classical"):

@@ -267,6 +267,31 @@ class TestExitCodes:
         partial = read_json(tmp_path / "results.json")
         assert partial["status"] == "singular_hessian"
 
+    def test_singular_covariance_after_a_converged_fit_writes_partial_results(
+        self, tmp_path, capsys
+    ):
+        # Three persons give a score outer product of rank 3 for 4 parameters:
+        # the fit converges, its BHHH covariance cannot be formed.
+        save_dataset(three_mode_data(n_persons=3, obs_per_person=200, seed=3), tmp_path / "data.csv")
+        save_model_spec(three_mode_spec(), tmp_path / "spec.json")
+        fit = tmp_path / "fit"
+        argv = [
+            "estimate",
+            "--data", str(tmp_path / "data.csv"),
+            "--spec", str(tmp_path / "spec.json"),
+            "--out", str(fit),
+        ]
+        assert main(argv) == 2
+        assert "score outer product is numerically singular" in capsys.readouterr().err
+        partial = read_json(fit / "results.json")
+        assert partial["status"] == "singular_covariance"
+        assert set(partial["estimates"]) == {"asc_bus", "asc_rail", "b_tt", "b_cost"}
+        assert np.isfinite(partial["ll_hat"]) and partial["iterations"] >= 1
+        assert read_json(fit / "manifest.json")["output_paths"] == ["results.json"]
+        argv = ["report", "--results", str(fit / "results.json"), "--out", str(tmp_path / "rerender")]
+        assert main(argv) == 1
+        assert "partial estimate results (status singular_covariance)" in capsys.readouterr().err
+
     def test_nonconvergence_exits_3(self, cli_files, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli_module, "estimate_design", stuck_fit)
         assert run_estimate(cli_files, tmp_path) == 3

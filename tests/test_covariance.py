@@ -177,6 +177,25 @@ class TestLinalgHelpers:
         with pytest.raises(IdentificationError):
             invert_symmetric(m)
 
+    @pytest.mark.parametrize(
+        "eigenvalues, invertible",
+        [
+            ((1.0, 2e-12), True),
+            ((1.0, -2e-12), True),
+            ((3.0, 3.0 * 1e-12), False),
+            ((1.0, 0.5e-12), False),
+            ((0.0, 0.0), False),
+        ],
+    )
+    def test_invert_symmetric_at_the_singular_ratio(self, eigenvalues, invertible):
+        # |eigenvalue| ratios at or below 1e-12 are singular, whatever the sign.
+        m = np.diag(eigenvalues)
+        if invertible:
+            np.testing.assert_allclose(invert_symmetric(m), np.diag(1.0 / np.array(eigenvalues)), rtol=1e-12)
+        else:
+            with pytest.raises(IdentificationError):
+                invert_symmetric(m)
+
     def test_solve_positive_definite_requires_positive_eigenvalues(self):
         m = np.diag([1.0, -1.0])
         with pytest.raises(IdentificationError):

@@ -366,6 +366,33 @@ class TestModelSpecIO:
         with pytest.raises(DataError):
             load_model_spec(path)
 
+    @pytest.mark.parametrize(
+        "where, key",
+        [
+            ("document", "utilites"),
+            ("parameter", "fixd"),
+            ("parameter", "fixed_vlaue"),
+            ("term", "atribute"),
+        ],
+    )
+    def test_misspelt_key_is_a_data_error(self, tmp_path, where, key):
+        # A misspelt "fixed" would leave the parameter free without notice.
+        doc = {
+            "alternatives": ["a", "b"],
+            "parameters": [{"name": "asc_b", "fixed": True, "fixed_value": 0.5}],
+            "utilities": {"a": [], "b": [{"param": "asc_b", "attribute": "_const"}]},
+        }
+        target = {
+            "document": doc,
+            "parameter": doc["parameters"][0],
+            "term": doc["utilities"]["b"][0],
+        }[where]
+        target[key] = True
+        path = tmp_path / "spec.json"
+        write_json(doc, path)
+        with pytest.raises(DataError, match=f"unknown key '{key}'"):
+            load_model_spec(path)
+
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"alternatives": [,]}', encoding="utf-8")

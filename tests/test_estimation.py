@@ -300,6 +300,34 @@ class TestDegenerateProblems:
         assert np.isfinite(report.condition_number)
 
 
+class TestIdentificationRule:
+    """check_identification at the edges of its 1e-10 eigenvalue ratio."""
+
+    NAMES = ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "largest, small, identified",
+        [
+            (1.0, 2e-10, True),
+            (3.0, 3.0 * 1e-10, False),
+            (1.0, 0.5e-10, False),
+        ],
+    )
+    def test_ratio_boundary(self, largest, small, identified):
+        report = check_identification(-np.diag([largest, small]), names=self.NAMES)
+        assert report.is_identified is identified
+        assert report.hessian_rank == (2 if identified else 1)
+        assert report.condition_number == pytest.approx(largest / small, rel=1e-12)
+        assert report.suspect_parameters == (() if identified else ("b",))
+
+    def test_zero_matrix_has_rank_zero_and_every_suspect(self):
+        report = check_identification(np.zeros((2, 2)), names=self.NAMES)
+        assert report.is_identified is False
+        assert report.hessian_rank == 0
+        assert report.condition_number == np.inf
+        assert report.suspect_parameters == ("a", "b")
+
+
 class TestMultiStart:
     def test_runs_are_seeded_and_best_is_max(self):
         data = three_mode_data(n_persons=150, seed=27)

@@ -1,12 +1,14 @@
 """Every name a package module imports is used in that module, every
-private function is used somewhere in the package, and importing the package
-loads no process pool.
+private function is used somewhere in the package, importing the package
+loads no process pool, and only ``linalg`` decides singularity.
 
 No linter runs on the package, so this parses each module and fails on an
 imported name that nothing in the module reads. A name listed in the
 module's ``__all__`` counts as used: it is re-exported. It also fails on a
 ``_``-prefixed function or method that no code in the package names outside
-its own definition.
+its own definition, on a module other than ``linalg`` that decomposes,
+inverts or solves with ``numpy.linalg``, and on a function outside
+``linalg`` that takes its own singularity threshold.
 """
 
 import ast
@@ -124,3 +126,76 @@ def test_importing_the_package_loads_no_process_pool():
         check=True,
     )
     assert done.stdout.strip() == "False"
+
+
+SINGULARITY_CALLS = ("eigh", "inv", "solve")
+THRESHOLD_PARAMETERS = ("threshold", "rel_threshold")
+
+
+def numpy_linalg_calls(source):
+    """(line, name) of each ``<...>.linalg.<name>`` reference or
+    ``from numpy.linalg import <name>`` with name in SINGULARITY_CALLS."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in SINGULARITY_CALLS
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == "linalg"
+        ):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found += [(node.lineno, a.name) for a in node.names if a.name in SINGULARITY_CALLS]
+    return sorted(found)
+
+
+def threshold_parameters(source):
+    """(line, function, parameter) of each function parameter named in
+    THRESHOLD_PARAMETERS."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            arguments = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            name = getattr(node, "name", "<lambda>")
+            found += [
+                (node.lineno, name, a.arg) for a in arguments if a.arg in THRESHOLD_PARAMETERS
+            ]
+    return sorted(found)
+
+
+def test_the_scan_finds_a_numpy_linalg_call():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import inv, norm\n"
+        "w, v = np.linalg.eigh(m)\n"
+        "x = np.linalg.solve(m, b)\n"
+        "n = np.linalg.norm(x)\n"
+        "y = solver.solve(m)\n"
+    )
+    assert numpy_linalg_calls(source) == [(2, "inv"), (3, "eigh"), (4, "solve")]
+
+
+def test_the_scan_finds_a_threshold_parameter():
+    source = (
+        "def f(m, threshold=1e-10):\n    pass\n"
+        "def g(m, *, rel_threshold=1e-12, thresholds=()):\n    pass\n"
+        "h = lambda m, threshold: m\n"
+    )
+    assert threshold_parameters(source) == [
+        (1, "f", "threshold"),
+        (3, "g", "rel_threshold"),
+        (5, "<lambda>", "threshold"),
+    ]
+
+
+OUTSIDE_LINALG = sorted(path for path in PACKAGE.glob("*.py") if path.name != "linalg.py")
+
+
+@pytest.mark.parametrize("path", OUTSIDE_LINALG, ids=lambda path: path.name)
+def test_only_linalg_decomposes_inverts_or_solves(path):
+    assert numpy_linalg_calls(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", OUTSIDE_LINALG, ids=lambda path: path.name)
+def test_only_linalg_sets_a_singularity_threshold(path):
+    assert threshold_parameters(path.read_text(encoding="utf-8")) == []

@@ -119,7 +119,8 @@ def _build_parser():
         "--sided",
         choices=("one", "two", "auto"),
         default="auto",
-        help="one: declared parameter direction; two: two-sided; auto: direction of the estimate",
+        help="one: declared one-sided direction, else the estimate's sign; two: two-sided; "
+        "auto: each parameter's declared alternative, whose default auto is the estimate's sign",
     )
     p_est.add_argument("--starts", type=_positive_int, default=1, help="number of optimisation starts")
 
@@ -171,12 +172,10 @@ def _write_manifest(outdir, args, output_paths):
 def _sidedness_for(param, flag):
     if flag == "two":
         return "two_sided"
-    if flag == "one" and param.alternative in ("less", "greater"):
-        return param.alternative
-    if flag == "one":
+    if flag == "one" and param.alternative not in ("less", "greater"):
         # No declared direction to honour; fall back to the estimate's sign.
         return "auto"
-    return param.alternative if param.alternative != "auto" else "auto"
+    return param.alternative
 
 
 def _fit_data(args):
@@ -229,33 +228,17 @@ def _estimation_failure_exit(args, outdir, result):
     return EXIT_NONCONVERGENCE
 
 
-def _table_ext(fmt):
-    return {"text": "txt", "csv": "csv", "json": "json"}[fmt]
-
-
-def _promote_uniform_sidedness(columns, rows):
-    # A p column whose cells all share one sidedness is annotated in the
-    # header instead of on every cell.
-    for i, column in enumerate(columns):
-        if column.kind != "p":
-            continue
-        tags = {row[column.key][1] for row in rows if row.get(column.key) is not None}
-        if len(tags) == 1:
-            tag = tags.pop()
-            columns[i] = Column(column.key, column.header, "p", sidedness=tag)
-            for row in rows:
-                if row.get(column.key) is not None:
-                    row[column.key] = row[column.key][0]
-    return columns
-
-
-def _render_and_write(columns, rows, args, outdir, written):
-    options = ReportOptions(include_stars=args.stars)
-    table = format_table(columns, rows, options, fmt=args.format)
-    path = outdir / f"table.{_table_ext(args.format)}"
+def _write_table(args, outdir, doc, written):
+    """Render, write and print ``doc``'s table, then the manifest. Every table
+    command ends here, so ``report`` re-renders the table the command printed."""
+    rows_of_doc, columns = _TABLES[doc["command"]]
+    shown = [c for c in columns if (c.kind != "se" or args.se) and (c.kind != "t" or args.t)]
+    table = format_table(shown, rows_of_doc(doc), ReportOptions(include_stars=args.stars), args.format)
+    path = outdir / f"table.{'txt' if args.format == 'text' else args.format}"
     path.write_text(table, encoding="utf-8")
-    written.append(path.name)
     sys.stdout.write(table)
+    _write_manifest(outdir, args, [*written, path.name])
+    return EXIT_OK
 
 
 ### estimate
@@ -339,20 +322,16 @@ def _estimate_table_rows(doc):
     return rows
 
 
-def _estimate_columns(args, rows):
-    columns = [Column("parameter", "parameter", "label"), Column("estimate", "estimate", "estimate")]
-    if args.se:
-        columns += [Column("se_classical", "se (classical)", "se"), Column("se_robust", "se (robust)", "se")]
-    if args.t:
-        columns += [Column("t_classical", "t (classical)", "t"), Column("t_robust", "t (robust)", "t")]
-    columns += [Column("p_classical", "p (classical)", "p"), Column("p_robust", "p (robust)", "p")]
-    columns += [
-        Column("ci_lower", "ci lower", "estimate"),
-        Column("ci_upper", "ci upper", "estimate"),
-        Column("ci_lower_robust", "ci lower (robust)", "estimate"),
-        Column("ci_upper_robust", "ci upper (robust)", "estimate"),
-    ]
-    return _promote_uniform_sidedness(columns, rows)
+_ESTIMATE_COLUMNS = (
+    Column("parameter", "parameter", "label"), Column("estimate", "estimate", "estimate"),
+    Column("se_classical", "se (classical)", "se"), Column("se_robust", "se (robust)", "se"),
+    Column("t_classical", "t (classical)", "t"), Column("t_robust", "t (robust)", "t"),
+    Column("p_classical", "p (classical)", "p"), Column("p_robust", "p (robust)", "p"),
+    Column("ci_lower", "ci lower", "estimate"),
+    Column("ci_upper", "ci upper", "estimate"),
+    Column("ci_lower_robust", "ci lower (robust)", "estimate"),
+    Column("ci_upper_robust", "ci upper (robust)", "estimate"),
+)
 
 
 def cmd_estimate(args):
@@ -391,13 +370,8 @@ def cmd_estimate(args):
             ),
         }
     doc = _estimate_results_doc(args, spec, design, best, runs, covs, tests, intervals)
-    written = []
     write_json(doc, outdir / "results.json")
-    written.append("results.json")
-    rows = _estimate_table_rows(doc)
-    _render_and_write(_estimate_columns(args, rows), rows, args, outdir, written)
-    _write_manifest(outdir, args, written)
-    return EXIT_OK
+    return _write_table(args, outdir, doc, ["results.json"])
 
 
 ### bootstrap
@@ -427,25 +401,19 @@ def _bootstrap_table_rows(doc):
     return rows
 
 
-def _bootstrap_columns(args, rows):
-    columns = [
-        Column("parameter", "parameter", "label"),
-        Column("estimate", "estimate", "estimate"),
-    ]
-    if args.se:
-        columns.append(Column("se_bootstrap", "se (bootstrap)", "se"))
-    if args.t:
-        columns.append(Column("t_bootstrap", "t (bootstrap)", "t"))
-    columns += [
-        Column("quantile_lower", "quantile lower", "estimate"),
-        Column("quantile_upper", "quantile upper", "estimate"),
-        Column("hpd_lower", "hpd lower", "estimate"),
-        Column("hpd_upper", "hpd upper", "estimate"),
-        Column("p_empirical", "p (empirical)", "p"),
-        Column("quantile_asymmetry", "asym (quantile)", "ratio"),
-        Column("hpd_asymmetry", "asym (hpd)", "ratio"),
-    ]
-    return _promote_uniform_sidedness(columns, rows)
+_BOOTSTRAP_COLUMNS = (
+    Column("parameter", "parameter", "label"),
+    Column("estimate", "estimate", "estimate"),
+    Column("se_bootstrap", "se (bootstrap)", "se"),
+    Column("t_bootstrap", "t (bootstrap)", "t"),
+    Column("quantile_lower", "quantile lower", "estimate"),
+    Column("quantile_upper", "quantile upper", "estimate"),
+    Column("hpd_lower", "hpd lower", "estimate"),
+    Column("hpd_upper", "hpd upper", "estimate"),
+    Column("p_empirical", "p (empirical)", "p"),
+    Column("quantile_asymmetry", "asym (quantile)", "ratio"),
+    Column("hpd_asymmetry", "asym (hpd)", "ratio"),
+)
 
 
 def cmd_bootstrap(args):
@@ -462,9 +430,7 @@ def cmd_bootstrap(args):
         jobs=args.jobs,
         mle=best.params_hat,
     )
-    written = []
     save_draws(result, outdir / "draws.csv")
-    written.append("draws.csv")
 
     cov = bootstrap_covariance(result)
     se_boot = standard_errors(cov, result.names)
@@ -514,12 +480,14 @@ def cmd_bootstrap(args):
         },
     }
     write_json(doc, outdir / "results.json")
-    written.append("results.json")
+    return _write_table(args, outdir, doc, ["draws.csv", "results.json"])
 
-    rows = _bootstrap_table_rows(doc)
-    _render_and_write(_bootstrap_columns(args, rows), rows, args, outdir, written)
-    _write_manifest(outdir, args, written)
-    return EXIT_OK
+
+#: Per command: the table rows of its results document, and every column its table can show.
+_TABLES = {
+    "estimate": (_estimate_table_rows, _ESTIMATE_COLUMNS),
+    "bootstrap": (_bootstrap_table_rows, _BOOTSTRAP_COLUMNS),
+}
 
 
 ### montecarlo and report
@@ -562,21 +530,12 @@ def cmd_report(args):
     command = doc.get("command")
     if doc.get("status", STATUS_CONVERGED) != STATUS_CONVERGED:
         raise DataError(f"partial {command} results (status {doc['status']}) hold no table", args.results)
-    if command == "estimate":
-        rows = _estimate_table_rows(doc)
-        columns = _estimate_columns(args, rows)
-    elif command == "bootstrap":
-        rows = _bootstrap_table_rows(doc)
-        columns = _bootstrap_columns(args, rows)
-    else:
+    if not isinstance(command, str) or command not in _TABLES:
         raise DataError(
             f"results file has no renderable command tag (got {command!r})",
             source=args.results,
         )
-    written = []
-    _render_and_write(columns, rows, args, outdir, written)
-    _write_manifest(outdir, args, written)
-    return EXIT_OK
+    return _write_table(args, outdir, doc, [])
 
 
 def main(argv=None):
@@ -584,6 +543,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if not 0.0 < getattr(args, "ci_level", 0.5) < 1.0:
         parser.error(f"argument --ci-level: must be in (0, 1), got {args.ci_level}")
+    if args.command != "montecarlo" and args.stars and not (args.se or args.t):
+        # Refused before any work: format_table would only refuse the finished table.
+        print("error: --stars needs --se or --t (stars without uncertainty)", file=sys.stderr)
+        return EXIT_INPUT
     handlers = {
         "estimate": cmd_estimate,
         "bootstrap": cmd_bootstrap,

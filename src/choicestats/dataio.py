@@ -174,6 +174,13 @@ def read_json(path):
     return doc
 
 
+def _objects(value, what):
+    # A dict or string here would be iterated as its keys or characters.
+    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
+        raise ValueError(f"{what} must be a list of objects")
+    return value
+
+
 def model_spec_from_doc(doc):
     """Build a ModelSpec from its JSON document form (fields verbatim).
 
@@ -184,10 +191,12 @@ def model_spec_from_doc(doc):
         raise ValueError("model document must be a JSON object")
     alternatives = [str(a) for a in doc["alternatives"]]
     reject_unknown_keys(doc, ("alternatives", "parameters", "utilities"), "model document")
-    for p in doc["parameters"]:
+    for p in _objects(doc["parameters"], "'parameters'"):
         reject_unknown_keys(p, _PARAMETER_KEYS, "model parameter")
+    if not isinstance(doc.get("utilities", {}), dict):
+        raise ValueError("'utilities' must be an object mapping each alternative to its terms")
     for alt, terms in doc.get("utilities", {}).items():
-        for t in terms:
+        for t in _objects(terms, f"the utility terms of '{alt}'"):
             reject_unknown_keys(t, ("param", "attribute"), f"utility term of '{alt}'")
     parameters = [
         ParameterDef(

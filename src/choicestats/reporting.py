@@ -6,14 +6,15 @@ Rendering rules the tables enforce rather than document:
   - standard errors always in scientific notation, which keeps their digits
     visible an order of magnitude below the estimates;
   - p-values floored at the APA notation "< .001", never rendered "0";
-  - every p column labelled with its sidedness, in the header when uniform
-    across rows, on each cell otherwise, plus a footer note;
-  - significance stars refused unless a standard-error or t column is
-    present, and appended to the p cells they qualify.
+  - every p column labelled with its sidedness, read from its cells: in the
+    header when they share one, on each cell otherwise, plus a footer note;
+  - significance stars (ReportOptions.include_stars) refused unless a
+    standard-error or t column is present, and appended to the p cells.
 """
 
 from __future__ import annotations
 
+import csv
 import io
 import json
 import math
@@ -172,36 +173,40 @@ def _star_p(p):
 class Column:
     key: str
     header: str
-    kind: str  # label | text | int | estimate | se | t | p | ratio | stars
-    sidedness: str | None = None  # p columns: uniform tag, None = per-cell
+    kind: str  # label | estimate | se | t | ratio | p
 
 
-def _render_cell(column, row, options):
+def _p_and_sidedness(value):
+    # A p cell is a (p, sidedness) pair or a bare p, which is two-sided.
+    p, sidedness = value if isinstance(value, tuple) else (value, None)
+    return p, sidedness or "two_sided"
+
+
+def _uniform_sidedness(column, rows):
+    """The one sidedness shared by every present cell of a p column, else None."""
+    if column.kind != "p":
+        return None
+    tags = {_p_and_sidedness(row[column.key])[1] for row in rows if row.get(column.key) is not None}
+    return tags.pop() if len(tags) == 1 else None
+
+
+def _render_cell(column, row, options, header_sidedness):
     value = row.get(column.key)
     if value is None:
         return ""
     kind = column.kind
-    if kind in ("label", "text"):
+    if kind == "label":
         return str(value)
-    if kind == "int":
-        return str(int(value))
     if kind == "estimate":
         return format_estimate(value, options.significant_digits)
     if kind == "se":
         return format_scientific(value, options.significant_digits)
-    if kind == "t":
+    if kind in ("t", "ratio"):
         return f"{float(value):.2f}"
-    if kind == "ratio":
-        return f"{float(value):.2f}"
-    if kind == "stars":
-        return star_code(_star_p(value), options.star_thresholds)
     if kind == "p":
-        if isinstance(value, tuple):
-            p, sidedness = value
-        else:
-            p, sidedness = value, None
-        cell_tag = None if column.sidedness else (sidedness or "two_sided")
-        text = format_p_value(p, options, cell_tag)
+        p, sidedness = _p_and_sidedness(value)
+        # A sidedness shown in the header is not repeated on the cell.
+        text = format_p_value(p, options, None if header_sidedness else sidedness)
         if options.include_stars:
             stars = star_code(_star_p(p), options.star_thresholds)
             if stars:
@@ -210,14 +215,14 @@ def _render_cell(column, row, options):
     raise ValueError(f"unknown column kind '{column.kind}'")
 
 
-def _footer_notes(columns, options):
+def _footer_notes(columns, sidedness, options):
     notes = []
-    p_columns = [c for c in columns if c.kind == "p"]
-    if p_columns:
-        parts = []
-        for c in p_columns:
-            tag = SIDEDNESS_LABELS.get(c.sidedness, c.sidedness) if c.sidedness else "per cell"
-            parts.append(f"{c.header}: {tag}")
+    parts = [
+        f"{c.header}: {SIDEDNESS_LABELS.get(tag, tag) if tag else 'per cell'}"
+        for c, tag in zip(columns, sidedness)
+        if c.kind == "p"
+    ]
+    if parts:
         notes.append("p-value sidedness - " + "; ".join(parts))
     if options.include_stars:
         t1, t2, t3 = options.star_thresholds
@@ -228,27 +233,26 @@ def _footer_notes(columns, options):
 def format_table(columns, rows, options=None, fmt="text"):
     """Render rows under the reporting conventions; see module docstring.
 
-    Stars (via options.include_stars or a "stars" column) are refused unless
-    a standard-error or t column is present: bare starred estimates hide the
-    uncertainty the stars pretend to summarise.
+    A p cell is a bare p (two-sided) or a (p, sidedness) pair. Stars are
+    refused unless a standard-error or t column is present: bare starred
+    estimates hide the uncertainty the stars pretend to summarise.
     """
     options = options or ReportOptions()
     columns = list(columns)
-    wants_stars = options.include_stars or any(c.kind == "stars" for c in columns)
-    if wants_stars and not any(c.kind in ("se", "t") for c in columns):
+    rows = list(rows)
+    if options.include_stars and not any(c.kind in ("se", "t") for c in columns):
         raise ValueError(
             "significance stars require a standard-error or t-ratio column "
             "alongside; add one or drop the stars"
         )
 
-    headers = []
-    for c in columns:
-        header = c.header
-        if c.kind == "p" and c.sidedness:
-            header = f"{header} ({SIDEDNESS_LABELS.get(c.sidedness, c.sidedness)})"
-        headers.append(header)
-    cells = [[_render_cell(c, row, options) for c in columns] for row in rows]
-    notes = _footer_notes(columns, options)
+    sidedness = [_uniform_sidedness(c, rows) for c in columns]
+    headers = [
+        f"{c.header} ({SIDEDNESS_LABELS.get(tag, tag)})" if tag else c.header
+        for c, tag in zip(columns, sidedness)
+    ]
+    cells = [[_render_cell(c, row, options, tag) for c, tag in zip(columns, sidedness)] for row in rows]
+    notes = _footer_notes(columns, sidedness, options)
 
     if fmt == "text":
         widths = [
@@ -260,7 +264,7 @@ def format_table(columns, rows, options=None, fmt="text"):
         lines.append("  ".join("-" * w for w in widths))
         for r in cells:
             padded = [
-                cell.ljust(w) if c.kind in ("label", "text") else cell.rjust(w)
+                cell.ljust(w) if c.kind == "label" else cell.rjust(w)
                 for cell, w, c in zip(r, widths, columns)
             ]
             lines.append("  ".join(padded).rstrip())
@@ -269,9 +273,7 @@ def format_table(columns, rows, options=None, fmt="text"):
         return "\n".join(lines) + "\n"
     if fmt == "csv":
         out = io.StringIO()
-        import csv as _csv
-
-        writer = _csv.writer(out)
+        writer = csv.writer(out)
         writer.writerow(headers)
         writer.writerows(cells)
         for note in notes:
@@ -280,8 +282,8 @@ def format_table(columns, rows, options=None, fmt="text"):
     if fmt == "json":
         doc = {
             "columns": [
-                {"key": c.key, "header": h, "kind": c.kind, "sidedness": c.sidedness}
-                for c, h in zip(columns, headers)
+                {"key": c.key, "header": h, "kind": c.kind, "sidedness": tag}
+                for c, h, tag in zip(columns, headers, sidedness)
             ],
             "rows": [dict(zip([c.key for c in columns], r)) for r in cells],
             "notes": notes,

@@ -421,7 +421,8 @@ class TestIntervalProperties:
     ):
         quantile = quantile_interval(draws, level, center=0.0)
         assume(quantile.width > 0)
-        center = quantile.lower + share * quantile.width
+        # lower + 1.0 * width can round one unit past upper, outside the interval.
+        center = min(quantile.lower + share * quantile.width, quantile.upper)
         index = quantile_interval(draws, level, center).asymmetry_index
         assert -1.0 <= index <= 1.0
         reflected = quantile_interval(-draws, level, -center).asymmetry_index
@@ -430,7 +431,7 @@ class TestIntervalProperties:
         assert moved.asymmetry_index == pytest.approx(index, abs=1e-9)
         hpd = hpd_interval(draws, level, center=0.0)
         if hpd.width > 0:
-            inside = hpd.lower + share * hpd.width
+            inside = min(hpd.lower + share * hpd.width, hpd.upper)
             assert -1.0 <= hpd_interval(draws, level, inside).asymmetry_index <= 1.0
 
     @settings(max_examples=300, deadline=None)

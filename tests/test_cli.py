@@ -168,6 +168,26 @@ class TestEstimateCommand:
         assert (tmp_path / "table.csv").exists()
         assert capsys.readouterr().out.splitlines()[0].startswith("parameter,")
 
+    def test_sided_auto_reports_the_declared_direction_against_the_estimate(self, cli_files, tmp_path, capsys):
+        # asc_bus is estimated positive; declared "less", auto keeps "less".
+        doc = read_json(cli_files / "spec.json")
+        next(p for p in doc["parameters"] if p["name"] == "asc_bus")["alternative"] = "less"
+        write_json(doc, tmp_path / "spec.json")
+        argv = [
+            "estimate",
+            "--data", str(cli_files / "data.csv"),
+            "--spec", str(tmp_path / "spec.json"),
+            "--out", str(tmp_path / "fit"),
+            "--sided", "auto",
+        ]
+        assert main(argv) == 0
+        results = read_json(tmp_path / "fit" / "results.json")
+        assert results["estimates"]["asc_bus"] > 0.0
+        test = results["tests"]["asc_bus"]["t_classical"]
+        assert test["sidedness"] == "one_sided_less" and test["p_value"] > 0.5
+        # The undeclared constant still follows the sign of its estimate.
+        assert results["tests"]["asc_rail"]["t_classical"]["sidedness"] == "one_sided_greater"
+
     def test_stars_without_uncertainty_column_is_input_error(self, cli_files, tmp_path, capsys):
         assert run_estimate(cli_files, tmp_path, "--stars") == 1
         assert "stars" in capsys.readouterr().err
@@ -218,6 +238,21 @@ class TestExitCodes:
                 main(argv)
             assert exc.value.code == 1
             assert "argument --ci-level: must be in (0, 1)" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stars_without_se_or_t_exits_1_before_any_work(self, cli_files, tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the arguments were checked")
+
+        monkeypatch.setattr(cli_module, "estimate_design", no_fit)
+        data = ["--data", str(cli_files / "data.csv"), "--spec", str(cli_files / "spec.json")]
+        for command, extra in (
+            ("estimate", data),
+            ("bootstrap", [*data, "--S", "4"]),
+            ("report", ["--results", str(tmp_path / "results.json")]),
+        ):
+            assert main([command, *extra, "--out", str(tmp_path), "--stars"]) == 1
+            assert "error: --stars needs --se or --t" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("starts", ["0", "-4"])
@@ -370,21 +405,32 @@ class TestExitCodes:
         assert "choicestats" in capsys.readouterr().out
 
 
+RERENDER_FORMATS = [("text", "txt"), ("csv", "csv"), ("json", "json")]
+RERENDER_FLAGS = {"plain": (), "se-t": ("--se", "--t"), "se-t-stars": ("--se", "--t", "--stars")}
+
+
 class TestReportCommand:
-    def test_rerenders_estimate_table_byte_identical(self, cli_files, tmp_path, capsys):
+    @pytest.mark.parametrize("flags", list(RERENDER_FLAGS.values()), ids=list(RERENDER_FLAGS))
+    @pytest.mark.parametrize("fmt,ext", RERENDER_FORMATS, ids=[f for f, _ in RERENDER_FORMATS])
+    def test_rerenders_estimate_table_byte_identical(self, cli_files, tmp_path, capsys, fmt, ext, flags):
         first = tmp_path / "fit"
         second = tmp_path / "rerender"
-        run_estimate(cli_files, first, "--se", "--t")
+        run_estimate(cli_files, first, "--format", fmt, *flags)
+        capsys.readouterr()
         argv = [
             "report",
             "--results", str(first / "results.json"),
             "--out", str(second),
-            "--se", "--t",
+            "--format", fmt,
+            *flags,
         ]
         assert main(argv) == 0
-        assert (second / "table.txt").read_bytes() == (first / "table.txt").read_bytes()
+        assert (second / f"table.{ext}").read_bytes() == (first / f"table.{ext}").read_bytes()
+        assert capsys.readouterr().out == (first / f"table.{ext}").read_bytes().decode()
 
-    def test_rerenders_bootstrap_results(self, cli_files, tmp_path, capsys):
+    @pytest.mark.parametrize("flags", list(RERENDER_FLAGS.values()), ids=list(RERENDER_FLAGS))
+    @pytest.mark.parametrize("fmt,ext", RERENDER_FORMATS, ids=[f for f, _ in RERENDER_FORMATS])
+    def test_rerenders_bootstrap_results(self, cli_files, tmp_path, capsys, fmt, ext, flags):
         first = tmp_path / "boot"
         argv = [
             "bootstrap",
@@ -392,12 +438,16 @@ class TestReportCommand:
             "--spec", str(cli_files / "spec.json"),
             "--out", str(first),
             "--S", "25",
+            "--format", fmt,
+            *flags,
         ]
         assert main(argv) == 0
+        capsys.readouterr()
         second = tmp_path / "boot_rerender"
-        argv = ["report", "--results", str(first / "results.json"), "--out", str(second)]
+        argv = ["report", "--results", str(first / "results.json"), "--out", str(second), "--format", fmt, *flags]
         assert main(argv) == 0
-        assert (second / "table.txt").read_bytes() == (first / "table.txt").read_bytes()
+        assert (second / f"table.{ext}").read_bytes() == (first / f"table.{ext}").read_bytes()
+        assert capsys.readouterr().out == (first / f"table.{ext}").read_bytes().decode()
 
     @pytest.mark.parametrize("command", ["estimate", "bootstrap"])
     def test_partial_results_exit_1(self, cli_files, tmp_path, capsys, monkeypatch, command):
@@ -428,6 +478,12 @@ class TestReportCommand:
         argv = ["report", "--results", str(tmp_path / "results.json"), "--out", str(tmp_path)]
         assert main(argv) == 1
         assert "command tag" in capsys.readouterr().err
+
+    def test_unhashable_command_tag_exits_1(self, tmp_path, capsys):
+        write_json({"command": ["estimate"], "estimates": {}}, tmp_path / "results.json")
+        argv = ["report", "--results", str(tmp_path / "results.json"), "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert "command tag (got ['estimate'])" in capsys.readouterr().err
 
     def test_results_that_are_not_an_object_exit_1(self, tmp_path, capsys):
         write_json([], tmp_path / "results.json")

@@ -393,6 +393,30 @@ class TestModelSpecIO:
         with pytest.raises(DataError, match=f"unknown key '{key}'"):
             load_model_spec(path)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("utilities", [], "'utilities' must be an object"),
+            ("parameters", {"asc_b": 1}, "'parameters' must be a list of objects"),
+            ("parameters", ["asc_b"], "'parameters' must be a list of objects"),
+            ("utilities", {"b": {"param": "asc_b", "attribute": "_const"}}, "utility terms of 'b' must be a list"),
+            ("utilities", {"b": ["asc_b"]}, "utility terms of 'b' must be a list of objects"),
+        ],
+        ids=["utilities-array", "parameters-object", "parameters-strings", "terms-object", "terms-strings"],
+    )
+    def test_malformed_shape_is_a_data_error_naming_the_file(self, tmp_path, field, value, message):
+        doc = {
+            "alternatives": ["a", "b"],
+            "parameters": [{"name": "asc_b"}],
+            "utilities": {"a": [], "b": [{"param": "asc_b", "attribute": "_const"}]},
+        }
+        doc[field] = value
+        path = tmp_path / "spec.json"
+        write_json(doc, path)
+        with pytest.raises(DataError, match=message) as excinfo:
+            load_model_spec(path)
+        assert str(excinfo.value).startswith(f"{path}: malformed model file")
+
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"alternatives": [,]}', encoding="utf-8")

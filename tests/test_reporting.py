@@ -260,13 +260,13 @@ class TestPValueFormat:
             format_p_value(1.2)
 
 
-def example_columns(p_sidedness="two_sided"):
+def example_columns():
     return [
         Column("name", "parameter", "label"),
         Column("estimate", "estimate", "estimate"),
         Column("se", "std err", "se"),
         Column("t", "t-ratio", "t"),
-        Column("p", "p-value", "p", sidedness=p_sidedness),
+        Column("p", "p-value", "p"),
     ]
 
 
@@ -297,7 +297,7 @@ class TestFormatTable:
         assert "0.989 (" not in text
 
     def test_per_cell_sidedness_annotates_cells(self):
-        columns = example_columns(p_sidedness=None)
+        columns = example_columns()
         rows = example_rows()
         rows[0]["p"] = (0.0001, "one_sided_less")
         rows[1]["p"] = (0.989, "two_sided")
@@ -307,8 +307,10 @@ class TestFormatTable:
         assert "per cell" in text
 
     def test_bare_p_in_per_cell_column_defaults_to_two_sided(self):
-        columns = example_columns(p_sidedness=None)
-        text = format_table(columns, example_rows())
+        # Beside a one-sided cell, the column is per cell and the bare p is labelled two-sided.
+        rows = example_rows()
+        rows[0]["p"] = (0.0001, "one_sided_less")
+        text = format_table(example_columns(), rows)
         assert "0.989 (2-sided)" in text
 
     def test_stars_appended_inside_p_cells(self):
@@ -322,27 +324,17 @@ class TestFormatTable:
         columns = [
             Column("name", "parameter", "label"),
             Column("estimate", "estimate", "estimate"),
-            Column("p", "p-value", "p", sidedness="two_sided"),
+            Column("p", "p-value", "p"),
         ]
         with pytest.raises(ValueError, match="standard-error or t-ratio column"):
             format_table(columns, example_rows(), ReportOptions(include_stars=True))
-        with pytest.raises(ValueError, match="standard-error or t-ratio column"):
-            format_table(
-                columns + [Column("p", "sig", "stars")],
-                example_rows(),
-            )
-
-    def test_stars_column_renders_codes(self):
-        columns = example_columns() + [Column("p", "sig", "stars")]
-        text = format_table(columns, example_rows())
-        first_row = text.splitlines()[2]
-        assert first_row.rstrip().endswith("***")
 
     def test_empirical_p_star_uses_resolution_bound(self):
         # crossings 0 out of 40: stars from the conservative 1/40 = 0.025.
-        columns = example_columns(p_sidedness="empirical")
+        columns = example_columns()
         rows = example_rows()
-        rows[0]["p"] = EmpiricalPValue(crossings=0, s_converged=40)
+        rows[0]["p"] = (EmpiricalPValue(crossings=0, s_converged=40), "empirical")
+        rows[1]["p"] = (0.989, "empirical")
         text = format_table(columns, rows, ReportOptions(include_stars=True))
         assert "< 0.025 **" in text
 
@@ -352,17 +344,52 @@ class TestFormatTable:
         cells = text.splitlines()[2]
         assert cells.rstrip().endswith("-1.946")
 
-    def test_ratio_and_int_cells(self):
+    def test_ratio_cells(self):
         columns = [
             Column("name", "parameter", "label"),
-            Column("n", "count", "int"),
             Column("ratio", "width ratio", "ratio"),
             Column("se", "std err", "se"),
         ]
-        rows = [{"name": "b_ovt_bus", "n": 14, "ratio": 6.018, "se": 0.1}]
+        rows = [{"name": "b_ovt_bus", "ratio": 6.018, "se": 0.1}]
         text = format_table(columns, rows)
         assert "6.02" in text
-        assert "14" in text
+
+    def test_uniform_tag_of_tagged_cells_moves_to_header(self):
+        rows = example_rows()
+        rows[0]["p"] = (0.0001, "one_sided_less")
+        rows[1]["p"] = (0.989, "one_sided_less")
+        text = format_table(example_columns(), rows)
+        assert "p-value (1-sided, H1 <)" in text.splitlines()[0]
+        assert "(1-sided, H1 <)" not in "".join(text.splitlines()[2:4])
+        assert "note: p-value sidedness - p-value: 1-sided, H1 <" in text
+        doc = json.loads(format_table(example_columns(), rows, fmt="json"))
+        assert [c["sidedness"] for c in doc["columns"]] == [None, None, None, None, "one_sided_less"]
+
+    def test_bare_p_and_two_sided_pair_share_the_header(self):
+        rows = example_rows()
+        rows[1]["p"] = (0.989, "two_sided")
+        text = format_table(example_columns(), rows)
+        assert "p-value (2-sided)" in text.splitlines()[0]
+        assert "0.989 (" not in text
+
+    def test_missing_cells_do_not_count_towards_sidedness(self):
+        rows = example_rows()
+        rows[0]["p"] = (0.0001, "empirical")
+        del rows[1]["p"]
+        text = format_table(example_columns(), rows)
+        assert "p-value (empirical 1-sided)" in text.splitlines()[0]
+        # A column with no p at all has no shared tag: per cell.
+        del rows[0]["p"]
+        text = format_table(example_columns(), rows, fmt="json")
+        doc = json.loads(text)
+        assert doc["columns"][-1]["header"] == "p-value"
+        assert doc["columns"][-1]["sidedness"] is None
+        assert "p-value sidedness - p-value: per cell" in doc["notes"]
+
+    @pytest.mark.parametrize("kind", ["stars", "text", "int"])
+    def test_removed_column_kinds_rejected(self, kind):
+        with pytest.raises(ValueError, match="unknown column kind"):
+            format_table([Column("x", "x", kind)], [{"x": 1}])
 
     def test_csv_format_with_note_comments(self):
         out = format_table(example_columns(), example_rows(), fmt="csv")

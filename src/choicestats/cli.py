@@ -17,12 +17,14 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
 from .bootstrap import (
+    MIN_DRAWS,
     EmpiricalPValue,
     bootstrap_covariance,
     bootstrap_run,
@@ -36,17 +38,17 @@ from .dataio import (
     encode_matrix,
     load_dataset,
     load_model_spec,
+    malformed,
     model_spec_to_doc,
     read_json,
     write_json,
 )
 from .errors import (
+    ChoiceStatsError,
     ConvergenceError,
     CovarianceError,
     DataError,
     IdentificationError,
-    NestingError,
-    SpecMismatchError,
 )
 from .estimation import (
     STATUS_CONVERGED,
@@ -75,6 +77,8 @@ EXIT_NONCONVERGENCE = 3
 #: Status of the partial results of a converged fit whose covariance matrices
 #: cannot be formed.
 STATUS_SINGULAR_COVARIANCE = "singular_covariance"
+#: Status of the partial results of a bootstrap with fewer than MIN_DRAWS converged replicates.
+STATUS_TOO_FEW_REPLICATES = "too_few_converged_replicates"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -83,63 +87,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
-
-
-def _positive_int(text):
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
-
-
-def _build_parser():
-    parser = _Parser(prog="choicestats", description=__doc__)
-    parser.add_argument("--version", action="version", version=f"choicestats {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p, data=True):
-        if data:
-            p.add_argument("--data", required=True, help="long-format choice data CSV")
-            p.add_argument("--spec", required=True, help="model specification JSON")
-        p.add_argument("--out", default=None, help=f"output directory (default ${OUTDIR_ENV} or .)")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes (at least 1)")
-        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
-        p.add_argument("--stars", action="store_true", help="append significance stars (needs --se or --t)")
-        p.add_argument("--se", action="store_true", help="show standard-error columns")
-        p.add_argument("--t", action="store_true", help="show t-ratio columns")
-
-    p_est = sub.add_parser("estimate", help="fit the model; tests, intervals, fit metrics")
-    common(p_est)
-    p_est.add_argument("--ci-level", type=float, default=0.95)
-    p_est.add_argument(
-        "--sided",
-        choices=("one", "two", "auto"),
-        default="auto",
-        help="one: declared one-sided direction, else the estimate's sign; two: two-sided; "
-        "auto: each parameter's declared alternative, whose default auto is the estimate's sign",
-    )
-    p_est.add_argument("--starts", type=_positive_int, default=1, help="number of optimisation starts")
-
-    p_boot = sub.add_parser("bootstrap", help="person-level bootstrap intervals and p-values")
-    common(p_boot)
-    p_boot.add_argument("--ci-level", type=float, default=0.95)
-    p_boot.add_argument("--S", type=int, default=400, dest="s_samples", help="bootstrap replicates")
-    p_boot.add_argument("--starts", type=_positive_int, default=1)
-
-    p_mc = sub.add_parser("montecarlo", help="size/power or coverage experiment from a config")
-    p_mc.add_argument("--config", required=True, help="experiment configuration JSON")
-    common(p_mc, data=False)
-    # No default: only a seed given on the command line overrides the config's.
-    p_mc.set_defaults(seed=None)
-
-    p_rep = sub.add_parser("report", help="re-render tables from an existing results JSON")
-    p_rep.add_argument("--results", required=True, help="results.json from estimate or bootstrap")
-    common(p_rep, data=False)
-    return parser
 
 
 def _outdir(args):
@@ -193,9 +140,9 @@ def _fit_data(args):
     return spec, design, options, best, runs
 
 
-def _write_partial_results(args, outdir, result, status):
-    """results.json and manifest.json for a run that stops at ``result``;
-    ``status`` is not converged, so ``report`` refuses the file."""
+def _write_partial_results(args, outdir, result, status, written=()):
+    """results.json and manifest.json for a run that stops at ``result``, after
+    writing ``written``; ``status`` is not converged, so ``report`` refuses the file."""
     write_json(
         {
             "command": args.command,
@@ -207,7 +154,7 @@ def _write_partial_results(args, outdir, result, status):
         },
         outdir / "results.json",
     )
-    _write_manifest(outdir, args, ["results.json"])
+    _write_manifest(outdir, args, [*written, "results.json"])
 
 
 def _estimation_failure_exit(args, outdir, result):
@@ -431,6 +378,11 @@ def cmd_bootstrap(args):
         mle=best.params_hat,
     )
     save_draws(result, outdir / "draws.csv")
+    if result.s_converged < MIN_DRAWS:
+        _write_partial_results(args, outdir, best, STATUS_TOO_FEW_REPLICATES, ["draws.csv"])
+        tally = dict(sorted(Counter(result.statuses).items()))
+        print(f"bootstrap: fewer than {MIN_DRAWS} converged replicates; by status: {tally}", file=sys.stderr)
+        return EXIT_NONCONVERGENCE
 
     cov = bootstrap_covariance(result)
     se_boot = standard_errors(cov, result.names)
@@ -490,27 +442,22 @@ _TABLES = {
 }
 
 
-### montecarlo and report
+### montecarlo, report and the command line
 
 def cmd_montecarlo(args):
     outdir = _outdir(args)
     doc = read_json(args.config)
     kind = doc.get("experiment", "size_power")
-    try:
+    if kind not in ("size_power", "coverage"):
+        raise DataError(f"unknown experiment kind '{kind}' (expected size_power or coverage)", args.config)
+    # The whole config is checked here, before any cell runs.
+    with malformed(args.config, "experiment config"):
         config = ExperimentConfig.from_dict(doc)
-    except (KeyError, TypeError, AttributeError) as exc:
-        raise DataError(f"malformed experiment config: {exc!r}", source=args.config) from exc
-    if args.seed is not None:
-        config.seed = args.seed
-    if kind == "size_power":
-        report = size_and_power_experiment(config, jobs=args.jobs)
-    elif kind == "coverage":
-        report = coverage_experiment(config, jobs=args.jobs)
-    else:
-        raise DataError(
-            f"unknown experiment kind '{kind}' (expected size_power or coverage)",
-            source=args.config,
-        )
+        if args.seed is not None:
+            config.seed = args.seed
+        config.validate(size_power=kind == "size_power")
+    run = size_and_power_experiment if kind == "size_power" else coverage_experiment
+    report = run(config, jobs=args.jobs)
     write_json({"config": config.to_dict(), "report": report.to_doc()}, outdir / "report.json")
     save_rows(report.rows, outdir / "replications.csv")
     _write_manifest(outdir, args, ["report.json", "replications.csv"])
@@ -535,7 +482,70 @@ def cmd_report(args):
             f"results file has no renderable command tag (got {command!r})",
             source=args.results,
         )
-    return _write_table(args, outdir, doc, [])
+    with malformed(args.results, "results file"):
+        return _write_table(args, outdir, doc, [])
+
+
+def _int_at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports text int() refuses as "invalid int value"
+    return parse
+
+
+_OPTIONS = {
+    "--data": dict(required=True, help="long-format choice data CSV"),
+    "--spec": dict(required=True, help="model specification JSON"),
+    "--config": dict(required=True, help="experiment configuration JSON"),
+    "--results": dict(required=True, help="results.json from estimate or bootstrap"),
+    "--out": dict(help=f"output directory (default ${OUTDIR_ENV} or .)"),
+    "--seed": dict(type=_int_at_least(0), default=0),
+    "--starts": dict(type=_int_at_least(1), default=1, help="number of optimisation starts"),
+    "--ci-level": dict(type=float, default=0.95),
+    "--sided": dict(
+        choices=("one", "two", "auto"),
+        default="auto",
+        help="one: declared one-sided direction, else the estimate's sign; two: two-sided; "
+        "auto: each parameter's declared alternative, whose default auto is the estimate's sign",
+    ),
+    "--S": dict(type=_int_at_least(2), default=400, dest="s_samples", help="bootstrap replicates"),
+    "--jobs": dict(type=_int_at_least(1), default=1, help="worker processes (at least 1)"),
+    "--format": dict(choices=("text", "csv", "json"), default="text"),
+    "--se": dict(action="store_true", help="show standard-error columns"),
+    "--t": dict(action="store_true", help="show t-ratio columns"),
+    "--stars": dict(action="store_true", help="append significance stars (needs --se or --t)"),
+}
+
+#: Per subcommand: its handler, its help line and the options the handler reads.
+_COMMANDS = {
+    # --jobs is read by no step of estimate; perfbench's traced runs pass it to every command.
+    "estimate": (cmd_estimate, "fit the model; tests, intervals, fit metrics",
+                 "--data --spec --out --seed --starts --ci-level --sided --jobs --format --se --t --stars"),
+    "bootstrap": (cmd_bootstrap, "person-level bootstrap intervals and p-values",
+                  "--data --spec --out --seed --starts --ci-level --S --jobs --format --se --t --stars"),
+    "montecarlo": (cmd_montecarlo, "size/power or coverage experiment from a config",
+                   "--config --out --seed --jobs"),
+    "report": (cmd_report, "re-render tables from an existing results JSON",
+               "--results --out --format --se --t --stars"),
+}
+
+
+def _build_parser():
+    parser = _Parser(prog="choicestats", description=__doc__)
+    parser.add_argument("--version", action="version", version=f"choicestats {__version__}")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for command, (_, text, flags) in _COMMANDS.items():
+        # No abbreviations: a flag a subcommand does not take would pass as a prefix of one it does.
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
+        for flag in flags.split():
+            p.add_argument(flag, **_OPTIONS[flag])
+    # No default: only a seed given on the command line overrides the config's.
+    sub.choices["montecarlo"].set_defaults(seed=None)
+    return parser
 
 
 def main(argv=None):
@@ -543,24 +553,19 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if not 0.0 < getattr(args, "ci_level", 0.5) < 1.0:
         parser.error(f"argument --ci-level: must be in (0, 1), got {args.ci_level}")
-    if args.command != "montecarlo" and args.stars and not (args.se or args.t):
+    if getattr(args, "stars", False) and not (args.se or args.t):
         # Refused before any work: format_table would only refuse the finished table.
         print("error: --stars needs --se or --t (stars without uncertainty)", file=sys.stderr)
         return EXIT_INPUT
-    handlers = {
-        "estimate": cmd_estimate,
-        "bootstrap": cmd_bootstrap,
-        "montecarlo": cmd_montecarlo,
-        "report": cmd_report,
-    }
     try:
-        return handlers[args.command](args)
-    except (DataError, SpecMismatchError, NestingError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _COMMANDS[args.command][0](args)
     except (IdentificationError, CovarianceError) as exc:
         print(f"identification failure: {exc}", file=sys.stderr)
         return EXIT_IDENTIFICATION
+    except ChoiceStatsError as exc:
+        # Any other exception is a program error and leaves with its traceback.
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -174,6 +175,15 @@ def read_json(path):
     return doc
 
 
+@contextmanager
+def malformed(source, what):
+    """Re-raise a KeyError, TypeError, AttributeError or ValueError as a DataError naming ``source``."""
+    try:
+        yield
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise DataError(f"malformed {what}: {exc!r}", source=str(source)) from exc
+
+
 def _objects(value, what):
     # A dict or string here would be iterated as its keys or characters.
     if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
@@ -189,6 +199,8 @@ def model_spec_from_doc(doc):
     """
     if not isinstance(doc, dict):
         raise ValueError("model document must be a JSON object")
+    if not isinstance(doc["alternatives"], list):
+        raise ValueError("'alternatives' must be a list of alternative identifiers")
     alternatives = [str(a) for a in doc["alternatives"]]
     reject_unknown_keys(doc, ("alternatives", "parameters", "utilities"), "model document")
     for p in _objects(doc["parameters"], "'parameters'"):
@@ -240,15 +252,12 @@ def model_spec_to_doc(spec):
 def load_model_spec(path):
     """Read a model file: alternatives, parameter declarations, utilities."""
     doc = read_json(path)
-    source = str(path)
-    try:
+    with malformed(path, "model file"):
         spec = model_spec_from_doc(doc)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DataError(f"malformed model file: {exc!r}", source=source) from exc
     try:
         spec.validate()
     except Exception as exc:
-        raise DataError(str(exc), source=source) from exc
+        raise DataError(str(exc), source=str(path)) from exc
     return spec
 
 

@@ -56,7 +56,7 @@ class ExperimentConfig:
     seed: int = 0
     bootstrap_s: int = 0
 
-    def validate(self):
+    def validate(self, size_power=False):
         self.spec.validate()
         free = self.spec.free_names()
         if self.target_parameter not in free:
@@ -76,6 +76,10 @@ class ExperimentConfig:
             raise ValueError("n_persons and obs_per_person must be positive")
         if self.bootstrap_s < 0:
             raise ValueError(f"bootstrap_s must be >= 0, got {self.bootstrap_s}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if size_power and 0.0 not in self.effect_sizes:
+            raise ValueError("effect_sizes must include 0, whose rejection rates are the size")
 
     @staticmethod
     def from_dict(doc):
@@ -88,6 +92,8 @@ class ExperimentConfig:
         missing = [key for key in required if key not in doc]
         if missing:
             raise ValueError(f"experiment config is missing required keys: {missing}")
+        if not isinstance(doc.get("effect_sizes", []), list):
+            raise ValueError("experiment config key 'effect_sizes' must be a list of numbers")
         return ExperimentConfig(
             spec=model_spec_from_doc(doc["spec"]),
             generator=GeneratorSpec.from_dict(doc.get("generator", {})),
@@ -237,11 +243,7 @@ def size_and_power_experiment(config, jobs=1):
     type I error. Rejection is p < alpha; failed (rep, effect) cells are
     excluded from the denominators and counted.
     """
-    config.validate()
-    if not config.effect_sizes:
-        raise ValueError("effect_sizes must not be empty")
-    if 0.0 not in config.effect_sizes:
-        raise ValueError("effect size 0 is required for size measurement")
+    config.validate(size_power=True)
     direction, notes = _declared_direction(config.spec, config.target_parameter)
 
     n_effects = len(config.effect_sizes)

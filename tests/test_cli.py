@@ -1,5 +1,6 @@
 """Command-line workflows: files in, files out, exit codes, determinism."""
 
+import argparse
 import functools
 import json
 import subprocess
@@ -22,6 +23,7 @@ from choicestats import (
     save_dataset,
     save_model_spec,
 )
+import choicestats.bootstrap as bootstrap_module
 import choicestats.cli as cli_module
 import choicestats.montecarlo as montecarlo_module
 from choicestats import model
@@ -767,3 +769,170 @@ class TestSubprocessEntry:
         assert proc.returncode == 0, proc.stderr
         assert "parameter" in proc.stdout
         assert (tmp_path / "results.json").exists()
+
+
+def _subcommand_options(command):
+    parser = cli_module._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {flag for action in sub.choices[command]._actions for flag in action.option_strings} - {"-h", "--help"}
+
+
+class TestCommandLineContract:
+    """Each subcommand takes only the options its handler reads, integer options
+    are range-checked when parsed, and only a ChoiceStatsError becomes an exit code."""
+
+    @pytest.mark.parametrize(
+        "command, flags",
+        [
+            ("estimate", "--data --spec --out --seed --starts --ci-level --sided --jobs --format --se --t --stars"),
+            ("bootstrap", "--data --spec --out --seed --starts --ci-level --S --jobs --format --se --t --stars"),
+            ("montecarlo", "--config --out --seed --jobs"),
+            ("report", "--results --out --format --se --t --stars"),
+        ],
+        ids=["estimate", "bootstrap", "montecarlo", "report"],
+    )
+    def test_each_subcommand_takes_exactly_its_options(self, command, flags):
+        assert _subcommand_options(command) == set(flags.split())
+
+    @pytest.mark.parametrize(
+        "command, extra",
+        [
+            ("montecarlo", ["--format", "csv"]),
+            ("montecarlo", ["--se"]),
+            ("montecarlo", ["--t"]),
+            ("montecarlo", ["--stars"]),
+            ("report", ["--seed", "1"]),
+            ("report", ["--jobs", "2"]),
+        ],
+        ids=["montecarlo-format", "montecarlo-se", "montecarlo-t", "montecarlo-stars", "report-seed", "report-jobs"],
+    )
+    def test_an_option_the_handler_does_not_read_is_a_usage_error(self, cli_files, tmp_path, capsys, command, extra):
+        if command == "montecarlo":
+            source = ["--config", str(cli_files / "mc_size.json")]
+        else:
+            source = ["--results", str(tmp_path / "results.json")]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *source, "--out", str(tmp_path / "out"), *extra])
+        assert exc.value.code == 1
+        assert f"unrecognized arguments: {' '.join(extra)}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("bootstrap", ["--S", "1"], "argument --S: must be at least 2, got 1"),
+            ("bootstrap", ["--S", "many"], "argument --S: invalid int value: 'many'"),
+            ("estimate", ["--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+            ("bootstrap", ["--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+            ("montecarlo", ["--seed", "-1"], "argument --seed: must be at least 0, got -1"),
+        ],
+        ids=["S-1", "S-text", "estimate-seed", "bootstrap-seed", "montecarlo-seed"],
+    )
+    def test_integer_out_of_range_exits_1_before_fitting(
+        self, cli_files, tmp_path, capsys, monkeypatch, command, extra, message
+    ):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the arguments were checked")
+
+        monkeypatch.setattr(cli_module, "estimate_design", no_fit)
+        monkeypatch.setattr(montecarlo_module, "_size_power_cell", no_fit)
+        if command == "montecarlo":
+            source = ["--config", str(cli_files / "mc_size.json")]
+        else:
+            source = ["--data", str(cli_files / "data.csv"), "--spec", str(cli_files / "spec.json")]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *source, "--out", str(tmp_path), *extra])
+        assert exc.value.code == 1
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"seed": -2}, "seed must be >= 0, got -2"),
+            ({"effect_sizes": [-0.4]}, "effect_sizes must include 0"),
+            ({"effect_sizes": "0"}, "'effect_sizes' must be a list"),
+            ({"alpha": "x"}, "could not convert string to float: 'x'"),
+        ],
+        ids=["negative-seed", "no-null-effect", "effect-sizes-text", "alpha-text"],
+    )
+    def test_config_fault_exits_1_naming_the_file_before_any_cell(
+        self, cli_files, tmp_path, capsys, monkeypatch, change, message
+    ):
+        def no_cell(*args, **kwargs):
+            raise AssertionError("a cell ran before the config was checked")
+
+        monkeypatch.setattr(montecarlo_module, "_size_power_cell", no_cell)
+        path = tmp_path / "config.json"
+        write_json({**read_json(cli_files / "mc_size.json"), **change}, path)
+        assert main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed experiment config") and message in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_bootstrap_with_too_few_converged_replicates_exits_3_with_partial_results(
+        self, cli_files, tmp_path, capsys, monkeypatch
+    ):
+        real = bootstrap_module._bootstrap_replicate
+
+        def nine_in_ten_fail(*args):
+            if args[-1] % 10:
+                raise ConvergenceError("max_iterations")
+            return real(*args)
+
+        monkeypatch.setattr(bootstrap_module, "_bootstrap_replicate", nine_in_ten_fail)
+        fit = tmp_path / "fit"
+        argv = [
+            "bootstrap",
+            "--data", str(cli_files / "data.csv"),
+            "--spec", str(cli_files / "spec.json"),
+            "--S", "50",
+            "--out", str(fit),
+        ]
+        with pytest.warns(ReplicateFailureWarning):
+            assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert "fewer than 10 converged replicates; by status: {'converged': 5, 'max_iterations': 45}" in err
+        assert "error:" not in err
+        draws = (fit / "draws.csv").read_text().splitlines()
+        assert len(draws) == 51 and sum(line.split(",")[1] == "1" for line in draws[1:]) == 5
+        partial = read_json(fit / "results.json")
+        assert partial["command"] == "bootstrap"
+        assert partial["status"] == "too_few_converged_replicates"
+        assert set(partial["estimates"]) == {"asc_bus", "asc_rail", "b_tt", "b_cost"}
+        assert read_json(fit / "manifest.json")["output_paths"] == ["draws.csv", "results.json"]
+
+        argv = ["report", "--results", str(fit / "results.json"), "--out", str(tmp_path / "rerender")]
+        assert main(argv) == 1
+        assert "partial bootstrap results (status too_few_converged_replicates)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "damage, message",
+        [
+            (lambda doc: doc.pop("covariance"), "KeyError('covariance')"),
+            (lambda doc: doc["estimates"].update(b_cost="x"), "could not convert string to float: 'x'"),
+        ],
+        ids=["no-covariance", "text-estimate"],
+    )
+    def test_report_of_a_results_file_it_cannot_render_exits_1_naming_it(
+        self, cli_files, tmp_path, capsys, damage, message
+    ):
+        run_estimate(cli_files, tmp_path / "fit")
+        capsys.readouterr()
+        doc = read_json(tmp_path / "fit" / "results.json")
+        damage(doc)
+        path = tmp_path / "results.json"
+        write_json(doc, path)
+        assert main(["report", "--results", str(path), "--out", str(tmp_path / "rerender")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: malformed results file") and message in captured.err
+        assert captured.out == ""
+        assert not (tmp_path / "rerender" / "table.txt").exists()
+
+    def test_a_program_error_leaves_main_with_its_traceback(self, cli_files, tmp_path, capsys, monkeypatch):
+        # A bug inside a replicate is not an input error: no "error:" line, no exit code.
+        monkeypatch.setattr(montecarlo_module, "_declared_direction", lambda spec, target: ("sideways", ()))
+        argv = ["montecarlo", "--config", str(cli_files / "mc_size.json"), "--out", str(tmp_path)]
+        with pytest.raises(ValueError, match="sidedness must be one of"):
+            main(argv)
+        assert "error:" not in capsys.readouterr().err

@@ -417,6 +417,20 @@ class TestModelSpecIO:
             load_model_spec(path)
         assert str(excinfo.value).startswith(f"{path}: malformed model file")
 
+    @pytest.mark.parametrize("value", ["abc", 3], ids=["string", "number"])
+    def test_alternatives_that_are_not_a_list_are_refused_by_key(self, tmp_path, value):
+        # A string would be read as one alternative per character.
+        doc = {
+            "alternatives": value,
+            "parameters": [{"name": "asc_b"}],
+            "utilities": {"a": [], "b": [{"param": "asc_b", "attribute": "_const"}]},
+        }
+        path = tmp_path / "spec.json"
+        write_json(doc, path)
+        with pytest.raises(DataError, match="'alternatives' must be a list") as excinfo:
+            load_model_spec(path)
+        assert str(excinfo.value).startswith(f"{path}: malformed model file")
+
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "spec.json"
         path.write_text('{"alternatives": [,]}', encoding="utf-8")

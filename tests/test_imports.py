@@ -1,14 +1,17 @@
 """Every name a package module imports is used in that module, every
 private function is used somewhere in the package, importing the package
-loads no process pool, and only ``linalg`` decides singularity.
+loads no process pool, only ``linalg`` decides singularity, and the command
+line catches no exception wholesale.
 
 No linter runs on the package, so this parses each module and fails on an
 imported name that nothing in the module reads. A name listed in the
 module's ``__all__`` counts as used: it is re-exported. It also fails on a
 ``_``-prefixed function or method that no code in the package names outside
 its own definition, on a module other than ``linalg`` that decomposes,
-inverts or solves with ``numpy.linalg``, and on a function outside
-``linalg`` that takes its own singularity threshold.
+inverts or solves with ``numpy.linalg``, on a function outside
+``linalg`` that takes its own singularity threshold, and on a bare
+``except`` or one naming ``ValueError`` or ``Exception`` in ``cli``, where
+it would report a program error as an input error.
 """
 
 import ast
@@ -199,3 +202,38 @@ def test_only_linalg_decomposes_inverts_or_solves(path):
 @pytest.mark.parametrize("path", OUTSIDE_LINALG, ids=lambda path: path.name)
 def test_only_linalg_sets_a_singularity_threshold(path):
     assert threshold_parameters(path.read_text(encoding="utf-8")) == []
+
+
+BROAD_EXCEPTIONS = ("ValueError", "Exception")
+
+
+def broad_handlers(source):
+    """(line, caught) of each bare ``except`` and each ``except`` naming a
+    class in BROAD_EXCEPTIONS, alone or in a tuple."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler):
+            if node.type is None:
+                found.append((node.lineno, "bare"))
+                continue
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            found += [
+                (node.lineno, t.id) for t in types if isinstance(t, ast.Name) and t.id in BROAD_EXCEPTIONS
+            ]
+    return sorted(found)
+
+
+def test_the_scan_finds_a_broad_handler():
+    source = (
+        "try:\n    f()\nexcept:\n    pass\n"
+        "try:\n    f()\nexcept (KeyError, ValueError) as exc:\n    pass\n"
+        "try:\n    f()\nexcept Exception:\n    pass\n"
+        "try:\n    f()\nexcept (KeyError, ChoiceStatsError):\n    pass\n"
+    )
+    assert broad_handlers(source) == [(3, "bare"), (7, "ValueError"), (11, "Exception")]
+
+
+def test_the_command_line_catches_no_exception_wholesale():
+    # cli.main maps ChoiceStatsError subclasses to exit codes; anything else
+    # is a program error and must reach the user with its traceback.
+    assert broad_handlers((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []

@@ -107,6 +107,17 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=message):
             ExperimentConfig.from_dict(doc)
 
+    def test_effect_sizes_that_are_not_a_list_are_refused_by_key(self):
+        # The string "0" would otherwise be read as the effect sizes [0.0].
+        doc = {**make_config().to_dict(), "effect_sizes": "0"}
+        with pytest.raises(ValueError, match="'effect_sizes' must be a list"):
+            ExperimentConfig.from_dict(doc)
+
+    def test_negative_seed_rejected(self):
+        # numpy would refuse it only inside the first replicate.
+        with pytest.raises(ValueError, match="seed must be >= 0, got -2"):
+            make_config(seed=-2).validate()
+
     def test_experiment_kind_is_an_allowed_key(self):
         doc = {**make_config().to_dict(), "experiment": "coverage"}
         assert ExperimentConfig.from_dict(doc).to_dict() == make_config().to_dict()

@@ -20,7 +20,10 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 from datetime import datetime, timezone
+from functools import reduce
+from operator import getitem
 from pathlib import Path
+from typing import TypedDict
 
 from . import __version__
 from .bootstrap import (
@@ -34,15 +37,7 @@ from .bootstrap import (
     save_draws,
 )
 from .covariance import covariance_set, standard_errors
-from .dataio import (
-    encode_matrix,
-    load_dataset,
-    load_model_spec,
-    malformed,
-    model_spec_to_doc,
-    read_json,
-    write_json,
-)
+from .dataio import encode_matrix, load_dataset, load_model_spec, read_json, write_json
 from .errors import (
     ChoiceStatsError,
     ConvergenceError,
@@ -66,6 +61,7 @@ from .montecarlo import (
     size_and_power_experiment,
 )
 from .reporting import Column, ReportOptions, bic, format_table, rho_bar_squared
+from .util import from_json
 
 OUTDIR_ENV = "CHOICESTATS_OUTDIR"
 
@@ -178,7 +174,7 @@ def _estimation_failure_exit(args, outdir, result):
 def _write_table(args, outdir, doc, written):
     """Render, write and print ``doc``'s table, then the manifest. Every table
     command ends here, so ``report`` re-renders the table the command printed."""
-    rows_of_doc, columns = _TABLES[doc["command"]]
+    rows_of_doc, columns = _TABLES[doc["command"]][:2]
     shown = [c for c in columns if (c.kind != "se" or args.se) and (c.kind != "t" or args.t)]
     table = format_table(shown, rows_of_doc(doc), ReportOptions(include_stars=args.stars), args.format)
     path = outdir / f"table.{'txt' if args.format == 'text' else args.format}"
@@ -194,7 +190,7 @@ def _estimate_results_doc(args, spec, design, best, runs, covs, tests, intervals
     names = best.names
     doc = {
         "command": "estimate",
-        "model": model_spec_to_doc(spec),
+        "model": asdict(spec),
         "n_obs": design.n_obs,
         "n_persons": design.n_persons,
         "estimates": best.params_dict(),
@@ -413,7 +409,7 @@ def cmd_bootstrap(args):
 
     doc = {
         "command": "bootstrap",
-        "model": model_spec_to_doc(spec),
+        "model": asdict(spec),
         "n_obs": design.n_obs,
         "n_persons": design.n_persons,
         "estimates": best.params_dict(),
@@ -435,10 +431,40 @@ def cmd_bootstrap(args):
     return _write_table(args, outdir, doc, ["draws.csv", "results.json"])
 
 
-#: Per command: the table rows of its results document, and every column its table can show.
+# The parts of the results documents that the tables read.
+_Model = TypedDict("_Model", {"parameters": list[TypedDict("_Parameter", {"name": str})]})
+_Interval = TypedDict("_Interval", {"lower": float, "upper": float})
+_Test = TypedDict("_Test", {"statistic": float, "p_value": float, "sidedness": str})
+_BootInterval = TypedDict("_BootInterval", {"lower": float, "upper": float, "asymmetry_index": float})
+_EstimateDoc = TypedDict("_EstimateDoc", {
+    "command": str, "model": _Model, "estimates": dict[str, float],
+    "covariance": TypedDict("_Covariance", {
+        "se": TypedDict("_Se", {"classical": dict[str, float], "robust": dict[str, float]}),
+    }),
+    "tests": dict[str, TypedDict("_Tests", {"t_classical": _Test, "t_robust": _Test})],
+    "intervals": dict[str, TypedDict("_Intervals", {"classical": _Interval, "robust": _Interval})],
+})
+_BootIntervals = TypedDict("_BootIntervals", {"quantile": _BootInterval, "hpd": _BootInterval})
+_BootstrapDoc = TypedDict("_BootstrapDoc", {
+    "command": str, "model": _Model, "estimates": dict[str, float],
+    "bootstrap": TypedDict("_Bootstrap", {
+        "se": dict[str, float],
+        "intervals": dict[str, _BootIntervals],
+        "empirical_p": dict[str, TypedDict("_EmpiricalP", {"crossings": int, "s_converged": int})],
+    }),
+})
+
+#: Per command: the table rows of its results document, every column its
+#: table can show, the part of the document the rows read, and the key paths
+#: in it that must hold an entry for each parameter of the table.
 _TABLES = {
-    "estimate": (_estimate_table_rows, _ESTIMATE_COLUMNS),
-    "bootstrap": (_bootstrap_table_rows, _BOOTSTRAP_COLUMNS),
+    "estimate": (
+        _estimate_table_rows, _ESTIMATE_COLUMNS, _EstimateDoc,
+        ("covariance.se.classical", "covariance.se.robust", "tests", "intervals"),
+    ),
+    "bootstrap": (
+        _bootstrap_table_rows, _BOOTSTRAP_COLUMNS, _BootstrapDoc, ("bootstrap.se", "bootstrap.intervals"),
+    ),
 }
 
 
@@ -451,11 +477,11 @@ def cmd_montecarlo(args):
     if kind not in ("size_power", "coverage"):
         raise DataError(f"unknown experiment kind '{kind}' (expected size_power or coverage)", args.config)
     # The whole config is checked here, before any cell runs.
-    with malformed(args.config, "experiment config"):
-        config = ExperimentConfig.from_dict(doc)
-        if args.seed is not None:
-            config.seed = args.seed
-        config.validate(size_power=kind == "size_power")
+    where = f"{args.config}: malformed experiment config"
+    config = ExperimentConfig.from_dict(doc, where)
+    if args.seed is not None:
+        config.seed = args.seed
+    config.validate(size_power=kind == "size_power", where=where)
     run = size_and_power_experiment if kind == "size_power" else coverage_experiment
     report = run(config, jobs=args.jobs)
     write_json({"config": config.to_dict(), "report": report.to_doc()}, outdir / "report.json")
@@ -482,8 +508,15 @@ def cmd_report(args):
             f"results file has no renderable command tag (got {command!r})",
             source=args.results,
         )
-    with malformed(args.results, "results file"):
-        return _write_table(args, outdir, doc, [])
+    _, _, schema, per_parameter = _TABLES[command]
+    where = f"{args.results}: malformed results file"
+    doc = from_json(schema, doc, where)
+    for path in per_parameter:
+        entries = reduce(getitem, path.split("."), doc)
+        absent = [name for name in _declared_order(doc) if name not in entries]
+        if absent:
+            raise DataError(f"{where}: {path} has no entry for parameter '{absent[0]}'")
+    return _write_table(args, outdir, doc, [])
 
 
 def _int_at_least(low):

@@ -8,17 +8,16 @@ from __future__ import annotations
 
 import csv
 import json
-from contextlib import contextmanager
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError
-from .model import Dataset, ModelSpec, ParameterDef, UtilityTerm
-from .util import first_failure, reject_unknown_keys
+from .errors import DataError, SpecMismatchError
+from .model import Dataset, ModelSpec
+from .util import first_failure, from_json
 
 RESERVED_COLUMNS = ("person_id", "obs_id", "alt_id", "avail", "chosen")
-_PARAMETER_KEYS = ("name", "start", "fixed", "fixed_value", "h0_value", "alternative")
 
 
 def load_dataset(path):
@@ -175,94 +174,18 @@ def read_json(path):
     return doc
 
 
-@contextmanager
-def malformed(source, what):
-    """Re-raise a KeyError, TypeError, AttributeError or ValueError as a DataError naming ``source``."""
-    try:
-        yield
-    except (KeyError, TypeError, AttributeError, ValueError) as exc:
-        raise DataError(f"malformed {what}: {exc!r}", source=str(source)) from exc
-
-
-def _objects(value, what):
-    # A dict or string here would be iterated as its keys or characters.
-    if not isinstance(value, list) or not all(isinstance(v, dict) for v in value):
-        raise ValueError(f"{what} must be a list of objects")
-    return value
-
-
-def model_spec_from_doc(doc):
-    """Build a ModelSpec from its JSON document form (fields verbatim).
-
-    A key the form does not have is an error: a misspelt ``fixed`` would
-    otherwise leave its parameter free without notice.
-    """
-    if not isinstance(doc, dict):
-        raise ValueError("model document must be a JSON object")
-    if not isinstance(doc["alternatives"], list):
-        raise ValueError("'alternatives' must be a list of alternative identifiers")
-    alternatives = [str(a) for a in doc["alternatives"]]
-    reject_unknown_keys(doc, ("alternatives", "parameters", "utilities"), "model document")
-    for p in _objects(doc["parameters"], "'parameters'"):
-        reject_unknown_keys(p, _PARAMETER_KEYS, "model parameter")
-    if not isinstance(doc.get("utilities", {}), dict):
-        raise ValueError("'utilities' must be an object mapping each alternative to its terms")
-    for alt, terms in doc.get("utilities", {}).items():
-        for t in _objects(terms, f"the utility terms of '{alt}'"):
-            reject_unknown_keys(t, ("param", "attribute"), f"utility term of '{alt}'")
-    parameters = [
-        ParameterDef(
-            name=str(p["name"]),
-            start=float(p.get("start", 0.0)),
-            fixed=bool(p.get("fixed", False)),
-            fixed_value=float(p.get("fixed_value", 0.0)),
-            h0_value=float(p.get("h0_value", 0.0)),
-            alternative=str(p.get("alternative", "auto")),
-        )
-        for p in doc["parameters"]
-    ]
-    utilities = {
-        str(alt): [UtilityTerm(param=str(t["param"]), attribute=str(t["attribute"])) for t in terms]
-        for alt, terms in doc.get("utilities", {}).items()
-    }
-    return ModelSpec(alternatives, parameters, utilities)
-
-
-def model_spec_to_doc(spec):
-    return {
-        "alternatives": list(spec.alternatives),
-        "parameters": [
-            {
-                "name": p.name,
-                "start": p.start,
-                "fixed": p.fixed,
-                "fixed_value": p.fixed_value,
-                "h0_value": p.h0_value,
-                "alternative": p.alternative,
-            }
-            for p in spec.parameters
-        ],
-        "utilities": {
-            alt: [{"param": t.param, "attribute": t.attribute} for t in terms]
-            for alt, terms in spec.utilities.items()
-        },
-    }
-
-
 def load_model_spec(path):
-    """Read a model file: alternatives, parameter declarations, utilities."""
-    doc = read_json(path)
-    with malformed(path, "model file"):
-        spec = model_spec_from_doc(doc)
+    """Read a model file: the JSON form of a ModelSpec, which must validate."""
+    spec = from_json(ModelSpec, read_json(path), f"{path}: malformed model file")
     try:
         spec.validate()
-    except Exception as exc:
+    except SpecMismatchError as exc:
         raise DataError(str(exc), source=str(path)) from exc
     return spec
 
 
 def save_model_spec(spec, path):
-    write_json(model_spec_to_doc(spec), path)
+    write_json(asdict(spec), path)
 
 
 def write_json(doc, path):

@@ -7,7 +7,7 @@ class ChoiceStatsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class DataError(ChoiceStatsError):
+class DataError(ChoiceStatsError, ValueError):
     """Malformed input: dataset files, specification files, or documents.
 
     Carries an optional source location so command-line users see the

@@ -22,10 +22,11 @@ from typing import Mapping
 import numpy as np
 
 from .errors import (
+    DataError,
     IdentificationRiskWarning,
     SpecMismatchError,
 )
-from .util import first_failure, reject_unknown_keys
+from .util import first_failure
 
 #: Attribute name reserved for a constant regressor of value 1.
 CONST_ATTRIBUTE = "_const"
@@ -89,7 +90,7 @@ class ModelSpec:
 
     alternatives: list[str]
     parameters: list[ParameterDef]
-    utilities: dict[str, list[UtilityTerm]]
+    utilities: dict[str, list[UtilityTerm]] = field(default_factory=dict)
 
     def __post_init__(self):
         # Canonical container types so structurally equal specifications
@@ -500,6 +501,9 @@ def build_design(dataset, spec):
         If the alternative sets differ, an attribute referenced by the
         specification is missing for an available alternative, or an
         attribute value is not finite.
+    DataError
+        If an attribute is too large for the likelihood's sums: the square
+        of n_obs times its largest absolute value overflows.
     """
     spec.validate()
     dataset.validate()
@@ -531,6 +535,16 @@ def build_design(dataset, spec):
             f"observation '{dataset.obs_ids[i]}': attribute '{attribute}' {problem} "
             f"'{spec.alternatives[j]}'"
         )
+    # The Hessian sums n_obs products of two attribute values; the square of
+    # n_obs times the largest |value| bounds them, and must be a finite float.
+    n_obs = len(avail)
+    for j, attribute in checks:
+        top = n_obs * float(np.abs(np.where(avail[:, j], columns[attribute][:, j], 0.0)).max())
+        if not np.isfinite(top * top):
+            raise DataError(
+                f"attribute '{attribute}' is too large for the likelihood: (n_obs * max |value|)^2 "
+                f"= ({n_obs} * {top / n_obs:.3g})^2 is not a finite float; rescale it"
+            )
 
     person_ids = dataset.persons()
     person_pos = {pid: i for i, pid in enumerate(person_ids)}
@@ -584,10 +598,6 @@ class AttributeRule:
     alternatives: tuple[str, ...] | None = None
 
 
-#: Keys an attribute rule may carry in a generator document.
-_RULE_KEYS = ("name", "dist", "mean", "sd", "low", "high", "value", "alternatives")
-
-
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Data-generating description for :func:`simulate_dataset`.
@@ -598,40 +608,13 @@ class GeneratorSpec:
     misspecification experiments.
     """
 
-    attributes: tuple[AttributeRule, ...]
-    heterogeneity: Mapping[str, float] = field(default_factory=dict)
-
-    @staticmethod
-    def from_dict(doc):
-        """Inverse of :meth:`to_dict`; a key it never writes raises ValueError."""
-        reject_unknown_keys(doc, ("attributes", "heterogeneity"), "generator")
-        # Attributes are a list, not a name-keyed object: rule order drives
-        # the draw sequence and must survive a sorted-keys JSON round trip.
-        entries = doc.get("attributes", ())
-        if isinstance(entries, Mapping):
-            raise ValueError("generator attributes must be a list of rule objects")
-        for entry in entries:
-            context = f"generator attribute rule '{entry.get('name')}'"
-            reject_unknown_keys(entry, _RULE_KEYS, context)
-        rules = tuple(
-            AttributeRule(
-                name=str(entry["name"]),
-                dist=entry.get("dist", "normal"),
-                mean=float(entry.get("mean", 0.0)),
-                sd=float(entry.get("sd", 1.0)),
-                low=float(entry.get("low", 0.0)),
-                high=float(entry.get("high", 1.0)),
-                value=float(entry.get("value", 0.0)),
-                alternatives=tuple(entry["alternatives"]) if "alternatives" in entry else None,
-            )
-            for entry in entries
-        )
-        return GeneratorSpec(
-            attributes=rules,
-            heterogeneity={k: float(v) for k, v in doc.get("heterogeneity", {}).items()},
-        )
+    # A list in JSON, not a name-keyed object: rule order drives the draw
+    # sequence and must survive a sorted-keys JSON round trip.
+    attributes: tuple[AttributeRule, ...] = ()
+    heterogeneity: dict[str, float] = field(default_factory=dict)
 
     def to_dict(self):
+        # Each rule writes only the keys of its distribution, which asdict would not.
         attributes = []
         for rule in self.attributes:
             entry = {"name": rule.name, "dist": rule.dist}

@@ -16,17 +16,17 @@ measured size, and results are identical at any job count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .bootstrap import MIN_DRAWS, bootstrap_run, quantile_interval
 from .covariance import covariance_set
-from .errors import ChoiceStatsError
+from .errors import ChoiceStatsError, DataError
 from .estimation import EstimationOptions, estimate_design
 from .inference import asymptotic_ci, lm_test_at, lr_test, normal_cdf, t_test, wald_test
-from .model import GeneratorSpec, simulate_design
-from .util import Failure, parallel_map, reject_unknown_keys, seed_from
+from .model import GeneratorSpec, ModelSpec, simulate_design
+from .util import Failure, from_json, parallel_map, seed_from
 
 ### config
 
@@ -41,91 +41,54 @@ REJECTION_METHODS = (
 )
 
 
-@dataclass
+@dataclass(kw_only=True)
 class ExperimentConfig:
-    spec: object
-    generator: GeneratorSpec
-    true_params: dict
+    spec: ModelSpec
+    generator: GeneratorSpec = field(default_factory=GeneratorSpec)
+    true_params: dict[str, float]
     n_persons: int
-    obs_per_person: int
+    obs_per_person: int = 1
     replications: int
-    alpha: float
+    alpha: float = 0.05
     target_parameter: str
-    effect_sizes: tuple = ()
+    effect_sizes: tuple[float, ...] = ()
     ci_level: float = 0.95
     seed: int = 0
     bootstrap_s: int = 0
 
-    def validate(self, size_power=False):
+    def validate(self, size_power=False, where="experiment config"):
+        """Raise DataError "<where>: <problem>" at the first value out of its
+        range; a spec or generator that does not fit raises SpecMismatchError."""
         self.spec.validate()
-        free = self.spec.free_names()
-        if self.target_parameter not in free:
-            raise ValueError(f"target parameter '{self.target_parameter}' is not a free parameter")
-        missing = [name for name in free if name not in self.true_params]
-        if missing:
-            raise ValueError(f"true_params missing free parameters: {missing}")
         self.generator.check_against(self.spec)
-        # alpha 0 is allowed as the degenerate never-reject case.
-        if not 0.0 <= self.alpha < 1.0:
-            raise ValueError(f"alpha must be in [0, 1), got {self.alpha}")
-        if self.replications < 50:
-            raise ValueError(f"replications must be >= 50, got {self.replications}")
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValueError(f"ci_level must be in (0, 1), got {self.ci_level}")
-        if self.n_persons < 1 or self.obs_per_person < 1:
-            raise ValueError("n_persons and obs_per_person must be positive")
-        if self.bootstrap_s < 0:
-            raise ValueError(f"bootstrap_s must be >= 0, got {self.bootstrap_s}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
-        if size_power and 0.0 not in self.effect_sizes:
-            raise ValueError("effect_sizes must include 0, whose rejection rates are the size")
+        free = self.spec.free_names()
+        missing = [name for name in free if name not in self.true_params]
+        target = self.target_parameter
+        for ok, problem in (
+            (target in free, f"target parameter '{target}' is not a free parameter"),
+            (not missing, f"true_params missing free parameters: {missing}"),
+            # alpha 0 is allowed as the degenerate never-reject case.
+            (0.0 <= self.alpha < 1.0, f"alpha must be in [0, 1), got {self.alpha}"),
+            (self.replications >= 50, f"replications must be >= 50, got {self.replications}"),
+            (0.0 < self.ci_level < 1.0, f"ci_level must be in (0, 1), got {self.ci_level}"),
+            (min(self.n_persons, self.obs_per_person) >= 1, "n_persons and obs_per_person must be positive"),
+            (self.bootstrap_s >= 0, f"bootstrap_s must be >= 0, got {self.bootstrap_s}"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
+            (not size_power or 0.0 in self.effect_sizes,
+             "effect_sizes must include 0, whose rejection rates are the size"),
+        ):
+            if not ok:
+                raise DataError(f"{where}: {problem}")
 
     @staticmethod
-    def from_dict(doc):
-        from .dataio import model_spec_from_doc
-
-        # to_dict's keys, plus the experiment kind that the command line reads.
-        allowed = {f.name for f in fields(ExperimentConfig)} | {"experiment"}
-        reject_unknown_keys(doc, allowed, "experiment config")
-        required = ("spec", "true_params", "n_persons", "replications", "target_parameter")
-        missing = [key for key in required if key not in doc]
-        if missing:
-            raise ValueError(f"experiment config is missing required keys: {missing}")
-        if not isinstance(doc.get("effect_sizes", []), list):
-            raise ValueError("experiment config key 'effect_sizes' must be a list of numbers")
-        return ExperimentConfig(
-            spec=model_spec_from_doc(doc["spec"]),
-            generator=GeneratorSpec.from_dict(doc.get("generator", {})),
-            true_params={k: float(v) for k, v in doc["true_params"].items()},
-            n_persons=int(doc["n_persons"]),
-            obs_per_person=int(doc.get("obs_per_person", 1)),
-            replications=int(doc["replications"]),
-            alpha=float(doc.get("alpha", 0.05)),
-            target_parameter=str(doc["target_parameter"]),
-            effect_sizes=tuple(float(e) for e in doc.get("effect_sizes", ())),
-            ci_level=float(doc.get("ci_level", 0.95)),
-            seed=int(doc.get("seed", 0)),
-            bootstrap_s=int(doc.get("bootstrap_s", 0)),
-        )
+    def from_dict(doc, where="experiment config"):
+        """The config that :meth:`to_dict` wrote as ``doc``; its one other key
+        allowed, ``experiment``, names the kind that the command line runs."""
+        return from_json(ExperimentConfig, {k: v for k, v in doc.items() if k != "experiment"}, where)
 
     def to_dict(self):
-        from .dataio import model_spec_to_doc
-
-        return {
-            "spec": model_spec_to_doc(self.spec),
-            "generator": self.generator.to_dict(),
-            "true_params": dict(self.true_params),
-            "n_persons": self.n_persons,
-            "obs_per_person": self.obs_per_person,
-            "replications": self.replications,
-            "alpha": self.alpha,
-            "target_parameter": self.target_parameter,
-            "effect_sizes": list(self.effect_sizes),
-            "ci_level": self.ci_level,
-            "seed": self.seed,
-            "bootstrap_s": self.bootstrap_s,
-        }
+        doc = asdict(self)
+        return {**doc, "generator": self.generator.to_dict(), "effect_sizes": list(self.effect_sizes)}
 
 
 @dataclass

@@ -1,15 +1,20 @@
-"""Small shared utilities: deterministic seeding and the replicate runner."""
+"""Small shared utilities: deterministic seeding, the JSON document checker and
+the replicate runner."""
 
 from __future__ import annotations
 
+import json
 import os
+import types
 import warnings
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields, is_dataclass
+from functools import cache
+from typing import Union, get_args, get_origin, get_type_hints, is_typeddict
 
 import numpy as np
 
-from .errors import ChoiceStatsError, ReplicateFailureWarning
+from .errors import ChoiceStatsError, DataError, ReplicateFailureWarning
 
 
 def seed_from(*parts):
@@ -23,18 +28,67 @@ def seed_from(*parts):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def reject_unknown_keys(doc, allowed, context):
-    """Raise ValueError naming every key of ``doc`` not in ``allowed``.
+#: What a value of each scalar type must be, as messages say it.
+_SCALARS = {str: "a string", bool: "true or false", float: "a number", int: "a whole number"}
 
-    A misspelt key in a config document would otherwise fall back to a
-    default without notice.
+# Resolved on first use, so that importing the package resolves no annotation.
+_hints = cache(get_type_hints)
+
+
+def from_json(tp, value, where, path=""):
+    """``value``, decoded from JSON, checked against the type ``tp`` and built as one.
+
+    ``tp`` is str, bool, float, int, ``list[X]``, ``tuple[X, ...]``,
+    ``dict[str, X]``, ``X | None``, a dataclass or a TypedDict; any other
+    annotation raises TypeError. No number type takes a bool, and an int
+    takes a whole number only. A dataclass is a closed record: its fields
+    are its keys, a field with a default may be left out, and any other key
+    is refused. A TypedDict is an open record: its keys are required, and
+    they are all that is kept. A mismatch raises DataError "<where>: <path>
+    ...", ``path`` being the key path of the value, such as
+    ``parameters[0].fixed``.
     """
-    unknown = sorted(set(doc) - set(allowed))
-    if unknown:
-        raise ValueError(
-            f"{context} has unknown key{'s' if len(unknown) > 1 else ''} "
-            f"{', '.join(map(repr, unknown))} (allowed: {', '.join(sorted(allowed))})"
-        )
+    subject, prefix = (f"{where}: {path}", f"{path}.") if path else (where, "")
+    origin, args = get_origin(tp), get_args(tp)
+    if tp in _SCALARS:
+        number = isinstance(value, (int, float)) and not isinstance(value, bool)
+        whole = number and (isinstance(value, int) or value.is_integer())
+        if not {str: isinstance(value, str), bool: isinstance(value, bool), float: number, int: whole}[tp]:
+            raise DataError(f"{subject} must be {_SCALARS[tp]}, got {_shown(value)}")
+        return tp(value)
+    if origin in (Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        inner = next(a for a in args if a is not type(None))
+        return None if value is None else from_json(inner, value, where, path)
+    if origin is list or (origin is tuple and args[1:] == (...,)):
+        if not isinstance(value, (list, tuple)):
+            raise DataError(f"{subject} must be a list, got {_shown(value)}")
+        return origin(from_json(args[0], v, where, f"{path}[{i}]") for i, v in enumerate(value))
+    record = is_dataclass(tp) or is_typeddict(tp)
+    if not (record or (origin is dict and args[0] is str)):
+        raise TypeError(f"no JSON form for {tp!r}")
+    if not isinstance(value, dict):
+        raise DataError(f"{subject} must be an object, got {_shown(value)}")
+    if not record:
+        return {k: from_json(args[1], v, where, prefix + k) for k, v in value.items()}
+    hints = _hints(tp)
+    required = list(hints)  # every key of a TypedDict
+    if is_dataclass(tp):
+        required = [f.name for f in fields(tp) if f.default is MISSING and f.default_factory is MISSING]
+        unknown = sorted(set(value) - set(hints))
+        if unknown:
+            raise DataError(f"{subject} has unknown {_keys(unknown)} (allowed: {', '.join(sorted(hints))})")
+    missing = [key for key in required if key not in value]
+    if missing:
+        raise DataError(f"{subject} is missing required {_keys(missing)}")
+    return tp(**{k: from_json(hints[k], value[k], where, prefix + k) for k in hints if k in value})
+
+
+def _shown(value):
+    return {dict: "an object", list: "a list", tuple: "a list"}.get(type(value)) or json.dumps(value)
+
+
+def _keys(names):
+    return f"key{'s' if len(names) > 1 else ''} {', '.join(map(repr, names))}"
 
 
 def first_failure(checks):
@@ -84,10 +138,8 @@ def _run_block(block):
 def _usable_cpus():
     """CPUs this process may run on, or the machine's count where the
     platform cannot say."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def parallel_map(fn, args, total, jobs=1):

@@ -641,7 +641,7 @@ class TestMontecarloCommand:
         write_json(doc, tmp_path / "config.json")
         argv = ["montecarlo", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
         assert main(argv) == 1
-        message = "generator attribute rule 'cost' has unknown keys 'hi', 'lo'"
+        message = "generator.attributes[1] has unknown keys 'hi', 'lo'"
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out" / "report.json").exists()
 
@@ -669,7 +669,7 @@ class TestMontecarloCommand:
         write_json(doc, path)
         assert main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {path}: malformed experiment config: KeyError('alternatives')")
+        assert err.startswith(f"error: {path}: malformed experiment config: spec is missing required keys")
         assert not (tmp_path / "out" / "report.json").exists()
 
 
@@ -851,8 +851,8 @@ class TestCommandLineContract:
         [
             ({"seed": -2}, "seed must be >= 0, got -2"),
             ({"effect_sizes": [-0.4]}, "effect_sizes must include 0"),
-            ({"effect_sizes": "0"}, "'effect_sizes' must be a list"),
-            ({"alpha": "x"}, "could not convert string to float: 'x'"),
+            ({"effect_sizes": "0"}, 'effect_sizes must be a list, got "0"'),
+            ({"alpha": "x"}, 'alpha must be a number, got "x"'),
         ],
         ids=["negative-seed", "no-null-effect", "effect-sizes-text", "alpha-text"],
     )
@@ -909,8 +909,8 @@ class TestCommandLineContract:
     @pytest.mark.parametrize(
         "damage, message",
         [
-            (lambda doc: doc.pop("covariance"), "KeyError('covariance')"),
-            (lambda doc: doc["estimates"].update(b_cost="x"), "could not convert string to float: 'x'"),
+            (lambda doc: doc.pop("covariance"), "results file is missing required key 'covariance'"),
+            (lambda doc: doc["estimates"].update(b_cost="x"), 'estimates.b_cost must be a number, got "x"'),
         ],
         ids=["no-covariance", "text-estimate"],
     )
@@ -936,3 +936,108 @@ class TestCommandLineContract:
         with pytest.raises(ValueError, match="sidedness must be one of"):
             main(argv)
         assert "error:" not in capsys.readouterr().err
+
+    def test_report_of_a_results_file_without_a_parameter_entry_exits_1_naming_the_key_path(
+        self, cli_files, tmp_path, capsys
+    ):
+        run_estimate(cli_files, tmp_path / "fit")
+        capsys.readouterr()
+        doc = read_json(tmp_path / "fit" / "results.json")
+        del doc["tests"]["b_tt"]
+        path = tmp_path / "results.json"
+        write_json(doc, path)
+        assert main(["report", "--results", str(path), "--out", str(tmp_path / "rerender")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: malformed results file: tests has no entry for parameter 'b_tt'\n"
+        assert captured.out == ""
+
+    def test_a_program_error_in_report_leaves_main_with_its_traceback(self, cli_files, tmp_path, capsys, monkeypatch):
+        # The results file is checked before the table is rendered, outside any handler.
+        run_estimate(cli_files, tmp_path / "fit")
+        capsys.readouterr()
+
+        def broken(*args, **kwargs):
+            raise TypeError("bug inside format_table")
+
+        monkeypatch.setattr(cli_module, "format_table", broken)
+        argv = ["report", "--results", str(tmp_path / "fit" / "results.json"), "--out", str(tmp_path / "rerender")]
+        with pytest.raises(TypeError, match="bug inside format_table"):
+            main(argv)
+        assert "error:" not in capsys.readouterr().err
+
+    def test_a_program_error_in_spec_validation_leaves_main_with_its_traceback(
+        self, cli_files, tmp_path, capsys, monkeypatch
+    ):
+        def broken(self):
+            raise ZeroDivisionError("bug inside validate")
+
+        monkeypatch.setattr(model.ModelSpec, "validate", broken)
+        with pytest.raises(ZeroDivisionError, match="bug inside validate"):
+            run_estimate(cli_files, tmp_path)
+        assert "error:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name, change, message",
+        [
+            (
+                "spec.json",
+                lambda doc: doc["parameters"][0].update(fixed="false"),
+                'malformed model file: parameters[0].fixed must be true or false, got "false"',
+            ),
+            (
+                "mc_size.json",
+                lambda doc: doc.update(n_persons=True),
+                "malformed experiment config: n_persons must be a whole number, got true",
+            ),
+        ],
+        ids=["spec-fixed-text", "config-count-bool"],
+    )
+    def test_a_value_of_the_wrong_type_exits_1_naming_its_key_path(
+        self, cli_files, tmp_path, capsys, monkeypatch, name, change, message
+    ):
+        # "false" once fixed asc_bus at 0 and exited 0 with a table without it.
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fitted before the input was checked")
+
+        monkeypatch.setattr(cli_module, "estimate_design", no_fit)
+        monkeypatch.setattr(montecarlo_module, "_size_power_cell", no_fit)
+        doc = read_json(cli_files / name)
+        change(doc)
+        path = tmp_path / name
+        write_json(doc, path)
+        if name == "spec.json":
+            argv = ["estimate", "--data", str(cli_files / "data.csv"), "--spec", str(path)]
+        else:
+            argv = ["montecarlo", "--config", str(path)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: {message}\n"
+        assert list((tmp_path / "out").iterdir()) == []
+
+    @pytest.mark.parametrize("scale", [1e200, 1e6, 1e3])
+    def test_an_attribute_too_large_for_the_kernel_exits_1_naming_it(self, cli_files, tmp_path, capsys, scale):
+        # At 1e200 the BHHH fallback once met an overflowed matrix and left a
+        # traceback. The check refuses no smaller scale: at 1e6 the Hessian is
+        # too ill-conditioned, which exits 2 as it did before the check.
+        data = load_dataset(cli_files / "data.csv")
+        data.attributes["cost"] = data.attributes["cost"] * scale
+        save_dataset(data, tmp_path / "scaled.csv")
+        spec = read_json(cli_files / "spec.json")
+        for p in spec["parameters"]:
+            p["start"] = p["start"] / scale if p["name"] == "b_cost" else p["start"]
+        write_json(spec, tmp_path / "spec.json")
+        argv = ["estimate", "--data", str(tmp_path / "scaled.csv"), "--spec", str(tmp_path / "spec.json")]
+        code = main([*argv, "--out", str(tmp_path / "scaled")])
+        err = capsys.readouterr().err
+        if scale == 1e200:
+            assert code == 1
+            assert err.startswith("error: attribute 'cost' is too large") and err.count("\n") == 1
+            assert list((tmp_path / "scaled").iterdir()) == []
+            return
+        if scale == 1e6:
+            assert code == 2 and err.startswith("identification failure: the Hessian is singular")
+            return
+        assert code == 0 and err == ""
+        assert run_estimate(cli_files, tmp_path / "base") == 0
+        scaled, base = (read_json(tmp_path / d / "results.json")["estimates"] for d in ("scaled", "base"))
+        assert scaled["b_cost"] * scale == pytest.approx(base["b_cost"], rel=1e-6)
+        assert scaled["b_tt"] == pytest.approx(base["b_tt"], rel=1e-6)

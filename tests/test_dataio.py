@@ -9,7 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from choicestats import DataError, Dataset, load_dataset, load_model_spec, save_dataset, save_model_spec
+from choicestats import (
+    DataError,
+    Dataset,
+    ModelSpec,
+    load_dataset,
+    load_model_spec,
+    save_dataset,
+    save_model_spec,
+)
 from choicestats.dataio import decode_matrix, encode_matrix, read_json, write_json
 from testtools import (
     hand_dataset,
@@ -396,11 +404,11 @@ class TestModelSpecIO:
     @pytest.mark.parametrize(
         "field, value, message",
         [
-            ("utilities", [], "'utilities' must be an object"),
-            ("parameters", {"asc_b": 1}, "'parameters' must be a list of objects"),
-            ("parameters", ["asc_b"], "'parameters' must be a list of objects"),
-            ("utilities", {"b": {"param": "asc_b", "attribute": "_const"}}, "utility terms of 'b' must be a list"),
-            ("utilities", {"b": ["asc_b"]}, "utility terms of 'b' must be a list of objects"),
+            ("utilities", [], "utilities must be an object, got a list"),
+            ("parameters", {"asc_b": 1}, "parameters must be a list, got an object"),
+            ("parameters", ["asc_b"], r'parameters\[0\] must be an object, got "asc_b"'),
+            ("utilities", {"b": {"param": "asc_b", "attribute": "_const"}}, "utilities.b must be a list, got an object"),
+            ("utilities", {"b": ["asc_b"]}, r'utilities.b\[0\] must be an object, got "asc_b"'),
         ],
         ids=["utilities-array", "parameters-object", "parameters-strings", "terms-object", "terms-strings"],
     )
@@ -427,9 +435,43 @@ class TestModelSpecIO:
         }
         path = tmp_path / "spec.json"
         write_json(doc, path)
-        with pytest.raises(DataError, match="'alternatives' must be a list") as excinfo:
+        with pytest.raises(DataError, match="alternatives must be a list, got") as excinfo:
             load_model_spec(path)
         assert str(excinfo.value).startswith(f"{path}: malformed model file")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda doc: doc["parameters"][0].update(fixed="false"), 'parameters[0].fixed must be true or false, got "false"'),
+            (lambda doc: doc["parameters"][0].update(start="0"), 'parameters[0].start must be a number, got "0"'),
+            (lambda doc: doc["alternatives"].__setitem__(0, 1), "alternatives[0] must be a string, got 1"),
+            (lambda doc: doc["utilities"]["b"][0].update(param=2), "utilities.b[0].param must be a string, got 2"),
+        ],
+        ids=["fixed-text", "start-text", "alternative-number", "term-number"],
+    )
+    def test_a_value_of_the_wrong_type_is_refused_at_its_key_path(self, tmp_path, change, message):
+        # "fixed": "false" once fixed the parameter, as bool("false") is True.
+        doc = {
+            "alternatives": ["a", "b"],
+            "parameters": [{"name": "asc_b"}],
+            "utilities": {"a": [], "b": [{"param": "asc_b", "attribute": "_const"}]},
+        }
+        change(doc)
+        path = tmp_path / "spec.json"
+        write_json(doc, path)
+        with pytest.raises(DataError) as excinfo:
+            load_model_spec(path)
+        assert str(excinfo.value) == f"{path}: malformed model file: {message}"
+
+    def test_a_program_error_in_validation_is_not_an_input_error(self, tmp_path, monkeypatch):
+        def broken(self):
+            raise ZeroDivisionError("bug inside validate")
+
+        path = tmp_path / "spec.json"
+        save_model_spec(three_mode_spec(), path)
+        monkeypatch.setattr(ModelSpec, "validate", broken)
+        with pytest.raises(ZeroDivisionError):
+            load_model_spec(path)
 
     def test_malformed_json_reports_line(self, tmp_path):
         path = tmp_path / "spec.json"

@@ -9,9 +9,11 @@ module's ``__all__`` counts as used: it is re-exported. It also fails on a
 ``_``-prefixed function or method that no code in the package names outside
 its own definition, on a module other than ``linalg`` that decomposes,
 inverts or solves with ``numpy.linalg``, on a function outside
-``linalg`` that takes its own singularity threshold, and on a bare
-``except`` or one naming ``ValueError`` or ``Exception`` in ``cli``, where
-it would report a program error as an input error.
+``linalg`` that takes its own singularity threshold, and on a handler in
+any module that could report a program error as an input error: a bare
+``except``, one naming ``Exception``, ``BaseException``, ``TypeError``,
+``KeyError`` or ``AttributeError``, or one naming ``ValueError`` outside
+the text parser ``dataio._numbers``.
 """
 
 import ast
@@ -205,20 +207,34 @@ def test_only_linalg_sets_a_singularity_threshold(path):
 
 
 BROAD_EXCEPTIONS = ("ValueError", "Exception")
+#: Handlers of these would also take a program error for an input error.
+PROGRAM_ERRORS = ("Exception", "BaseException", "TypeError", "KeyError", "AttributeError", "ValueError")
+#: Per module, the functions that may catch ValueError: they parse text, where it means "not a number".
+VALUE_ERROR_PARSERS = {"dataio.py": ("_numbers",)}
 
 
-def broad_handlers(source):
+def broad_handlers(source, caught=BROAD_EXCEPTIONS, parsers=()):
     """(line, caught) of each bare ``except`` and each ``except`` naming a
-    class in BROAD_EXCEPTIONS, alone or in a tuple."""
+    class in ``caught``, alone or in a tuple; a ValueError handler inside a
+    function named in ``parsers`` is allowed."""
+    tree = ast.parse(source)
+    allowed = {
+        handler
+        for function in ast.walk(tree)
+        if isinstance(function, ast.FunctionDef) and function.name in parsers
+        for handler in ast.walk(function)
+    }
     found = []
-    for node in ast.walk(ast.parse(source)):
+    for node in ast.walk(tree):
         if isinstance(node, ast.ExceptHandler):
             if node.type is None:
                 found.append((node.lineno, "bare"))
                 continue
             types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
             found += [
-                (node.lineno, t.id) for t in types if isinstance(t, ast.Name) and t.id in BROAD_EXCEPTIONS
+                (node.lineno, t.id)
+                for t in types
+                if isinstance(t, ast.Name) and t.id in caught and (t.id != "ValueError" or node not in allowed)
             ]
     return sorted(found)
 
@@ -237,3 +253,31 @@ def test_the_command_line_catches_no_exception_wholesale():
     # cli.main maps ChoiceStatsError subclasses to exit codes; anything else
     # is a program error and must reach the user with its traceback.
     assert broad_handlers((PACKAGE / "cli.py").read_text(encoding="utf-8")) == []
+
+
+def test_the_scan_finds_a_handler_of_program_errors():
+    source = (
+        "try:\n    f()\nexcept BaseException:\n    pass\n"
+        "try:\n    f()\nexcept (TypeError, OSError):\n    pass\n"
+        "def _numbers(column):\n"
+        "    try:\n        f()\n    except (ValueError, KeyError):\n        pass\n"
+        "def parse(text):\n"
+        "    try:\n        f()\n    except AttributeError:\n        pass\n"
+        "    except ValueError:\n        pass\n"
+    )
+    assert broad_handlers(source, PROGRAM_ERRORS, ("_numbers",)) == [
+        (3, "BaseException"),
+        (7, "TypeError"),
+        (12, "KeyError"),
+        (17, "AttributeError"),
+        (19, "ValueError"),
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+def test_no_module_catches_a_program_error(path):
+    # main maps ChoiceStatsError subclasses to exit codes; anything else is a
+    # program error and must reach the user with its traceback, wherever it
+    # is raised.
+    source = path.read_text(encoding="utf-8")
+    assert broad_handlers(source, PROGRAM_ERRORS, VALUE_ERROR_PARSERS.get(path.name, ())) == []

@@ -10,6 +10,7 @@ import choicestats.montecarlo as montecarlo_module
 from choicestats import (
     MIN_DRAWS,
     REJECTION_METHODS,
+    DataError,
     ExperimentConfig,
     MonteCarloReport,
     coverage_experiment,
@@ -86,7 +87,7 @@ class TestExperimentConfig:
         [
             (
                 lambda doc: doc["generator"]["attributes"][1].update(lo=1.0, hi=12.0),
-                "generator attribute rule 'cost' has unknown keys 'hi', 'lo'",
+                r"generator.attributes\[1\] has unknown keys 'hi', 'lo'",
             ),
             (
                 lambda doc: doc["generator"].update(heterogenity={"b_tt": 0.02}),
@@ -110,13 +111,47 @@ class TestExperimentConfig:
     def test_effect_sizes_that_are_not_a_list_are_refused_by_key(self):
         # The string "0" would otherwise be read as the effect sizes [0.0].
         doc = {**make_config().to_dict(), "effect_sizes": "0"}
-        with pytest.raises(ValueError, match="'effect_sizes' must be a list"):
+        with pytest.raises(ValueError, match='effect_sizes must be a list, got "0"'):
             ExperimentConfig.from_dict(doc)
 
     def test_negative_seed_rejected(self):
         # numpy would refuse it only inside the first replicate.
         with pytest.raises(ValueError, match="seed must be >= 0, got -2"):
             make_config(seed=-2).validate()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            (lambda doc: doc.update(replications=100.7), "replications must be a whole number, got 100.7"),
+            (lambda doc: doc.update(obs_per_person=2.5), "obs_per_person must be a whole number, got 2.5"),
+            (lambda doc: doc.update(seed=1.9), "seed must be a whole number, got 1.9"),
+            (lambda doc: doc.update(n_persons=True), "n_persons must be a whole number, got true"),
+            (lambda doc: doc.update(bootstrap_s=0.5), "bootstrap_s must be a whole number, got 0.5"),
+            (lambda doc: doc.update(alpha="0.05"), 'alpha must be a number, got "0.05"'),
+            (
+                lambda doc: doc["generator"]["attributes"][0].update(sd="2"),
+                'generator.attributes[0].sd must be a number, got "2"',
+            ),
+            (lambda doc: doc["true_params"].update(b_tt=True), "true_params.b_tt must be a number, got true"),
+            (lambda doc: doc.update(effect_sizes=[False, True]), "effect_sizes[0] must be a number, got false"),
+            (
+                lambda doc: doc["generator"]["attributes"][1].update(alternatives="bus"),
+                'generator.attributes[1].alternatives must be a list, got "bus"',
+            ),
+        ],
+        ids=[
+            "replications", "obs_per_person", "seed", "n_persons", "bootstrap_s", "alpha",
+            "rule-sd", "true_params", "effect_sizes", "rule-alternatives",
+        ],
+    )
+    def test_a_value_of_the_wrong_type_is_refused_at_its_key_path(self, change, message):
+        # Each was once coerced: 100.7 replications ran 100, a bootstrap_s of
+        # 0.5 turned the interval off, and "bus" named alternatives 'b', 'u', 's'.
+        doc = make_config().to_dict()
+        change(doc)
+        with pytest.raises(DataError) as excinfo:
+            ExperimentConfig.from_dict(doc)
+        assert str(excinfo.value) == f"experiment config: {message}"
 
     def test_experiment_kind_is_an_allowed_key(self):
         doc = {**make_config().to_dict(), "experiment": "coverage"}

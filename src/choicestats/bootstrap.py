@@ -66,7 +66,7 @@ def _bootstrap_replicate(design, options, base_seed, mle, terms, s):
     drawn = np.random.default_rng(seed_from(base_seed, s)).integers(0, n, n)
     counts = np.bincount(drawn, minlength=n)
     start = _one_step_start(mle, terms, counts)
-    result = estimate_design(design.weighted(counts), options, start=start)
+    result = estimate_design(design.weighted(counts), options, start=start, estimate_only=True)
     if not result.converged:
         raise ConvergenceError(result.status)
     return result.params_hat
@@ -80,10 +80,13 @@ def bootstrap_run(design, options=None, s_samples=400, base_seed=0, jobs=1, mle=
     person's draw count. It starts one Newton step from the full-sample
     estimate ``mle`` (estimated here from the declared start values when not
     given): the step its own first iteration would take, found from each
-    person's score and information at ``mle``, one pass per run. A
-    failed replicate is kept as a NaN row, flagged not-converged, with the
-    failure reason as its status (a fit's own status when it does not
-    converge), and excluded downstream.
+    person's score and information at ``mle``, one pass per run. A replicate
+    reads only its estimate, so its fit ends on a certified Newton step (see
+    ``estimate_design``'s ``estimate_only``): one softmax and one
+    derivatives pass at its start and at each accepted point before that
+    step, and none at the estimate itself. A failed replicate is kept as a
+    NaN row, flagged not-converged, with the failure reason as its status (a
+    fit's own status when it does not converge), and excluded downstream.
     """
     if s_samples < 2:
         raise ValueError(f"s_samples must be >= 2, got {s_samples}")

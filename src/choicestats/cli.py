@@ -516,7 +516,28 @@ def cmd_report(args):
         absent = [name for name in _declared_order(doc) if name not in entries]
         if absent:
             raise DataError(f"{where}: {path} has no entry for parameter '{absent[0]}'")
+    _check_ranges(doc, where)
     return _write_table(args, outdir, doc, [])
+
+
+def _check_ranges(doc, where):
+    """Raise DataError, naming the key path, on a value the table cannot show:
+    a p-value outside [0, 1], or an empirical p-value whose crossings are not
+    a share of at least one converged replicate."""
+    for name, tests in doc.get("tests", {}).items():
+        for kind, test in tests.items():
+            if not 0.0 <= test["p_value"] <= 1.0:
+                raise DataError(
+                    f"{where}: tests.{name}.{kind}.p_value must be in [0, 1], got {test['p_value']!r}"
+                )
+    for name, ep in doc.get("bootstrap", {}).get("empirical_p", {}).items():
+        path = f"{where}: bootstrap.empirical_p.{name}"
+        if ep["s_converged"] < 1:
+            raise DataError(f"{path}.s_converged must be at least 1, got {ep['s_converged']}")
+        if not 0 <= ep["crossings"] <= ep["s_converged"]:
+            raise DataError(
+                f"{path}.crossings must be in [0, s_converged = {ep['s_converged']}], got {ep['crossings']}"
+            )
 
 
 def _int_at_least(low):

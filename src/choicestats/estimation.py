@@ -42,6 +42,17 @@ DISAGREEMENT_TOLERANCE = 1e-4
 STEP_HALVING_MAX = 25
 START_PERTURBATION_SCALE = 1.0
 
+#: A fit asked for its estimate only ends on a full Newton step whose
+#: decrement lambda^2 = g'(-H)^-1 g is at most this. lambda bounds the step
+#: in standard errors (|d_i| <= lambda se_i), and Newton converges
+#: quadratically near the optimum, so the point after the step lies about
+#: lambda^2, 1e-8 standard errors, from it. At the second point of the 1,600
+#: bootstrap replicates of eight 500x4 panels, lambda^2 had median 7e-10,
+#: 90th percentile 3e-8 and maximum 4e-6; 84% of the replicates stopped
+#: there, and every step with lambda^2 <= 1.5e-7 led to a point with
+#: |g|_inf < 1e-6, the gradient test's tolerance.
+NEWTON_DECREMENT_TOLERANCE = 1e-8
+
 
 @dataclass(frozen=True)
 class EstimationOptions:
@@ -64,17 +75,13 @@ class IdentificationReport:
 
 
 @dataclass
-class EstimationResult:
+class PointEstimate:
+    """Where a fit ended: the estimate, the iterations taken and the status."""
+
     params_hat: np.ndarray
     names: list[str]
-    ll_hat: float
-    ll_0: float
-    gradient_norm: float
-    hessian_at_optimum: np.ndarray
     iterations: int
     status: str
-    start_index: int = 0
-    identification: IdentificationReport | None = None
 
     @property
     def converged(self):
@@ -86,6 +93,18 @@ class EstimationResult:
 
     def params_dict(self):
         return {name: float(v) for name, v in zip(self.names, self.params_hat)}
+
+
+@dataclass
+class EstimationResult(PointEstimate):
+    """A point estimate with the log-likelihood and derivatives at it."""
+
+    ll_hat: float
+    ll_0: float
+    gradient_norm: float
+    hessian_at_optimum: np.ndarray
+    start_index: int = 0
+    identification: IdentificationReport | None = None
 
 
 def check_identification(hessian, names=None):
@@ -116,16 +135,17 @@ def check_identification(hessian, names=None):
 
 
 def _ascent_direction(design, params, gradient, hessian):
-    # Newton when -H is positive definite, else the BHHH direction built
-    # from person-grouped score outer products. DesignArrays.derivatives
-    # returns a bitwise-symmetric Hessian, so only finiteness is checked.
+    # (direction, newton): Newton when -H is positive definite, else the BHHH
+    # direction built from person-grouped score outer products.
+    # DesignArrays.derivatives returns a bitwise-symmetric Hessian, so only
+    # finiteness is checked.
     if not np.isfinite(hessian).all():
         raise ValueError("negative hessian contains non-finite entries")
     try:
-        return solve_positive_definite(-hessian, gradient, name="negative hessian")
+        return solve_positive_definite(-hessian, gradient, name="negative hessian"), True
     except IdentificationError:
         bhhh = require_symmetric(design.bhhh(params), name="bhhh matrix")
-        return solve_positive_definite(bhhh, gradient, name="bhhh matrix")
+        return solve_positive_definite(bhhh, gradient, name="bhhh matrix"), False
 
 
 def _start_vector(design, start):
@@ -136,13 +156,18 @@ def _start_vector(design, start):
     return params
 
 
-def estimate_design(design, options=None, start=None, start_index=0):
+def estimate_design(design, options=None, start=None, start_index=0, estimate_only=False):
     """Run the optimiser against an already compiled design.
 
     Each trial point costs one softmax pass: the line search takes the
     log-likelihood from the point's probabilities, and at the accepted point
     the same array gives the gradient and Hessian for the next step and, at
     the end, the result.
+
+    With ``estimate_only``, for a caller that reads nothing but the estimate,
+    a Newton step whose decrement is at most NEWTON_DECREMENT_TOLERANCE is
+    taken and ends the fit, converged, without evaluating its end point; the
+    fit returns a :class:`PointEstimate`, not an EstimationResult.
     """
     options = options or EstimationOptions()
     params = _start_vector(design, start)
@@ -161,14 +186,20 @@ def estimate_design(design, options=None, start=None, start_index=0):
         if iterations == options.max_iterations:
             break
         try:
-            direction = _ascent_direction(design, params, gradient, hessian)
+            direction, newton = _ascent_direction(design, params, gradient, hessian)
         except IdentificationError:
             status = STATUS_SINGULAR_HESSIAN
+            break
+        if estimate_only and newton and gradient @ direction <= NEWTON_DECREMENT_TOLERANCE:
+            params = params + direction
+            iterations += 1
+            status = STATUS_CONVERGED
             break
         # Near the optimum the full step's gain falls below the rounding of
         # ll before the gradient test fires. So the first candidate, full
         # step first, that moves the point without losing more than that
-        # rounding is accepted; the gradient test still decides convergence.
+        # rounding is accepted; the gradient test, or the decrement test of
+        # an estimate-only fit, still decides convergence.
         slack = 1e-13 * max(1.0, abs(ll))
         for halving in range(STEP_HALVING_MAX):
             candidate = params + 0.5**halving * direction
@@ -184,28 +215,33 @@ def estimate_design(design, options=None, start=None, start_index=0):
         iterations += 1
 
     if floored:
+        # After a certified step this is the last evaluated point's flag: a
+        # step of at most 1e-4 standard errors lifts no probability off the floor.
         warnings.warn(
             "chosen-alternative probability underflowed at the final point",
             ProbabilityUnderflowWarning,
             stacklevel=2,
         )
 
-    identification = None
-    if status == STATUS_SINGULAR_HESSIAN:
-        identification = check_identification(hessian, names=design.free_names)
-
-    result = EstimationResult(
-        params_hat=params,
-        names=list(design.free_names),
-        ll_hat=ll,
-        ll_0=design.null_log_likelihood(),
-        gradient_norm=float(np.abs(gradient).max()),
-        hessian_at_optimum=hessian,
-        iterations=iterations,
-        status=status,
-        start_index=start_index,
-        identification=identification,
-    )
+    names = list(design.free_names)
+    if estimate_only:
+        result = PointEstimate(params_hat=params, names=names, iterations=iterations, status=status)
+    else:
+        identification = None
+        if status == STATUS_SINGULAR_HESSIAN:
+            identification = check_identification(hessian, names=design.free_names)
+        result = EstimationResult(
+            params_hat=params,
+            names=names,
+            iterations=iterations,
+            status=status,
+            ll_hat=ll,
+            ll_0=design.null_log_likelihood(),
+            gradient_norm=float(np.abs(gradient).max()),
+            hessian_at_optimum=hessian,
+            start_index=start_index,
+            identification=identification,
+        )
     if result.diverged:
         runaway = [
             name

@@ -329,7 +329,7 @@ def lm_test_at(design, params, d):
     params = np.asarray(params, dtype=float)
     _, gradient, hessian, _ = design.evaluate(params)
     return _chi_square_test(
-        "lm", d, lambda: gradient @ _ascent_direction(design, params, gradient, hessian)
+        "lm", d, lambda: gradient @ _ascent_direction(design, params, gradient, hessian)[0]
     )
 
 

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import choicestats.bootstrap as bootstrap_module
@@ -27,9 +27,24 @@ from choicestats import (
     load_draws,
     quantile_interval,
     save_draws,
+    seed_from,
 )
 
 from testtools import three_mode_data, three_mode_spec
+
+
+def _count_kernel_passes(monkeypatch):
+    """Counts of DesignArrays.probabilities and .derivatives calls from now on."""
+    calls = {"probabilities": 0, "derivatives": 0}
+    for name in calls:
+        real = getattr(DesignArrays, name)
+
+        def counting(design, arg, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(design, arg)
+
+        monkeypatch.setattr(DesignArrays, name, counting)
+    return calls
 
 
 def small_run(s_samples=40, base_seed=5, jobs=1):
@@ -125,20 +140,37 @@ class TestBootstrapRun:
         start = bootstrap_module._one_step_start(mle, terms, np.array([0, 2]))
         np.testing.assert_array_equal(start, mle + 0.5)
 
-    def test_a_replicate_takes_three_softmax_passes(self, monkeypatch):
-        real = DesignArrays.probabilities
-        calls = []
-
-        def counting(design, params):
-            calls.append(design.n_obs)
-            return real(design, params)
-
-        monkeypatch.setattr(DesignArrays, "probabilities", counting)
+    def test_a_run_of_30_replicates_takes_71_softmax_passes(self, monkeypatch):
+        # Six for the full-sample fit, one for the person terms, and two per
+        # replicate, save the four replicates whose second point certifies
+        # no step and which take a third.
+        calls = _count_kernel_passes(monkeypatch)
         dataset = three_mode_data(n_persons=500, obs_per_person=4, seed=1)
         design = build_design(dataset, three_mode_spec())
         result = bootstrap_run(design, s_samples=30, base_seed=1)
         assert result.n_failed == 0
-        assert len(calls) <= 3 * 30 + 10
+        assert calls == {"probabilities": 71, "derivatives": 70}
+
+    def test_a_replicate_certified_at_its_second_point_takes_two_passes(self, monkeypatch):
+        # Replicate 2's start and second point are evaluated; the Newton
+        # decrement there is 2e-11, so the step from there gives the estimate
+        # without a pass at it, the point where the full fit's gradient test
+        # stops.
+        dataset = three_mode_data(n_persons=500, obs_per_person=4, seed=1)
+        design = build_design(dataset, three_mode_spec())
+        options = EstimationOptions()
+        mle = estimate_design(design).params_hat
+        terms = design.person_terms(design.probabilities(mle), information=True)
+        n = design.n_persons
+        counts = np.bincount(np.random.default_rng(seed_from(1, 2)).integers(0, n, n), minlength=n)
+        full = estimate_design(
+            design.weighted(counts), start=bootstrap_module._one_step_start(mle, terms, counts)
+        )
+        assert full.iterations == 2
+        calls = _count_kernel_passes(monkeypatch)
+        estimate = bootstrap_module._bootstrap_replicate(design, options, 1, mle, terms, 2)
+        assert calls == {"probabilities": 2, "derivatives": 2}
+        assert estimate.tobytes() == full.params_hat.tobytes()
 
     def test_the_person_terms_take_one_softmax_pass_on_the_full_sample(self, monkeypatch):
         dataset = three_mode_data(n_persons=40, obs_per_person=2, seed=13)
@@ -450,6 +482,93 @@ class TestIntervalProperties:
         assert (p.crossings, p.s_converged) == (crossings, len(finite))
         assert p.value == crossings / len(finite)
         assert p.below_resolution == (crossings == 0)
+
+
+class TestCertifiedStep:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n_persons=st.integers(60, 200),
+        obs_per_person=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        draws=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=4),
+    )
+    def test_a_replicate_estimate_is_the_full_fits(self, n_persons, obs_per_person, seed, draws):
+        # Bit for bit the point where the full fit's gradient test stops. A
+        # certified step whose end point fails that test lets the full fit
+        # go on; such a case is counted, and the two lie within 1e-8 SE.
+        data = three_mode_data(n_persons=n_persons, obs_per_person=obs_per_person, seed=seed)
+        design = build_design(data, three_mode_spec())
+        full_sample = estimate_design(design)
+        assume(full_sample.converged)
+        mle = full_sample.params_hat
+        terms = design.person_terms(design.probabilities(mle), information=True)
+        differ = 0
+        for draw in draws:
+            counts = np.bincount(
+                np.random.default_rng(draw).integers(0, n_persons, n_persons), minlength=n_persons
+            )
+            replicate = design.weighted(counts)
+            start = bootstrap_module._one_step_start(mle, terms, counts)
+            full = estimate_design(replicate, start=start)
+            assume(full.converged)
+            got = estimate_design(replicate, start=start, estimate_only=True)
+            assert got.converged and got.iterations <= full.iterations
+            if got.params_hat.tobytes() != full.params_hat.tobytes():
+                differ += 1
+                se = np.sqrt(np.diag(np.linalg.inv(-full.hessian_at_optimum)))
+                assert np.all(np.abs(got.params_hat - full.params_hat) <= 1e-8 * se)
+        event(f"replicates differing from the full fit: {differ} of {len(draws)}")
+
+    def test_a_replicate_without_a_newton_step_at_its_start_takes_bhhh(self, monkeypatch):
+        # -H is made negative definite at the start, so the first direction is
+        # BHHH's; a BHHH direction never ends a fit, and Newton steps from
+        # the next point on reach the full fit's estimate.
+        dataset = three_mode_data(n_persons=200, obs_per_person=2, seed=4)
+        design = build_design(dataset, three_mode_spec())
+        mle = estimate_design(design).params_hat
+        terms = design.person_terms(design.probabilities(mle), information=True)
+        counts = np.bincount(np.random.default_rng(4).integers(0, 200, 200), minlength=200)
+        replicate = design.weighted(counts)
+        start = bootstrap_module._one_step_start(mle, terms, counts)
+        want = estimate_design(replicate, start=start)
+        real_derivatives, real_bhhh = DesignArrays.derivatives, DesignArrays.bhhh
+        passes = []
+
+        def derivatives(self, p):
+            gradient, hessian = real_derivatives(self, p)
+            passes.append(gradient)
+            return gradient, (hessian if len(passes) > 1 else -hessian)
+
+        def bhhh(self, params):
+            bhhh_calls.append(len(passes))
+            return real_bhhh(self, params)
+
+        bhhh_calls = []
+        monkeypatch.setattr(DesignArrays, "derivatives", derivatives)
+        monkeypatch.setattr(DesignArrays, "bhhh", bhhh)
+        got = estimate_design(replicate, start=start, estimate_only=True)
+        assert bhhh_calls == [1] and got.converged and len(passes) >= 2
+        se = np.sqrt(np.diag(np.linalg.inv(-want.hessian_at_optimum)))
+        assert np.all(np.abs(got.params_hat - want.params_hat) <= 1e-6 * se)
+
+    def test_a_bhhh_direction_never_certifies(self, monkeypatch):
+        # With -H negative definite at every point each direction is BHHH's,
+        # so every accepted point is evaluated and the gradient test ends the fit.
+        dataset = three_mode_data(n_persons=200, obs_per_person=2, seed=4)
+        design = build_design(dataset, three_mode_spec())
+        mle = estimate_design(design).params_hat
+        real_derivatives = DesignArrays.derivatives
+        passes = []
+
+        def derivatives(self, p):
+            gradient, hessian = real_derivatives(self, p)
+            passes.append(np.abs(gradient).max())
+            return gradient, -hessian
+
+        monkeypatch.setattr(DesignArrays, "derivatives", derivatives)
+        counts = np.bincount(np.random.default_rng(5).integers(0, 200, 200), minlength=200)
+        got = estimate_design(design.weighted(counts), start=mle, estimate_only=True)
+        assert got.converged and len(passes) == got.iterations + 1 and passes[-1] <= 1e-6
 
 
 class TestDrawsRoundTrip:

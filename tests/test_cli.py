@@ -951,6 +951,50 @@ class TestCommandLineContract:
         assert captured.err == f"error: {path}: malformed results file: tests has no entry for parameter 'b_tt'\n"
         assert captured.out == ""
 
+    def test_report_of_a_p_value_out_of_range_exits_1_naming_the_key_path(self, cli_files, tmp_path, capsys):
+        run_estimate(cli_files, tmp_path / "fit", "--se", "--t")
+        capsys.readouterr()
+        doc = read_json(tmp_path / "fit" / "results.json")
+        doc["tests"]["b_cost"]["t_robust"]["p_value"] = 2.0
+        path = tmp_path / "results.json"
+        write_json(doc, path)
+        assert main(["report", "--results", str(path), "--out", str(tmp_path / "rerender"), "--t"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {path}: malformed results file: tests.b_cost.t_robust.p_value must be in [0, 1], got 2.0\n"
+        )
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "crossings, s_converged, message",
+        [
+            (0, 0, "s_converged must be at least 1, got 0"),
+            (26, 25, "crossings must be in [0, s_converged = 25], got 26"),
+            (-1, 25, "crossings must be in [0, s_converged = 25], got -1"),
+        ],
+        ids=["no-replicates", "more-crossings-than-replicates", "negative-crossings"],
+    )
+    def test_report_of_an_empirical_p_out_of_range_exits_1_naming_the_key_path(
+        self, cli_files, tmp_path, capsys, crossings, s_converged, message
+    ):
+        argv = [
+            "bootstrap",
+            "--data", str(cli_files / "data.csv"),
+            "--spec", str(cli_files / "spec.json"),
+            "--S", "25",
+            "--out", str(tmp_path / "fit"),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        doc = read_json(tmp_path / "fit" / "results.json")
+        doc["bootstrap"]["empirical_p"]["b_tt"] = {"crossings": crossings, "s_converged": s_converged}
+        path = tmp_path / "results.json"
+        write_json(doc, path)
+        assert main(["report", "--results", str(path), "--out", str(tmp_path / "rerender")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: malformed results file: bootstrap.empirical_p.b_tt.{message}\n"
+        assert captured.out == ""
+
     def test_a_program_error_in_report_leaves_main_with_its_traceback(self, cli_files, tmp_path, capsys, monkeypatch):
         # The results file is checked before the table is rendered, outside any handler.
         run_estimate(cli_files, tmp_path / "fit")

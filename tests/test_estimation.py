@@ -406,8 +406,8 @@ class TestNewtonStep:
             expected = solve_positive_definite(-h, gradient, name="negative hessian")
         except IdentificationError:
             assume(False)
-        got = estimation_module._ascent_direction(None, None, gradient, h)
-        assert got.tobytes() == expected.tobytes()
+        got, newton = estimation_module._ascent_direction(None, None, gradient, h)
+        assert got.tobytes() == expected.tobytes() and newton
 
     @pytest.mark.parametrize(
         "eigenvalues, newton",
@@ -423,9 +423,10 @@ class TestNewtonStep:
     def test_eigenvalue_rule_picks_newton_or_bhhh(self, eigenvalues, newton):
         hessian = -np.diag(eigenvalues)
         gradient = np.array([1.0, 2.0])
-        direction = estimation_module._ascent_direction(_FourIdentityBhhhDesign(), None, gradient, hessian)
+        direction, kind = estimation_module._ascent_direction(_FourIdentityBhhhDesign(), None, gradient, hessian)
         expected = gradient / np.array(eigenvalues) if newton else gradient / 4.0
         np.testing.assert_allclose(direction, expected, rtol=1e-12)
+        assert kind == newton
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_hessian_raises(self, bad):

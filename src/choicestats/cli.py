@@ -20,7 +20,7 @@ import sys
 from collections import Counter
 from dataclasses import asdict
 from datetime import datetime, timezone
-from functools import reduce
+from functools import partial, reduce
 from operator import getitem
 from pathlib import Path
 from typing import TypedDict
@@ -85,28 +85,29 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-def _outdir(args):
-    out = args.out or os.environ.get(OUTDIR_ENV) or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _write_manifest(outdir, args, output_paths):
-    options = {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("command",) and v is not None
-    }
+def _write_run(args, outdir, outputs):
+    """Write the (name, content) pairs of ``outputs`` into ``outdir`` in order,
+    then manifest.json, whose ``output_paths`` are exactly those names. A dict
+    is written as JSON, a string as text, and any other content is a writer
+    that takes the path, such as ``partial(save_draws, result)``."""
+    for name, content in outputs:
+        if isinstance(content, dict):
+            write_json(content, outdir / name)
+        elif isinstance(content, str):
+            (outdir / name).write_text(content, encoding="utf-8")
+        else:
+            content(outdir / name)
     write_json(
         {
             "command": args.command,
             "data_path": getattr(args, "data", None),
             "spec_path": getattr(args, "spec", None),
             "config_path": getattr(args, "config", None),
-            "options": options,
+            "options": {k: v for k, v in sorted(vars(args).items()) if k != "command" and v is not None},
             "seed": getattr(args, "seed", None),
             "tool_version": __version__,
             "timestamp": datetime.now(timezone.utc).isoformat(),
-            "output_paths": sorted(str(p) for p in output_paths),
+            "output_paths": sorted(name for name, _ in outputs),
         },
         outdir / "manifest.json",
     )
@@ -121,7 +122,23 @@ def _sidedness_for(param, flag):
     return param.alternative
 
 
-def _fit_data(args):
+def _results_head(args, fit, status):
+    """The results.json keys of every fit. A partial document, whose status is
+    not converged, holds only these, and ``report`` refuses it."""
+    return {
+        "command": args.command,
+        "status": status,
+        "estimates": fit.params_dict(),
+        "ll_hat": fit.ll_hat,
+        "gradient_norm": fit.gradient_norm,
+        "iterations": fit.iterations,
+    }
+
+
+def _fit_data(args, outdir):
+    """Load, compile and fit the data. A fit that does not converge writes its
+    partial results, then raises IdentificationError for a singular Hessian
+    and ConvergenceError otherwise."""
     spec = load_model_spec(args.spec)
     design = build_design(load_dataset(args.data), spec)
     options = EstimationOptions(n_starts=args.starts, seed=args.seed)
@@ -133,55 +150,26 @@ def _fit_data(args):
             best, runs = max(exc.runs, key=lambda r: r.ll_hat), list(exc.runs)
     else:
         best, runs = estimate_design(design, options), None
-    return spec, design, options, best, runs
-
-
-def _write_partial_results(args, outdir, result, status, written=()):
-    """results.json and manifest.json for a run that stops at ``result``, after
-    writing ``written``; ``status`` is not converged, so ``report`` refuses the file."""
-    write_json(
-        {
-            "command": args.command,
-            "status": status,
-            "estimates": result.params_dict(),
-            "ll_hat": result.ll_hat,
-            "gradient_norm": result.gradient_norm,
-            "iterations": result.iterations,
-        },
-        outdir / "results.json",
+    if best.status == STATUS_CONVERGED:
+        return spec, design, options, best, runs
+    _write_run(args, outdir, [("results.json", _results_head(args, best, best.status))])
+    if best.status != STATUS_SINGULAR_HESSIAN:
+        raise ConvergenceError(f"estimation did not converge (status: {best.status})")
+    report = best.identification  # always set on a full fit with a singular Hessian
+    raise IdentificationError(
+        f"the Hessian is singular\n  rank {report.hessian_rank}, condition number "
+        f"{report.condition_number:.3e}, suspect parameters: "
+        f"{', '.join(report.suspect_parameters) or 'none isolated'}"
     )
-    _write_manifest(outdir, args, [*written, "results.json"])
 
 
-def _estimation_failure_exit(args, outdir, result):
-    """Write partial results for a failed fit, then report it; exit 2 or 3."""
-    _write_partial_results(args, outdir, result, result.status)
-    if result.status == STATUS_SINGULAR_HESSIAN:
-        report = result.identification
-        print("identification failure: the Hessian is singular", file=sys.stderr)
-        if report is not None:
-            print(
-                f"  rank {report.hessian_rank}, condition number "
-                f"{report.condition_number:.3e}, suspect parameters: "
-                f"{', '.join(report.suspect_parameters) or 'none isolated'}",
-                file=sys.stderr,
-            )
-        return EXIT_IDENTIFICATION
-    print(f"estimation did not converge (status: {result.status})", file=sys.stderr)
-    return EXIT_NONCONVERGENCE
-
-
-def _write_table(args, outdir, doc, written):
-    """Render, write and print ``doc``'s table, then the manifest. Every table
-    command ends here, so ``report`` re-renders the table the command printed."""
+def _table(args, doc):
+    """(file name, text) of ``doc``'s table as ``args`` asks for it. Every table
+    command renders here, so ``report`` re-renders the table the command printed."""
     rows_of_doc, columns = _TABLES[doc["command"]][:2]
     shown = [c for c in columns if (c.kind != "se" or args.se) and (c.kind != "t" or args.t)]
     table = format_table(shown, rows_of_doc(doc), ReportOptions(include_stars=args.stars), args.format)
-    path = outdir / f"table.{'txt' if args.format == 'text' else args.format}"
-    path.write_text(table, encoding="utf-8")
-    sys.stdout.write(table)
-    _write_manifest(outdir, args, [*written, path.name])
-    return EXIT_OK
+    return f"table.{'txt' if args.format == 'text' else args.format}", table
 
 
 ### estimate
@@ -189,16 +177,11 @@ def _write_table(args, outdir, doc, written):
 def _estimate_results_doc(args, spec, design, best, runs, covs, tests, intervals):
     names = best.names
     doc = {
-        "command": "estimate",
+        **_results_head(args, best, best.status),
         "model": asdict(spec),
         "n_obs": design.n_obs,
         "n_persons": design.n_persons,
-        "estimates": best.params_dict(),
-        "ll_hat": best.ll_hat,
         "ll_0": best.ll_0,
-        "gradient_norm": best.gradient_norm,
-        "iterations": best.iterations,
-        "status": best.status,
         "start_index": best.start_index,
         "hessian": encode_matrix(best.hessian_at_optimum, names, names),
         "fit": {
@@ -277,12 +260,8 @@ _ESTIMATE_COLUMNS = (
 )
 
 
-def cmd_estimate(args):
-    outdir = _outdir(args)
-    spec, design, options, best, runs = _fit_data(args)
-    if best.status != STATUS_CONVERGED:
-        return _estimation_failure_exit(args, outdir, best)
-
+def cmd_estimate(args, outdir):
+    spec, design, options, best, runs = _fit_data(args, outdir)
     try:
         covs = covariance_set(
             best.hessian_at_optimum,
@@ -291,7 +270,8 @@ def cmd_estimate(args):
         )
     except (IdentificationError, CovarianceError):
         # The fit converged, but its covariance cannot be formed: exit 2.
-        _write_partial_results(args, outdir, best, STATUS_SINGULAR_COVARIANCE)
+        head = _results_head(args, best, STATUS_SINGULAR_COVARIANCE)
+        _write_run(args, outdir, [("results.json", head)])
         raise
     tests = {}
     intervals = {}
@@ -313,14 +293,16 @@ def cmd_estimate(args):
             ),
         }
     doc = _estimate_results_doc(args, spec, design, best, runs, covs, tests, intervals)
-    write_json(doc, outdir / "results.json")
-    return _write_table(args, outdir, doc, ["results.json"])
+    name, table = _table(args, doc)
+    _write_run(args, outdir, [("results.json", doc), (name, table)])
+    sys.stdout.write(table)
 
 
 ### bootstrap
 
 def _bootstrap_table_rows(doc):
     boot = doc["bootstrap"]
+    h0 = {p["name"]: p["h0_value"] for p in doc["model"]["parameters"]}
     rows = []
     for name in _declared_order(doc):
         estimate_i = doc["estimates"][name]
@@ -329,7 +311,7 @@ def _bootstrap_table_rows(doc):
             "parameter": name,
             "estimate": estimate_i,
             "se_bootstrap": boot["se"][name],
-            "t_bootstrap": estimate_i / boot["se"][name],
+            "t_bootstrap": (estimate_i - h0[name]) / boot["se"][name],
             "quantile_lower": ivs["quantile"]["lower"],
             "quantile_upper": ivs["quantile"]["upper"],
             "hpd_lower": ivs["hpd"]["lower"],
@@ -359,12 +341,8 @@ _BOOTSTRAP_COLUMNS = (
 )
 
 
-def cmd_bootstrap(args):
-    outdir = _outdir(args)
-    spec, design, options, best, _ = _fit_data(args)
-    if best.status != STATUS_CONVERGED:
-        return _estimation_failure_exit(args, outdir, best)
-
+def cmd_bootstrap(args, outdir):
+    spec, design, options, best, _ = _fit_data(args, outdir)
     result = bootstrap_run(
         design,
         options,
@@ -373,12 +351,12 @@ def cmd_bootstrap(args):
         jobs=args.jobs,
         mle=best.params_hat,
     )
-    save_draws(result, outdir / "draws.csv")
+    draws_csv = ("draws.csv", partial(save_draws, result))
     if result.s_converged < MIN_DRAWS:
-        _write_partial_results(args, outdir, best, STATUS_TOO_FEW_REPLICATES, ["draws.csv"])
+        head = _results_head(args, best, STATUS_TOO_FEW_REPLICATES)
+        _write_run(args, outdir, [draws_csv, ("results.json", head)])
         tally = dict(sorted(Counter(result.statuses).items()))
-        print(f"bootstrap: fewer than {MIN_DRAWS} converged replicates; by status: {tally}", file=sys.stderr)
-        return EXIT_NONCONVERGENCE
+        raise ConvergenceError(f"bootstrap: fewer than {MIN_DRAWS} converged replicates; by status: {tally}")
 
     cov = bootstrap_covariance(result)
     se_boot = standard_errors(cov, result.names)
@@ -427,12 +405,13 @@ def cmd_bootstrap(args):
             "empirical_p": empirical,
         },
     }
-    write_json(doc, outdir / "results.json")
-    return _write_table(args, outdir, doc, ["draws.csv", "results.json"])
+    name, table = _table(args, doc)
+    _write_run(args, outdir, [draws_csv, ("results.json", doc), (name, table)])
+    sys.stdout.write(table)
 
 
 # The parts of the results documents that the tables read.
-_Model = TypedDict("_Model", {"parameters": list[TypedDict("_Parameter", {"name": str})]})
+_Model = TypedDict("_Model", {"parameters": list[TypedDict("_Parameter", {"name": str, "h0_value": float})]})
 _Interval = TypedDict("_Interval", {"lower": float, "upper": float})
 _Test = TypedDict("_Test", {"statistic": float, "p_value": float, "sidedness": str})
 _BootInterval = TypedDict("_BootInterval", {"lower": float, "upper": float, "asymmetry_index": float})
@@ -470,8 +449,7 @@ _TABLES = {
 
 ### montecarlo, report and the command line
 
-def cmd_montecarlo(args):
-    outdir = _outdir(args)
+def cmd_montecarlo(args, outdir):
     doc = read_json(args.config)
     kind = doc.get("experiment", "size_power")
     if kind not in ("size_power", "coverage"):
@@ -484,21 +462,19 @@ def cmd_montecarlo(args):
     config.validate(size_power=kind == "size_power", where=where)
     run = size_and_power_experiment if kind == "size_power" else coverage_experiment
     report = run(config, jobs=args.jobs)
-    write_json({"config": config.to_dict(), "report": report.to_doc()}, outdir / "report.json")
-    save_rows(report.rows, outdir / "replications.csv")
-    _write_manifest(outdir, args, ["report.json", "replications.csv"])
-
+    _write_run(args, outdir, [
+        ("report.json", {"config": config.to_dict(), "report": report.to_doc()}),
+        ("replications.csv", partial(save_rows, report.rows)),
+    ])
     for record in report.rates:
         effect = "" if record["effect"] is None else f" effect={record['effect']:g}"
         rate, rate_se = (
             "n/a" if v is None else f"{v:.4f}" for v in (record["rate"], record["rate_se"])
         )
         print(f"{record['method']}{effect}: rate {rate} (se {rate_se}, n={record['n']})")
-    return EXIT_OK
 
 
-def cmd_report(args):
-    outdir = _outdir(args)
+def cmd_report(args, outdir):
     doc = read_json(args.results)
     command = doc.get("command")
     if doc.get("status", STATUS_CONVERGED) != STATUS_CONVERGED:
@@ -517,7 +493,9 @@ def cmd_report(args):
         if absent:
             raise DataError(f"{where}: {path} has no entry for parameter '{absent[0]}'")
     _check_ranges(doc, where)
-    return _write_table(args, outdir, doc, [])
+    name, table = _table(args, doc)
+    _write_run(args, outdir, [(name, table)])
+    sys.stdout.write(table)
 
 
 def _check_ranges(doc, where):
@@ -611,15 +589,22 @@ def main(argv=None):
         # Refused before any work: format_table would only refuse the finished table.
         print("error: --stars needs --se or --t (stars without uncertainty)", file=sys.stderr)
         return EXIT_INPUT
+    # The output directory exists before the command reads any input.
+    outdir = Path(args.out or os.environ.get(OUTDIR_ENV) or ".")
+    outdir.mkdir(parents=True, exist_ok=True)
     try:
-        return _COMMANDS[args.command][0](args)
+        _COMMANDS[args.command][0](args, outdir)
     except (IdentificationError, CovarianceError) as exc:
         print(f"identification failure: {exc}", file=sys.stderr)
         return EXIT_IDENTIFICATION
+    except ConvergenceError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_NONCONVERGENCE
     except ChoiceStatsError as exc:
         # Any other exception is a program error and leaves with its traceback.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -53,6 +53,8 @@ def cli_files(tmp_path_factory):
     )
     save_dataset(collinear, root / "collinear.csv")
     save_model_spec(binary_spec(), root / "binary_spec.json")
+    # Three persons: the fit converges, the BHHH matrix has rank 3 for 4 parameters.
+    save_dataset(three_mode_data(n_persons=3, obs_per_person=200, seed=3), root / "three_persons.csv")
 
     config = ExperimentConfig(
         spec=three_mode_spec(),
@@ -527,6 +529,26 @@ class TestBootstrapCommand:
         assert set(boot["empirical_p"]) <= set(doc["estimates"])
 
 
+    def test_t_ratio_tests_each_parameters_declared_null(self, cli_files, tmp_path, capsys):
+        # estimate's t columns test h0_value; the bootstrap t once divided the estimate alone.
+        spec = read_json(cli_files / "spec.json")
+        for p in spec["parameters"]:
+            p["h0_value"] = 1.0 if p["name"] == "b_tt" else p["h0_value"]
+        write_json(spec, tmp_path / "spec.json")
+        fit = tmp_path / "boot"
+        argv = ["--data", str(cli_files / "data.csv"), "--spec", str(tmp_path / "spec.json"), "--S", "25"]
+        assert main(["bootstrap", *argv, "--t", "--format", "json", "--out", str(fit)]) == 0
+        table = capsys.readouterr().out
+        doc = read_json(fit / "results.json")
+        cells = {row["parameter"]: row["t_bootstrap"] for row in json.loads(table)["rows"]}
+        for name, estimate in doc["estimates"].items():
+            h0 = 1.0 if name == "b_tt" else 0.0
+            assert cells[name] == f"{(estimate - h0) / doc['bootstrap']['se'][name]:.2f}"
+        argv = ["report", "--results", str(fit / "results.json"), "--t", "--format", "json"]
+        assert main([*argv, "--out", str(tmp_path / "rerender")]) == 0
+        assert capsys.readouterr().out == table
+
+
 class TestMontecarloCommand:
     def test_size_power_run_and_job_invariance(self, cli_files, tmp_path, capsys):
         dir_serial = tmp_path / "serial"
@@ -671,6 +693,70 @@ class TestMontecarloCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path}: malformed experiment config: spec is missing required keys")
         assert not (tmp_path / "out" / "report.json").exists()
+
+
+HEAD_KEYS = {"command", "status", "estimates", "ll_hat", "gradient_norm", "iterations"}
+ESTIMATE_KEYS = HEAD_KEYS | {
+    "model", "n_obs", "n_persons", "ll_0", "start_index", "hessian", "fit", "covariance", "tests", "intervals",
+    "ci_level",
+}
+BOOTSTRAP_KEYS = {"command", "model", "n_obs", "n_persons", "estimates", "ll_hat", "ci_level", "bootstrap"}
+FIT = ("--data", "{inputs}/data.csv", "--spec", "{inputs}/spec.json")
+#: Every exit path of the CLI: argv, whether the fit is stuck, exit code,
+#: the files written besides manifest.json, and the JSON document among
+#: them with its top-level keys. A partial results.json holds the head keys only.
+EXIT_PATHS = {
+    "estimate": (
+        ["estimate", *FIT], False, 0, ["results.json", "table.txt"], ("results.json", ESTIMATE_KEYS),
+    ),
+    "estimate-starts-3": (
+        ["estimate", *FIT, "--starts", "3"], False, 0, ["results.json", "table.txt"],
+        ("results.json", ESTIMATE_KEYS | {"multi_start"}),
+    ),
+    "bootstrap": (
+        ["bootstrap", *FIT, "--S", "25"], False, 0, ["draws.csv", "results.json", "table.txt"],
+        ("results.json", BOOTSTRAP_KEYS),
+    ),
+    "singular-hessian": (
+        ["estimate", "--data", "{inputs}/collinear.csv", "--spec", "{inputs}/binary_spec.json"], False, 2,
+        ["results.json"], ("results.json", HEAD_KEYS),
+    ),
+    "singular-covariance": (
+        ["estimate", "--data", "{inputs}/three_persons.csv", "--spec", "{inputs}/spec.json"], False, 2,
+        ["results.json"], ("results.json", HEAD_KEYS),
+    ),
+    "estimate-not-converged": (["estimate", *FIT], True, 3, ["results.json"], ("results.json", HEAD_KEYS)),
+    "bootstrap-not-converged": (
+        ["bootstrap", *FIT, "--S", "10"], True, 3, ["results.json"], ("results.json", HEAD_KEYS),
+    ),
+    "bootstrap-too-few": (
+        ["bootstrap", *FIT, "--S", "5"], False, 3, ["draws.csv", "results.json"], ("results.json", HEAD_KEYS),
+    ),
+    "montecarlo": (
+        ["montecarlo", "--config", "{inputs}/mc_size.json"], False, 0, ["replications.csv", "report.json"],
+        ("report.json", {"config", "report"}),
+    ),
+    "report": (["report", "--results", "{tmp}/fit/results.json"], False, 0, ["table.txt"], None),
+}
+
+
+class TestExitPaths:
+    @pytest.mark.parametrize("argv, stuck, code, written, document", EXIT_PATHS.values(), ids=list(EXIT_PATHS))
+    def test_the_manifest_lists_exactly_the_files_the_run_wrote(
+        self, cli_files, tmp_path, capsys, monkeypatch, argv, stuck, code, written, document
+    ):
+        if argv[0] == "report":
+            run_estimate(cli_files, tmp_path / "fit")
+        if stuck:
+            monkeypatch.setattr(cli_module, "estimate_design", stuck_fit)
+        out = tmp_path / "out"
+        argv = [arg.format(inputs=cli_files, tmp=tmp_path) for arg in argv]
+        assert main([*argv, "--out", str(out)]) == code
+        assert read_json(out / "manifest.json")["output_paths"] == written
+        assert sorted(path.name for path in out.iterdir()) == sorted([*written, "manifest.json"])
+        if document is not None:
+            name, keys = document
+            assert set(read_json(out / name)) == keys
 
 
 class TestCompileOnce:

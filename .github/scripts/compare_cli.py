@@ -11,13 +11,17 @@ drawn with ``perfbench/inputs.py`` of CHANGE_ROOT (imported, never written):
   a second time coefficient on the same attribute (a singular Hessian);
 - a three-person panel, whose fit converges but whose BHHH matrix has rank
   3 for 4 parameters (a singular covariance);
-- a 50-replication size/power ``montecarlo`` config.
+- a 50-replication size/power ``montecarlo`` config;
+- a 50-replication coverage ``montecarlo`` config whose generator draws
+  from every attribute distribution, restricts rules to some alternatives,
+  perturbs ``b_tt`` per person and runs a 10-draw bootstrap per
+  replication, so that every draw path of the simulator runs.
 
 The paths: ``estimate`` (with and without ``--starts 3``), ``bootstrap``,
 exit 2 from a singular Hessian and from a singular covariance, exit 3 from
 a fit that does not converge (``estimate`` and ``bootstrap``; one iteration
-at an unreachable tolerance) and from ``bootstrap --S 5``, ``montecarlo``,
-and ``report`` of the first ``estimate``'s results.
+at an unreachable tolerance) and from ``bootstrap --S 5``, ``montecarlo``
+of each config, and ``report`` of the first ``estimate``'s results.
 
 Compared per path: exit code, stdout, stderr (each tree's root path
 replaced by ``<root>``), the listing of the output directory and every file
@@ -62,6 +66,7 @@ PATHS = {
     "bootstrap-not-converged": (("-c", STUCK), ("bootstrap", *PANEL, "--S", "10")),
     "bootstrap-too-few": (CLI, ("bootstrap", *PANEL, "--S", "5")),
     "montecarlo": (CLI, ("montecarlo", "--config", "../inputs/montecarlo.json", "--jobs", "2")),
+    "montecarlo-coverage": (CLI, ("montecarlo", "--config", "../inputs/coverage.json", "--jobs", "2")),
     "report": (CLI, ("report", "--results", "out/estimate/results.json", *TABLE)),
 }
 SHOWN_DIFF_LINES = 40
@@ -79,6 +84,19 @@ def write_inputs(directory, inputs):
     (directory / "collinear_spec.json").write_text(json.dumps(spec, indent=2) + "\n", encoding="utf-8")
     config = inputs.montecarlo_config(1, replications=50)
     (directory / "montecarlo.json").write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
+    coverage = {**inputs.montecarlo_config(1, n_persons=200, replications=50), "experiment": "coverage"}
+    del coverage["effect_sizes"]
+    coverage["bootstrap_s"] = 10
+    coverage["generator"] = {
+        "attributes": [
+            {"name": "tt", "dist": "normal", "mean": 30.0, "sd": 8.0},
+            {"name": "cost", "dist": "uniform", "low": 1.0, "high": 12.0, "alternatives": ["car", "bus"]},
+            {"name": "cost", "dist": "lognormal", "mean": 1.5, "sd": 0.4, "alternatives": ["rail"]},
+            {"name": "wait", "dist": "constant", "value": 5.0, "alternatives": ["bus", "rail"]},
+        ],
+        "heterogeneity": {"b_tt": 0.01},
+    }
+    (directory / "coverage.json").write_text(json.dumps(coverage, indent=2) + "\n", encoding="utf-8")
 
 
 def run_paths(root, cwd):

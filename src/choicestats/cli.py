@@ -500,14 +500,18 @@ def cmd_report(args, outdir):
 
 def _check_ranges(doc, where):
     """Raise DataError, naming the key path, on a value the table cannot show:
-    a p-value outside [0, 1], or an empirical p-value whose crossings are not
-    a share of at least one converged replicate."""
+    a p-value outside [0, 1], a bootstrap se that is not positive (the t-ratio
+    divides by it), or an empirical p-value whose crossings are not a share of
+    at least one converged replicate."""
     for name, tests in doc.get("tests", {}).items():
         for kind, test in tests.items():
             if not 0.0 <= test["p_value"] <= 1.0:
                 raise DataError(
                     f"{where}: tests.{name}.{kind}.p_value must be in [0, 1], got {test['p_value']!r}"
                 )
+    for name, se in doc.get("bootstrap", {}).get("se", {}).items():
+        if not se > 0.0:
+            raise DataError(f"{where}: bootstrap.se.{name} must be positive, got {se!r}")
     for name, ep in doc.get("bootstrap", {}).get("empirical_p", {}).items():
         path = f"{where}: bootstrap.empirical_p.{name}"
         if ep["s_converged"] < 1:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -160,11 +161,20 @@ def save_dataset(dataset, path):
 
 
 def read_json(path):
-    """The JSON object in ``path``; any other document raises DataError."""
+    """The JSON object in ``path``; any other document raises DataError, as
+    does a number that write_json would not write: the NaN and Infinity
+    tokens, or a literal beyond the float range such as 1e400."""
     source = str(path)
+
+    def finite(text):
+        value = float(text)
+        if not math.isfinite(value):
+            raise DataError(f"invalid JSON: {text} is not a finite number", source=source)
+        return value
+
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_constant=finite, parse_float=finite)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON: {exc.msg}", source=source, line=exc.lineno) from exc
     except OSError as exc:

@@ -56,33 +56,14 @@ def normal_pdf(x):
 
 
 def normal_quantile(p):
-    """Inverse of normal_cdf by bisection plus Newton polish.
+    """Inverse of normal_cdf, from the standard library's NormalDist."""
+    # Imported here: importing the package never loads the statistics module.
+    from statistics import NormalDist
 
-    Root-finding on the forward CDF keeps quantiles and the CDF mutually
-    consistent to 1e-12; there is no separate approximation to disagree with.
-    """
     p = float(p)
     if not 0.0 < p < 1.0:
         raise ValueError(f"quantile level must be in (0, 1), got {p}")
-    lo, hi = -40.0, 40.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if normal_cdf(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    x = 0.5 * (lo + hi)
-    for _ in range(8):
-        err = normal_cdf(x) - p
-        slope = normal_pdf(x)
-        if slope <= 0.0:
-            break
-        step = err / slope
-        x -= step
-        x = min(max(x, lo), hi)
-        if abs(step) <= 1e-13 * max(1.0, abs(x)):
-            break
-    return x
+    return NormalDist().inv_cdf(p)
 
 
 def z_for_level(level):
@@ -134,34 +115,31 @@ def _gamma_q_continued_fraction(a, x):
     raise ArithmeticError(f"incomplete gamma fraction did not converge for a={a}, x={x}")
 
 
-def _check_chisq_args(x, df):
+def _chisq_tail(x, df):
+    """(tail, lower): the tail of chi2(df) at x that converges fast, the lower
+    one when ``lower`` is true, so that the other is 1 - tail."""
     x = float(x)
     if math.isnan(x) or x < 0.0:
         raise ValueError(f"chi-square statistic must be >= 0, got {x}")
     df_value = float(df)
     if not df_value.is_integer() or df_value < 1:
         raise ValueError(f"degrees of freedom must be a positive integer, got {df}")
-    return x, df_value
+    a, half = df_value / 2.0, x / 2.0
+    if half < a + 1.0:
+        return _gamma_p_series(a, half), True
+    return _gamma_q_continued_fraction(a, half), False
 
 
 def chisq_cdf(x, df):
     """Chi-square CDF: regularized lower incomplete gamma P(df/2, x/2)."""
-    x, df = _check_chisq_args(x, df)
-    a = df / 2.0
-    half = x / 2.0
-    if half < a + 1.0:
-        return _gamma_p_series(a, half)
-    return 1.0 - _gamma_q_continued_fraction(a, half)
+    tail, lower = _chisq_tail(x, df)
+    return tail if lower else 1.0 - tail
 
 
 def chisq_sf(x, df):
     """Upper tail 1 - chisq_cdf, computed directly for far-tail precision."""
-    x, df = _check_chisq_args(x, df)
-    a = df / 2.0
-    half = x / 2.0
-    if half < a + 1.0:
-        return 1.0 - _gamma_p_series(a, half)
-    return _gamma_q_continued_fraction(a, half)
+    tail, lower = _chisq_tail(x, df)
+    return 1.0 - tail if lower else tail
 
 
 @dataclass(frozen=True)
@@ -210,9 +188,7 @@ def t_test(estimate, se, h0_value=0.0, sidedness="auto"):
     resolved = sidedness
     if sidedness == "auto":
         resolved = "less" if t < 0.0 else "greater"
-    elif sidedness == "less" and t > 0.0:
-        notes = ("estimate lies on the null side of the declared one-sided alternative",)
-    elif sidedness == "greater" and t < 0.0:
+    elif (sidedness == "less" and t > 0.0) or (sidedness == "greater" and t < 0.0):
         notes = ("estimate lies on the null side of the declared one-sided alternative",)
 
     if resolved == "less":

@@ -161,16 +161,11 @@ class ModelSpec:
 
     def with_fixed(self, name, value):
         """New specification with ``name`` fixed at ``value`` (for nesting)."""
-        found = False
-        params = []
-        for p in self.parameters:
-            if p.name == name:
-                params.append(replace(p, fixed=True, fixed_value=float(value)))
-                found = True
-            else:
-                params.append(p)
-        if not found:
-            raise KeyError(f"no parameter named '{name}'")
+        self.parameter(name)  # KeyError for an unknown name
+        params = [
+            replace(p, fixed=True, fixed_value=float(value)) if p.name == name else p
+            for p in self.parameters
+        ]
         return ModelSpec(list(self.alternatives), params, dict(self.utilities))
 
     def starts(self):
@@ -354,10 +349,7 @@ class DesignArrays:
         """
         v = (params @ self._Xt.reshape(self.k, -1)).reshape(self._offset_t.shape)
         v += self._bias_t
-        v -= v.max(axis=0)
-        np.exp(v, out=v)
-        v /= v.sum(axis=0)
-        return v.T
+        return _softmax(v).T
 
     def chosen_log_likelihood(self, p):
         """(ll, floored) from an array :meth:`probabilities` returned; floored
@@ -483,6 +475,16 @@ class DesignArrays:
         )
 
 
+def _softmax(v):
+    """Overwrite (n_alts, n_obs) utilities ``v`` with their choice
+    probabilities, column by column; the largest utility is subtracted
+    before the exp, so no finite utility overflows. Returns ``v``."""
+    v -= v.max(axis=0)
+    np.exp(v, out=v)
+    v /= v.sum(axis=0)
+    return v
+
+
 def build_design(dataset, spec):
     """Compile a dataset against a specification.
 
@@ -578,12 +580,22 @@ def _compile(spec, columns, avail):
     return X.transpose(2, 1, 0), offset.T
 
 
+#: Attribute distribution -> the AttributeRule fields it reads, in the order
+#: its numpy.random.Generator method takes them; "constant" fills its value.
+DISTRIBUTIONS = {
+    "normal": ("mean", "sd"),
+    "uniform": ("low", "high"),
+    "lognormal": ("mean", "sd"),
+    "constant": ("value",),
+}
+
+
 @dataclass(frozen=True)
 class AttributeRule:
     """How one attribute is generated, per observation and alternative.
 
-    ``dist`` is one of "normal" (mean, sd), "uniform" (low, high),
-    "lognormal" (mean, sd of the underlying normal) or "constant" (value).
+    ``dist`` is a key of DISTRIBUTIONS, which names the fields it reads; a
+    lognormal's mean and sd are those of the underlying normal.
     ``alternatives`` restricts the attribute to a subset of alternatives;
     the rest do not carry it.
     """
@@ -618,12 +630,7 @@ class GeneratorSpec:
         attributes = []
         for rule in self.attributes:
             entry = {"name": rule.name, "dist": rule.dist}
-            if rule.dist == "normal" or rule.dist == "lognormal":
-                entry.update(mean=rule.mean, sd=rule.sd)
-            elif rule.dist == "uniform":
-                entry.update(low=rule.low, high=rule.high)
-            elif rule.dist == "constant":
-                entry.update(value=rule.value)
+            entry.update((name, getattr(rule, name)) for name in DISTRIBUTIONS.get(rule.dist, ()))
             if rule.alternatives is not None:
                 entry["alternatives"] = list(rule.alternatives)
             attributes.append(entry)
@@ -631,22 +638,37 @@ class GeneratorSpec:
 
     def check_against(self, spec):
         """Alternatives each attribute is drawn for; raises SpecMismatchError
-        unless the rules draw every attribute ``spec`` uses, once per alternative."""
-        for name in self.heterogeneity:
+        unless the rules draw every attribute ``spec`` uses, once per
+        alternative, from the fields of its distribution alone, and every sd
+        and high - low is finite and not negative."""
+        for name, sd in self.heterogeneity.items():
             if name not in spec.free_names():
+                raise SpecMismatchError(f"heterogeneity declared for unknown free parameter '{name}'")
+            if not 0.0 <= sd < np.inf:
                 raise SpecMismatchError(
-                    f"heterogeneity declared for unknown free parameter '{name}'"
+                    f"heterogeneity of '{name}' has sd {sd!r}; it must be finite and >= 0"
                 )
         carried = {}  # attribute -> alternatives it is drawn for
         for rule in self.attributes:
-            if rule.dist not in ("normal", "uniform", "lognormal", "constant"):
+            if rule.dist not in DISTRIBUTIONS:
                 raise SpecMismatchError(f"unknown attribute distribution '{rule.dist}'")
+            reads = DISTRIBUTIONS[rule.dist]
+            for name in dict.fromkeys(f for fields in DISTRIBUTIONS.values() for f in fields):
+                # A field left at its default cannot be told from one never set.
+                if name not in reads and getattr(rule, name) != getattr(AttributeRule, name):
+                    raise SpecMismatchError(
+                        f"attribute '{rule.name}' sets '{name}', which dist '{rule.dist}' does not read"
+                    )
+            # A rule that reads sd spreads by sd; one that reads high, by high - low.
+            for label, spread in (("sd", rule.sd), ("high - low", rule.high - rule.low)):
+                if label.split()[0] in reads and not 0.0 <= spread < np.inf:
+                    raise SpecMismatchError(
+                        f"attribute '{rule.name}' has {label} {spread!r}; it must be finite and >= 0"
+                    )
             alts = set(spec.alternatives if rule.alternatives is None else rule.alternatives)
             for alt in rule.alternatives or ():
                 if alt not in spec.alternatives:
-                    raise SpecMismatchError(
-                        f"attribute '{rule.name}' names unknown alternative '{alt}'"
-                    )
+                    raise SpecMismatchError(f"attribute '{rule.name}' names unknown alternative '{alt}'")
             # Same attribute, disjoint alternative subsets: the draws merge.
             if carried.setdefault(rule.name, set()) & alts:
                 raise SpecMismatchError(
@@ -730,17 +752,10 @@ def _simulate(spec, true_params, generator, n_persons, obs_per_person, seed):
     else:
         beta = np.asarray(true_params, dtype=float)
         if beta.shape != (len(free),):
-            raise SpecMismatchError(
-                f"true_params must have length {len(free)}, got shape {beta.shape}"
-            )
+            raise SpecMismatchError(f"true_params must have length {len(free)}, got shape {beta.shape}")
     carried = generator.check_against(spec)
 
-    referenced = {
-        t.attribute
-        for alt in spec.alternatives
-        for t in spec.utilities.get(alt, [])
-        if not spec.parameter(t.param).fixed
-    }
+    referenced = {t.attribute for terms in spec.utilities.values() for t in terms if t.param in free}
     for rule in generator.attributes:
         if rule.dist == "constant" and rule.alternatives is None and rule.name in referenced:
             warnings.warn(
@@ -759,14 +774,11 @@ def _simulate(spec, true_params, generator, n_persons, obs_per_person, seed):
     # then the choice uniforms, so the stream layout is stable.
     values = {}
     for rule in generator.attributes:
-        if rule.dist == "normal":
-            arr = rng.normal(rule.mean, rule.sd, size=(n_obs, j_count))
-        elif rule.dist == "uniform":
-            arr = rng.uniform(rule.low, rule.high, size=(n_obs, j_count))
-        elif rule.dist == "lognormal":
-            arr = rng.lognormal(rule.mean, rule.sd, size=(n_obs, j_count))
+        fields = [getattr(rule, name) for name in DISTRIBUTIONS[rule.dist]]
+        if rule.dist == "constant":
+            arr = np.full((n_obs, j_count), *fields)
         else:
-            arr = np.full((n_obs, j_count), rule.value)
+            arr = getattr(rng, rule.dist)(*fields, size=(n_obs, j_count))
         if rule.alternatives is not None:
             arr = arr * np.isin(spec.alternatives, rule.alternatives)
         values[rule.name] = values[rule.name] + arr if rule.name in values else arr
@@ -786,10 +798,7 @@ def _simulate(spec, true_params, generator, n_persons, obs_per_person, seed):
     for x, beta in zip(X.transpose(2, 1, 0), beta_obs):
         v += x * beta
     v += offset.T
-    v -= v.max(axis=0)
-    np.exp(v, out=v)
-    v /= v.sum(axis=0)
-    cum = np.cumsum(v, axis=0)
+    cum = np.cumsum(_softmax(v), axis=0)
     u = rng.random(n_obs)
     chosen = np.minimum((cum < u).sum(axis=0), j_count - 1)
     design = DesignArrays(

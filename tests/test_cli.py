@@ -644,8 +644,28 @@ class TestMontecarloCommand:
                 {"name": "cost", "dist": "uniform", "alternatives": ["car", "bus", "rail", "tram"]},
                 "attribute 'cost' names unknown alternative 'tram'",
             ),
+            (
+                # Parsed, this rule would draw cost from uniform(0, 1) and exit 0.
+                {"name": "cost", "dist": "uniform", "mean": 30, "sd": 8},
+                "attribute 'cost' sets 'mean', which dist 'uniform' does not read",
+            ),
+            (
+                {"name": "cost", "dist": "normal", "mean": 6, "sd": -1},
+                "attribute 'cost' has sd -1.0; it must be finite and >= 0",
+            ),
+            (
+                {"name": "cost", "dist": "lognormal", "mean": 1, "sd": -1},
+                "attribute 'cost' has sd -1.0; it must be finite and >= 0",
+            ),
+            (
+                {"name": "cost", "dist": "uniform", "low": 60, "high": 5},
+                "attribute 'cost' has high - low -55.0; it must be finite and >= 0",
+            ),
         ],
-        ids=["attribute_not_drawn", "unknown_distribution", "unknown_alternative"],
+        ids=[
+            "attribute_not_drawn", "unknown_distribution", "unknown_alternative", "field_not_read",
+            "normal_negative_sd", "lognormal_negative_sd", "uniform_low_above_high",
+        ],
     )
     def test_generator_mismatch_exits_1(self, cli_files, tmp_path, capsys, rule, message):
         doc = read_json(cli_files / "mc_size.json")
@@ -655,6 +675,26 @@ class TestMontecarloCommand:
         argv = ["montecarlo", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
         assert main(argv) == 1
         assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_negative_heterogeneity_sd_exits_1(self, cli_files, tmp_path, capsys):
+        doc = read_json(cli_files / "mc_size.json")
+        doc["generator"]["heterogeneity"] = {"b_tt": -0.1}
+        write_json(doc, tmp_path / "config.json")
+        argv = ["montecarlo", "--config", str(tmp_path / "config.json"), "--out", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert "error: heterogeneity of 'b_tt' has sd -0.1; it must be finite and >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-1e400"])
+    def test_config_with_a_non_finite_number_exits_1_naming_the_file(self, cli_files, tmp_path, capsys, number):
+        # Before it was refused, every cell ran and writing report.json failed.
+        doc = read_json(cli_files / "mc_size.json")
+        doc["effect_sizes"] = [0.0, "effect"]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc).replace('"effect"', number), encoding="utf-8")
+        assert main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {path}: invalid JSON: {number} is not a finite number\n"
         assert not (tmp_path / "out" / "report.json").exists()
 
     def test_misspelt_generator_key_exits_1(self, cli_files, tmp_path, capsys):
@@ -1049,6 +1089,33 @@ class TestCommandLineContract:
         assert captured.err == (
             f"error: {path}: malformed results file: tests.b_cost.t_robust.p_value must be in [0, 1], got 2.0\n"
         )
+        assert captured.out == ""
+
+    def test_report_of_a_bootstrap_se_of_zero_exits_1_naming_the_key_path(self, cli_files, tmp_path, capsys):
+        argv = ["bootstrap", "--data", str(cli_files / "data.csv"), "--spec", str(cli_files / "spec.json")]
+        assert main([*argv, "--S", "25", "--out", str(tmp_path / "fit")]) == 0
+        capsys.readouterr()
+        doc = read_json(tmp_path / "fit" / "results.json")
+        doc["bootstrap"]["se"]["b_cost"] = 0.0
+        path = tmp_path / "results.json"
+        write_json(doc, path)
+        # The t (bootstrap) cell divides by the se, shown or not.
+        assert main(["report", "--results", str(path), "--out", str(tmp_path / "rerender")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: malformed results file: bootstrap.se.b_cost must be positive, got 0.0\n"
+        assert captured.out == ""
+
+    def test_report_of_a_nan_token_exits_1_naming_the_file(self, cli_files, tmp_path, capsys):
+        # Before the token was refused, the table showed nan and report exited 0.
+        run_estimate(cli_files, tmp_path / "fit")
+        capsys.readouterr()
+        doc = read_json(tmp_path / "fit" / "results.json")
+        doc["estimates"]["b_cost"] = float("nan")
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["report", "--results", str(path), "--out", str(tmp_path / "rerender")]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {path}: invalid JSON: NaN is not a finite number\n"
         assert captured.out == ""
 
     @pytest.mark.parametrize(

@@ -51,6 +51,9 @@ QUANTILE_ORACLE = {
     0.8: 0.8416212335729142,
     0.975: 1.9599639845400543,
     0.999999: 4.753424308822899,
+    # Far upper tail, where root-finding on 1 - tail loses its precision.
+    1 - 1e-12: 7.0344869100478352,
+    1 - 2**-53: 8.2095361516013869,
 }
 
 PHI_MINUS_1 = 0.15865525393145705

@@ -801,6 +801,27 @@ class TestSimulation:
                 n_persons=5, obs_per_person=1, seed=1,
             )
 
+    @pytest.mark.parametrize(
+        "rule, draw",
+        [
+            (AttributeRule("x", dist="normal", mean=2.0, sd=0.5), lambda rng, size: rng.normal(2.0, 0.5, size)),
+            (AttributeRule("x", dist="uniform", low=-1.0, high=3.0), lambda rng, size: rng.uniform(-1.0, 3.0, size)),
+            (
+                AttributeRule("x", dist="lognormal", mean=0.3, sd=0.2),
+                lambda rng, size: rng.lognormal(0.3, 0.2, size),
+            ),
+            (AttributeRule("x", dist="constant", value=2.5), lambda rng, size: np.full(size, 2.5)),
+        ],
+        ids=["normal", "uniform", "lognormal", "constant"],
+    )
+    def test_each_distribution_draws_as_its_generator_method(self, rule, draw):
+        # The rule draws first from the seed's stream; its attribute enters no utility.
+        gen = GeneratorSpec(attributes=(rule, *three_mode_generator().attributes))
+        data = simulate_dataset(
+            three_mode_spec(), THREE_MODE_TRUE_COPY, gen, n_persons=20, obs_per_person=2, seed=5
+        )
+        np.testing.assert_array_equal(data.attributes["x"], draw(np.random.default_rng(5), (40, 3)))
+
 
 THREE_MODE_TRUE_COPY = {"asc_bus": 0.5, "asc_rail": 0.2, "b_tt": -0.05, "b_cost": -0.15}
 

@@ -17,11 +17,14 @@ drawn with ``perfbench/inputs.py`` of CHANGE_ROOT (imported, never written):
   perturbs ``b_tt`` per person and runs a 10-draw bootstrap per
   replication, so that every draw path of the simulator runs.
 
-The paths: ``estimate`` (with and without ``--starts 3``), ``bootstrap``,
-exit 2 from a singular Hessian and from a singular covariance, exit 3 from
-a fit that does not converge (``estimate`` and ``bootstrap``; one iteration
-at an unreachable tolerance) and from ``bootstrap --S 5``, ``montecarlo``
-of each config, and ``report`` of the first ``estimate``'s results.
+The paths: ``estimate`` (with and without ``--starts 3``, and with
+``--sided one`` and ``--sided two``, which on the reference spec's ``less``
+and ``auto`` declarations take every branch of the sidedness rule),
+``bootstrap``, exit 2 from a singular Hessian and from a singular
+covariance, exit 3 from a fit that does not converge (``estimate`` and
+``bootstrap``; one iteration at an unreachable tolerance) and from
+``bootstrap --S 5``, ``montecarlo`` of each config, and ``report`` of the
+first ``estimate``'s results.
 
 Compared per path: exit code, stdout, stderr (each tree's root path
 replaced by ``<root>``), the listing of the output directory and every file
@@ -55,6 +58,8 @@ TABLE = ("--se", "--t", "--stars")
 PATHS = {
     "estimate": (CLI, ("estimate", *PANEL, *TABLE)),
     "estimate-starts-3": (CLI, ("estimate", *PANEL, "--starts", "3")),
+    "estimate-sided-one": (CLI, ("estimate", *PANEL, "--sided", "one", *TABLE)),
+    "estimate-sided-two": (CLI, ("estimate", *PANEL, "--sided", "two", *TABLE)),
     "bootstrap": (CLI, ("bootstrap", *PANEL, "--S", "50", "--seed", "7", *TABLE)),
     "singular-hessian": (
         CLI, ("estimate", "--data", "../inputs/panel/data.csv", "--spec", "../inputs/collinear_spec.json"),

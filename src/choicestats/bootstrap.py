@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConvergenceError, IdentificationError
 from .estimation import STATUS_CONVERGED, EstimationOptions, _start_vector, estimate_design
-from .inference import ConfidenceInterval
+from .inference import ConfidenceInterval, asymptotic_ci
 from .linalg import solve_positive_definite
 from .util import Failure, parallel_map, seed_from
 
@@ -241,6 +241,18 @@ def empirical_p_value(draws, mle):
     return EmpiricalPValue(crossings=crossings, s_converged=sorted_draws.size)
 
 
+def bootstrap_record(draws, estimate, se, level):
+    """(intervals, empirical p) of a parameter as bootstrap writes them: the
+    quantile, HPD and bootstrap-SE (``se``) intervals of its converged ``draws``
+    at ``level``, and the empirical p, None for an ``estimate`` of exactly 0."""
+    intervals = {
+        "quantile": quantile_interval(draws, level, estimate),
+        "hpd": hpd_interval(draws, level, estimate),
+        "asymptotic_bootstrap_se": asymptotic_ci(estimate, se, level, method="asymptotic_bootstrap_se"),
+    }
+    return intervals, None if estimate == 0.0 else empirical_p_value(draws, estimate)
+
+
 def asymmetry_index(lower, center, upper):
     """((U - M) - (M - L)) / (U - L); 0 for an interval centred on M."""
     lower = float(lower)
@@ -260,27 +272,3 @@ def save_draws(result, path):
             writer.writerow(
                 [s, int(result.converged[s])] + [repr(float(v)) for v in result.draws[s]]
             )
-
-
-def load_draws(path):
-    """Rebuild a BootstrapResult from a draws CSV (base seed unknown)."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        names = header[2:]
-        draws = []
-        converged = []
-        for row in reader:
-            converged.append(bool(int(row[1])))
-            draws.append([float(v) for v in row[2:]])
-    draws = np.asarray(draws, dtype=float)
-    converged = np.asarray(converged, dtype=bool)
-    return BootstrapResult(
-        s_samples=draws.shape[0],
-        base_seed=None,
-        draws=draws,
-        converged=converged,
-        n_failed=int(draws.shape[0] - converged.sum()),
-        names=names,
-        statuses=tuple(STATUS_CONVERGED if ok else "failed" for ok in converged),
-    )

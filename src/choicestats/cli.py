@@ -30,13 +30,11 @@ from .bootstrap import (
     MIN_DRAWS,
     EmpiricalPValue,
     bootstrap_covariance,
+    bootstrap_record,
     bootstrap_run,
-    empirical_p_value,
-    hpd_interval,
-    quantile_interval,
     save_draws,
 )
-from .covariance import covariance_set, standard_errors
+from .covariance import fit_covariance, standard_errors
 from .dataio import encode_matrix, load_dataset, load_model_spec, read_json, write_json
 from .errors import (
     ChoiceStatsError,
@@ -52,7 +50,7 @@ from .estimation import (
     estimate_design,
     multi_start,
 )
-from .inference import asymptotic_ci, t_test, wald_test
+from .inference import asymptotic_record, resolve_sidedness
 from .model import build_design
 from .montecarlo import (
     ExperimentConfig,
@@ -111,15 +109,6 @@ def _write_run(args, outdir, outputs):
         },
         outdir / "manifest.json",
     )
-
-
-def _sidedness_for(param, flag):
-    if flag == "two":
-        return "two_sided"
-    if flag == "one" and param.alternative not in ("less", "greater"):
-        # No declared direction to honour; fall back to the estimate's sign.
-        return "auto"
-    return param.alternative
 
 
 def _results_head(args, fit, status):
@@ -263,35 +252,19 @@ _ESTIMATE_COLUMNS = (
 def cmd_estimate(args, outdir):
     spec, design, options, best, runs = _fit_data(args, outdir)
     try:
-        covs = covariance_set(
-            best.hessian_at_optimum,
-            design.score(best.params_hat, grouping="person"),
-            names=best.names,
-        )
+        covs = fit_covariance(design, best)
     except (IdentificationError, CovarianceError):
         # The fit converged, but its covariance cannot be formed: exit 2.
         head = _results_head(args, best, STATUS_SINGULAR_COVARIANCE)
         _write_run(args, outdir, [("results.json", head)])
         raise
-    tests = {}
-    intervals = {}
+    tests, intervals = {}, {}
     for i, name in enumerate(best.names):
         param = spec.parameter(name)
-        estimate_i = float(best.params_hat[i])
-        sided = _sidedness_for(param, args.sided)
-        tests[name] = {
-            "t_classical": asdict(t_test(estimate_i, covs.se_classical[i], param.h0_value, sided)),
-            "t_robust": asdict(t_test(estimate_i, covs.se_robust[i], param.h0_value, sided)),
-            "wald": asdict(wald_test(estimate_i, covs.se_classical[i], param.h0_value)),
-        }
-        intervals[name] = {
-            "classical": asdict(asymptotic_ci(estimate_i, covs.se_classical[i], args.ci_level)),
-            "robust": asdict(
-                asymptotic_ci(
-                    estimate_i, covs.se_robust[i], args.ci_level, method="asymptotic_robust"
-                )
-            ),
-        }
+        sided = resolve_sidedness(param.alternative, args.sided)
+        ses = covs.se_classical[i], covs.se_robust[i]
+        record = asymptotic_record(best.params_hat[i], *ses, param.h0_value, sided, args.ci_level)
+        tests[name], intervals[name] = ({k: asdict(v) for k, v in part.items()} for part in record)
     doc = _estimate_results_doc(args, spec, design, best, runs, covs, tests, intervals)
     name, table = _table(args, doc)
     _write_run(args, outdir, [("results.json", doc), (name, table)])
@@ -362,28 +335,12 @@ def cmd_bootstrap(args, outdir):
     se_boot = standard_errors(cov, result.names)
     draws = result.converged_draws()
     names = result.names
-    intervals = {}
-    empirical = {}
+    intervals, empirical = {}, {}
     for i, name in enumerate(names):
-        estimate_i = float(best.params_hat[i])
-        quantile = quantile_interval(draws[:, i], args.ci_level, estimate_i)
-        hpd = hpd_interval(draws[:, i], args.ci_level, estimate_i)
-        se_ci = asymptotic_ci(
-            estimate_i, se_boot[i], args.ci_level, method="asymptotic_bootstrap_se"
-        )
-        intervals[name] = {
-            "quantile": asdict(quantile),
-            "hpd": asdict(hpd),
-            "asymptotic_bootstrap_se": asdict(se_ci),
-        }
-        if estimate_i != 0.0:
-            ep = empirical_p_value(draws[:, i], estimate_i)
-            empirical[name] = {
-                "crossings": ep.crossings,
-                "s_converged": ep.s_converged,
-                "value": ep.value,
-                "display": ep.display(),
-            }
+        record, ep = bootstrap_record(draws[:, i], float(best.params_hat[i]), se_boot[i], args.ci_level)
+        intervals[name] = {k: asdict(v) for k, v in record.items()}
+        if ep is not None:
+            empirical[name] = {**asdict(ep), "value": ep.value, "display": ep.display()}
 
     doc = {
         "command": "bootstrap",

@@ -1,5 +1,4 @@
-"""Covariance estimators for the MLE and Delta-method errors for functions
-of it.
+"""Covariance estimators for the MLE.
 
 Three estimators of the same asymptotic covariance: classical (inverse
 negative Hessian), BHHH (inverse score outer product), and the robust
@@ -16,12 +15,6 @@ import numpy as np
 
 from .errors import CovarianceError
 from .linalg import invert_symmetric, require_symmetric
-
-DELTA_STEP_SCALE = 1e-7
-# Quadratic forms this far below zero indicate a broken covariance matrix
-# rather than rounding noise.
-NEGATIVE_VARIANCE_TOLERANCE = -1e-12
-
 
 @dataclass(frozen=True)
 class CovarianceSet:
@@ -89,33 +82,7 @@ def covariance_set(hessian, scores, grouping="person", names=None):
     )
 
 
-def delta_method(params_hat, cov, func):
-    """Value and standard error of a scalar function of the parameters.
-
-    The gradient is taken by central finite differences with step
-    1e-7 * max(1, |beta_k|); se = sqrt(g' cov g) for whichever covariance
-    matrix the caller supplies.
-    """
-    params_hat = np.asarray(params_hat, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    value = float(func(params_hat))
-    if not np.isfinite(value):
-        raise ValueError(f"function value at the estimate is not finite: {value}")
-    k = params_hat.shape[0]
-    gradient = np.empty(k)
-    for i in range(k):
-        step = DELTA_STEP_SCALE * max(1.0, abs(params_hat[i]))
-        up = params_hat.copy()
-        down = params_hat.copy()
-        up[i] += step
-        down[i] -= step
-        gradient[i] = (float(func(up)) - float(func(down))) / (2.0 * step)
-    if not np.all(np.isfinite(gradient)):
-        raise ValueError("function is not finite near the estimate; gradient undefined")
-    variance = float(gradient @ cov @ gradient)
-    if variance < NEGATIVE_VARIANCE_TOLERANCE:
-        raise CovarianceError(
-            f"Delta-method variance is negative ({variance:.3e}); the supplied "
-            "covariance matrix is not positive semi-definite"
-        )
-    return value, float(np.sqrt(max(variance, 0.0)))
+def fit_covariance(design, fit):
+    """The covariance set of a converged ``fit`` of ``design``, scores grouped by person."""
+    scores = design.score(fit.params_hat, grouping="person")
+    return covariance_set(fit.hessian_at_optimum, scores, names=fit.names)

@@ -7,8 +7,8 @@ incomplete gamma evaluated by series or continued fraction, with the upper
 tail computed directly so small p-values keep relative precision.
 
 Tests: t-ratio (with explicit one/two-sided handling), scalar Wald,
-likelihood ratio, Lagrange multiplier, and the two-one-sided procedure for
-parameters constrained to an interval.
+likelihood ratio and Lagrange multiplier; one rule for a parameter's t-test
+sidedness, and one record of its asymptotic tests and intervals.
 """
 
 from __future__ import annotations
@@ -20,10 +20,8 @@ import numpy as np
 
 from .errors import NestingError
 from .estimation import _ascent_direction
-from .linalg import require_symmetric, solve_positive_definite
 
 _SQRT2 = math.sqrt(2.0)
-_SQRT2PI = math.sqrt(2.0 * math.pi)
 
 # Incomplete-gamma evaluation: relative convergence target and iteration cap.
 _GAMMA_EPS = 1e-16
@@ -48,11 +46,6 @@ def normal_cdf(x):
         raise ValueError("normal_cdf requires a finite argument")
     tail = 0.5 * math.erfc(abs(x) / _SQRT2)
     return tail if x < 0 else 1.0 - tail
-
-
-def normal_pdf(x):
-    x = float(x)
-    return math.exp(-0.5 * x * x) / _SQRT2PI
 
 
 def normal_quantile(p):
@@ -277,27 +270,6 @@ def lr_test(ll_general, ll_restricted, d):
     return _chi_square_test("lr", d, statistic)
 
 
-def lm_test(score_at_restricted, info_at_restricted, d):
-    """Lagrange multiplier test: LM = G' I^-1 G ~ chi2(d).
-
-    Score and information must belong to the GENERAL model evaluated at the
-    restricted estimates.
-    """
-    g = np.asarray(score_at_restricted, dtype=float)
-    info = np.asarray(info_at_restricted, dtype=float)
-
-    def statistic():
-        if g.ndim != 1 or info.shape != (g.size, g.size):
-            raise ValueError(
-                f"score of length {g.size} needs a {g.size}x{g.size} information "
-                f"matrix, got shape {info.shape}"
-            )
-        symmetric = require_symmetric(info, name="information matrix")
-        return g @ solve_positive_definite(symmetric, g, name="information matrix")
-
-    return _chi_square_test("lm", d, statistic)
-
-
 def lm_test_at(design, params, d):
     """LM test from a compiled general-model design at restricted estimates:
     the gradient times the optimiser's own step there (Newton on the
@@ -325,26 +297,28 @@ def asymptotic_ci(estimate, se, level=0.95, method="asymptotic_classical"):
     )
 
 
-def bounded_parameter_test(estimate, se, lower_bound, upper_bound):
-    """Two one-sided tests for a parameter constrained to an interval.
+def resolve_sidedness(alternative, sided, undeclared="auto"):
+    """The t-test sidedness of a parameter declaring ``alternative`` under ``--sided``:
+    ``two`` is two-sided, ``one`` keeps a declared ``less`` or ``greater`` and else
+    gives ``undeclared`` (auto, the estimate's sign), ``auto`` keeps the declaration."""
+    if sided == "two":
+        return "two_sided"
+    if sided == "one" and alternative not in ("less", "greater"):
+        return undeclared
+    return alternative
 
-    Returns (test against the upper bound with H1 below it, test against the
-    lower bound with H1 above it, probability mass outside the interval under
-    the asymptotic normal).
-    """
-    lower_bound = float(lower_bound)
-    upper_bound = float(upper_bound)
-    if not lower_bound < upper_bound:
-        raise ValueError(
-            f"bounds must satisfy lower < upper, got [{lower_bound}, {upper_bound}]"
-        )
-    se = float(se)
-    if not se > 0.0:
-        raise ValueError(f"standard error must be positive, got {se}")
-    estimate = float(estimate)
-    at_upper = t_test(estimate, se, h0_value=upper_bound, sidedness="less")
-    at_lower = t_test(estimate, se, h0_value=lower_bound, sidedness="greater")
-    p_outside = normal_cdf((lower_bound - estimate) / se) + normal_cdf(
-        -(upper_bound - estimate) / se
-    )
-    return at_upper, at_lower, p_outside
+
+def asymptotic_record(estimate, se_classical, se_robust, h0_value, sidedness, level):
+    """(tests, intervals) of a parameter as results.json holds them: the classical
+    and robust t tests of H0: value = h0_value at ``sidedness``, the Wald test on
+    the classical error, and the classical and robust intervals at ``level``."""
+    tests = {
+        "t_classical": t_test(estimate, se_classical, h0_value, sidedness),
+        "t_robust": t_test(estimate, se_robust, h0_value, sidedness),
+        "wald": wald_test(estimate, se_classical, h0_value),
+    }
+    intervals = {
+        "classical": asymptotic_ci(estimate, se_classical, level),
+        "robust": asymptotic_ci(estimate, se_robust, level, method="asymptotic_robust"),
+    }
+    return tests, intervals

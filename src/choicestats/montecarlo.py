@@ -20,11 +20,11 @@ from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .bootstrap import MIN_DRAWS, bootstrap_run, quantile_interval
-from .covariance import covariance_set
+from .bootstrap import MIN_DRAWS, bootstrap_covariance, bootstrap_record, bootstrap_run
+from .covariance import fit_covariance, standard_errors
 from .errors import ChoiceStatsError, DataError
 from .estimation import EstimationOptions, estimate_design
-from .inference import asymptotic_ci, lm_test_at, lr_test, normal_cdf, t_test, wald_test
+from .inference import asymptotic_record, lm_test_at, lr_test, normal_cdf, resolve_sidedness
 from .model import GeneratorSpec, ModelSpec, simulate_design
 from .util import Failure, from_json, parallel_map, seed_from
 
@@ -119,18 +119,6 @@ class MonteCarloReport:
         }
 
 
-def _declared_direction(spec, target):
-    side = spec.parameter(target).alternative
-    if side in ("less", "greater"):
-        return side, ()
-    # auto would chase the estimate's sign and double the one-sided size;
-    # a fixed direction keeps the size experiment honest.
-    return "greater", (
-        f"target '{target}' declares sidedness '{side}'; one-sided rates use "
-        "direction 'greater'",
-    )
-
-
 def _fit_replicate(config, true_params, rep):
     """Simulate replication ``rep`` at ``true_params``, fit it, and take its covariances.
 
@@ -150,12 +138,7 @@ def _fit_replicate(config, true_params, rep):
     result = estimate_design(design, EstimationOptions(), start=truth)
     if not result.converged:
         raise ChoiceStatsError("replication did not converge")
-    covs = covariance_set(
-        result.hessian_at_optimum,
-        design.score(result.params_hat, grouping="person"),
-        names=design.free_names,
-    )
-    return design, result, covs
+    return design, result, fit_covariance(design, result)
 
 
 ### size and power
@@ -175,8 +158,11 @@ def _size_power_cell(config, direction, index):
         raise ChoiceStatsError("restricted model did not converge")
 
     estimate = float(general.params_hat[target_col])
-    se_c = float(covs.se_classical[target_col])
-    se_r = float(covs.se_robust[target_col])
+    se_c, se_r = float(covs.se_classical[target_col]), float(covs.se_robust[target_col])
+    # The tests estimate writes for the target at null 0, one-sided toward direction and two-sided.
+    one, two = (
+        asymptotic_record(estimate, se_c, se_r, 0.0, s, config.ci_level)[0] for s in (direction, "two_sided")
+    )
     tilde = np.insert(restricted.params_hat, target_col, 0.0)
     row = {
         "rep": rep,
@@ -185,12 +171,12 @@ def _size_power_cell(config, direction, index):
         "estimate": estimate,
         "se_classical": se_c,
         "se_robust": se_r,
-        "t_classical": estimate / se_c,
-        "p_t_classical_one": t_test(estimate, se_c, 0.0, direction).p_value,
-        "p_t_classical_two": t_test(estimate, se_c, 0.0, "two_sided").p_value,
-        "p_t_robust_one": t_test(estimate, se_r, 0.0, direction).p_value,
-        "p_t_robust_two": t_test(estimate, se_r, 0.0, "two_sided").p_value,
-        "p_wald": wald_test(estimate, se_c, 0.0).p_value,
+        "t_classical": one["t_classical"].statistic,
+        "p_t_classical_one": one["t_classical"].p_value,
+        "p_t_classical_two": two["t_classical"].p_value,
+        "p_t_robust_one": one["t_robust"].p_value,
+        "p_t_robust_two": two["t_robust"].p_value,
+        "p_wald": two["wald"].p_value,
         "p_lr": lr_test(general.ll_hat, restricted.ll_hat, 1).p_value,
         "p_lm": lm_test_at(design, tilde, 1).p_value,
     }
@@ -207,7 +193,14 @@ def size_and_power_experiment(config, jobs=1):
     excluded from the denominators and counted.
     """
     config.validate(size_power=True)
-    direction, notes = _declared_direction(config.spec, config.target_parameter)
+    # One-sided rates test as estimate --sided one does, but no declared direction gives
+    # 'greater': auto would chase the estimate's sign and double the one-sided size.
+    side = config.spec.parameter(config.target_parameter).alternative
+    direction = resolve_sidedness(side, "one", undeclared="greater")
+    notes = () if direction == side else (
+        f"target '{config.target_parameter}' declares sidedness '{side}'; one-sided rates use "
+        "direction 'greater'",
+    )
 
     n_effects = len(config.effect_sizes)
     total = config.replications * n_effects
@@ -255,11 +248,9 @@ def _coverage_rep(config, rep):
     estimate = float(result.params_hat[target_col])
     row = {"rep": rep, "converged": True, "estimate": estimate}
     row["params"] = [float(v) for v in result.params_hat]
-    for method, se in (
-        ("classical", float(covs.se_classical[target_col])),
-        ("robust", float(covs.se_robust[target_col])),
-    ):
-        ci = asymptotic_ci(estimate, se, config.ci_level)
+    se_c, se_r = float(covs.se_classical[target_col]), float(covs.se_robust[target_col])
+    intervals = asymptotic_record(estimate, se_c, se_r, true_value, "two_sided", config.ci_level)[1]
+    for (method, ci), se in zip(intervals.items(), (se_c, se_r)):
         row[f"se_{method}"] = se
         row[f"ci_lower_{method}"] = ci.lower
         row[f"ci_upper_{method}"] = ci.upper
@@ -276,7 +267,9 @@ def _coverage_rep(config, rep):
             # Too few converged replicates for an interval; the rep still counts.
             row["covered_bootstrap"] = None
         else:
-            ci = quantile_interval(boot.converged_draws()[:, target_col], config.ci_level, estimate)
+            se_boot = standard_errors(bootstrap_covariance(boot))[target_col]
+            draws = boot.converged_draws()[:, target_col]
+            ci = bootstrap_record(draws, estimate, se_boot, config.ci_level)[0]["quantile"]
             row["ci_lower_bootstrap"] = ci.lower
             row["ci_upper_bootstrap"] = ci.upper
             row["covered_bootstrap"] = bool(ci.lower <= true_value <= ci.upper)

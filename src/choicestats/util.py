@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import types
 import warnings
 from collections import Counter
@@ -40,13 +41,13 @@ def from_json(tp, value, where, path=""):
 
     ``tp`` is str, bool, float, int, ``list[X]``, ``tuple[X, ...]``,
     ``dict[str, X]``, ``X | None``, a dataclass or a TypedDict; any other
-    annotation raises TypeError. No number type takes a bool, and an int
-    takes a whole number only. A dataclass is a closed record: its fields
-    are its keys, a field with a default may be left out, and any other key
-    is refused. A TypedDict is an open record: its keys are required, and
-    they are all that is kept. A mismatch raises DataError "<where>: <path>
-    ...", ``path`` being the key path of the value, such as
-    ``parameters[0].fixed``.
+    annotation raises TypeError. No number type takes a bool, an int takes
+    a whole number only, and a float no whole number beyond its range. A
+    dataclass is a closed record: its fields are its keys, a field with a
+    default may be left out, and any other key is refused. A TypedDict is
+    an open record: its keys are required, and they are all that is kept.
+    A mismatch raises DataError "<where>: <path> ...", ``path`` being the
+    key path of the value, such as ``parameters[0].fixed``.
     """
     subject, prefix = (f"{where}: {path}", f"{path}.") if path else (where, "")
     origin, args = get_origin(tp), get_args(tp)
@@ -55,6 +56,9 @@ def from_json(tp, value, where, path=""):
         whole = number and (isinstance(value, int) or value.is_integer())
         if not {str: isinstance(value, str), bool: isinstance(value, bool), float: number, int: whole}[tp]:
             raise DataError(f"{subject} must be {_SCALARS[tp]}, got {_shown(value)}")
+        if tp is float and isinstance(value, int) and abs(value) > sys.float_info.max:
+            # A whole-number literal that no float holds; read_json refuses 1e400 itself.
+            raise DataError(f"{subject} must be a finite number, got a whole number beyond the float range")
         return tp(value)
     if origin in (Union, types.UnionType) and len(args) == 2 and type(None) in args:
         inner = next(a for a in args if a is not type(None))

@@ -1,5 +1,6 @@
 """Person-level bootstrap: resampling, replicates, intervals, empirical p."""
 
+import csv
 import dataclasses
 import math
 
@@ -18,13 +19,14 @@ from choicestats import (
     EstimationOptions,
     ReplicateFailureWarning,
     asymmetry_index,
+    asymptotic_ci,
     bootstrap_covariance,
+    bootstrap_record,
     bootstrap_run,
     build_design,
     empirical_p_value,
     estimate_design,
     hpd_interval,
-    load_draws,
     quantile_interval,
     save_draws,
     seed_from,
@@ -572,24 +574,15 @@ class TestCertifiedStep:
 
 
 class TestDrawsRoundTrip:
-    def test_save_and_load_preserve_draws_bitwise(self, tmp_path):
+    def test_saved_draws_read_back_bitwise(self, tmp_path):
         result = small_run(s_samples=12)
-        path = tmp_path / "draws.csv"
-        save_draws(result, path)
-
-        back = load_draws(path)
-        assert np.array_equal(back.draws, result.draws)
-        assert np.array_equal(back.converged, result.converged)
-        assert back.names == result.names
-        assert back.s_samples == result.s_samples
-        assert back.n_failed == result.n_failed
-        assert back.base_seed is None
-        assert back.statuses == ("converged",) * 12
-
-        # The file keeps only the converged flag, so a failure's reason reads back as "failed".
         failed = dataclasses.replace(result, converged=np.arange(12) != 3, n_failed=1)
+        path = tmp_path / "draws.csv"
         save_draws(failed, path)
-        assert load_draws(path).statuses == ("converged",) * 3 + ("failed",) + ("converged",) * 8
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[:2] for row in rows] == [[str(s), str(int(s != 3))] for s in range(12)]
+        assert np.array_equal(np.array([[float(v) for v in row[2:]] for row in rows]), result.draws)
 
     def test_saved_header_names_parameters(self, tmp_path):
         result = small_run(s_samples=12)
@@ -597,6 +590,23 @@ class TestDrawsRoundTrip:
         save_draws(result, path)
         header = path.read_text().splitlines()[0]
         assert header == "replicate,converged,asc_bus,asc_rail,b_tt,b_cost"
+
+
+class TestBootstrapRecord:
+    def test_holds_each_interval_and_the_empirical_p_of_its_inputs(self):
+        draws = np.linspace(-0.2, 1.0, 25)
+        intervals, p = bootstrap_record(draws, 0.4, 0.3, 0.9)
+        assert intervals == {
+            "quantile": quantile_interval(draws, 0.9, 0.4),
+            "hpd": hpd_interval(draws, 0.9, 0.4),
+            "asymptotic_bootstrap_se": asymptotic_ci(0.4, 0.3, 0.9, method="asymptotic_bootstrap_se"),
+        }
+        assert p == empirical_p_value(draws, 0.4)
+
+    def test_an_estimate_of_zero_has_no_empirical_p(self):
+        intervals, p = bootstrap_record(np.linspace(-1.0, 1.0, 25), 0.0, 0.5, 0.95)
+        assert p is None
+        assert intervals["quantile"].lower < 0.0 < intervals["quantile"].upper
 
 
 class TestDownstreamFromRun:

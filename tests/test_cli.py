@@ -996,6 +996,17 @@ class TestCommandLineContract:
         assert err.startswith(f"error: {path}: malformed experiment config") and message in err
         assert not (tmp_path / "out" / "report.json").exists()
 
+    def test_a_whole_number_beyond_the_float_range_exits_1_naming_its_key(self, cli_files, tmp_path, capsys):
+        # json.loads reads the literal as an int that no float holds.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**read_json(cli_files / "mc_size.json"), "alpha": 10**400}), encoding="utf-8")
+        assert main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {path}: malformed experiment config: alpha must be a finite number, "
+            "got a whole number beyond the float range\n"
+        )
+        assert not (tmp_path / "out" / "report.json").exists()
+
     def test_bootstrap_with_too_few_converged_replicates_exits_3_with_partial_results(
         self, cli_files, tmp_path, capsys, monkeypatch
     ):
@@ -1057,7 +1068,7 @@ class TestCommandLineContract:
 
     def test_a_program_error_leaves_main_with_its_traceback(self, cli_files, tmp_path, capsys, monkeypatch):
         # A bug inside a replicate is not an input error: no "error:" line, no exit code.
-        monkeypatch.setattr(montecarlo_module, "_declared_direction", lambda spec, target: ("sideways", ()))
+        monkeypatch.setattr(montecarlo_module, "resolve_sidedness", lambda *args, **kwargs: "sideways")
         argv = ["montecarlo", "--config", str(cli_files / "mc_size.json"), "--out", str(tmp_path)]
         with pytest.raises(ValueError, match="sidedness must be one of"):
             main(argv)

@@ -1,4 +1,4 @@
-"""Covariance estimators, their relations, and the delta method."""
+"""Covariance estimators and their relations."""
 
 import numpy as np
 import pytest
@@ -8,7 +8,6 @@ from choicestats import (
     IdentificationError,
     build_design,
     covariance_set,
-    delta_method,
     estimate,
     standard_errors,
 )
@@ -108,51 +107,6 @@ class TestCovarianceSet:
         cov = np.array([[1.0, 0.0], [0.0, -1e-6]])
         with pytest.raises(CovarianceError, match="param_1"):
             standard_errors(cov, names=["param_0", "param_1"])
-
-
-class TestDeltaMethod:
-    def test_identity_function_returns_plain_se(self):
-        result, design = fitted(seed=41)
-        covs = covariance_set(result.hessian_at_optimum, design.score(result.params_hat))
-        value, se = delta_method(result.params_hat, covs.classical, lambda b: b[2])
-        assert value == pytest.approx(result.params_hat[2])
-        assert se == pytest.approx(covs.se_classical[2], rel=1e-6)
-
-    def test_ratio_matches_analytic_gradient(self):
-        # Willingness-to-pay ratio b_tt/b_cost: se via the exact gradient
-        # [1/b_cost, -b_tt/b_cost^2] is the oracle.
-        result, design = fitted(seed=42)
-        covs = covariance_set(result.hessian_at_optimum, design.score(result.params_hat))
-        b = result.params_hat
-        v = covs.classical[2:, 2:]
-        g = np.array([1.0 / b[3], -b[2] / b[3] ** 2])
-        expected_se = float(np.sqrt(g @ v @ g))
-        value, se = delta_method(result.params_hat, covs.classical, lambda p: p[2] / p[3])
-        assert value == pytest.approx(b[2] / b[3], rel=1e-12)
-        assert se == pytest.approx(expected_se, rel=1e-5)
-
-    def test_linear_function_is_exact(self):
-        cov = np.array([[2.0, 0.5], [0.5, 1.0]])
-        params = np.array([1.0, -2.0])
-        value, se = delta_method(params, cov, lambda b: 3.0 * b[0] - b[1])
-        g = np.array([3.0, -1.0])
-        assert value == pytest.approx(5.0)
-        assert se == pytest.approx(float(np.sqrt(g @ cov @ g)), rel=1e-7)
-
-    def test_non_finite_value_rejected(self):
-        cov = np.eye(2)
-        with np.errstate(divide="ignore"), pytest.raises(ValueError):
-            delta_method(np.array([1.0, 0.0]), cov, lambda b: b[0] / b[1])
-
-    def test_negative_quadratic_form_rejected(self):
-        cov = np.array([[-1.0]])
-        with pytest.raises(CovarianceError):
-            delta_method(np.array([2.0]), cov, lambda b: b[0])
-
-    def test_tiny_negative_variance_clamps_to_zero(self):
-        cov = np.array([[-1e-16]])
-        value, se = delta_method(np.array([2.0]), cov, lambda b: b[0])
-        assert se == 0.0
 
 
 class TestLinalgHelpers:

@@ -6,6 +6,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import choicestats.bootstrap as bootstrap_module
 import choicestats.montecarlo as montecarlo_module
 from choicestats import (
     MIN_DRAWS,
@@ -16,9 +17,15 @@ from choicestats import (
     coverage_experiment,
     estimate_design,
     sampling_distribution_summary,
+    save_dataset,
+    save_model_spec,
     save_rows,
+    seed_from,
+    simulate_dataset,
     size_and_power_experiment,
 )
+from choicestats.cli import main
+from choicestats.dataio import read_json
 
 from testtools import THREE_MODE_TRUE, three_mode_generator, three_mode_spec
 
@@ -271,9 +278,7 @@ class TestSizePower:
         # The direction reaches the workers with the cell's arguments. An
         # unknown one makes each cell's t test raise ValueError: a bug, not
         # a failed cell.
-        monkeypatch.setattr(
-            montecarlo_module, "_declared_direction", lambda spec, target: ("sideways", ())
-        )
+        monkeypatch.setattr(montecarlo_module, "resolve_sidedness", lambda *args, **kwargs: "sideways")
         with pytest.raises(ValueError, match="sidedness must be one of"):
             size_and_power_experiment(make_config(n_persons=60), jobs=jobs)
 
@@ -334,7 +339,7 @@ class TestCoverage:
         def broken(*args):
             raise ValueError("bug")
 
-        monkeypatch.setattr(montecarlo_module, "quantile_interval", broken)
+        monkeypatch.setattr(bootstrap_module, "quantile_interval", broken)
         config = make_config(n_persons=60, bootstrap_s=MIN_DRAWS)
         with pytest.raises(ValueError, match="bug"):
             coverage_experiment(config, jobs=1)
@@ -369,6 +374,56 @@ class TestCoverage:
         parallel = coverage_experiment(config, jobs=3)
         assert serial.rows == parallel.rows
         assert serial.rates == parallel.rates
+
+
+class TestCellsReadTheEstimateRecord:
+    """A size/power cell and a coverage rep report, for their target, the tests
+    and intervals that the command line writes for the same data, null and
+    sidedness."""
+
+    @staticmethod
+    def results_of(command, config, true_params, rep, tmp_path, *flags):
+        # The replication's data as files, fitted from the truth as the cell's fit is.
+        truth = [true_params[name] for name in config.spec.free_names()]
+        data = simulate_dataset(
+            config.spec, truth, config.generator, config.n_persons, config.obs_per_person, seed_from(config.seed, rep)
+        )
+        parameters = [dataclasses.replace(p, start=true_params.get(p.name, p.start)) for p in config.spec.parameters]
+        save_dataset(data, tmp_path / "data.csv")
+        save_model_spec(dataclasses.replace(config.spec, parameters=parameters), tmp_path / "spec.json")
+        out = tmp_path / "-".join((command, *flags))
+        argv = [command, "--data", str(tmp_path / "data.csv"), "--spec", str(tmp_path / "spec.json")]
+        assert main([*argv, "--ci-level", repr(config.ci_level), *flags, "--out", str(out)]) == 0
+        return read_json(out / "results.json")
+
+    def test_a_size_power_cell_reports_what_estimate_writes(self, tmp_path, capsys):
+        config = make_config(n_persons=120, ci_level=0.9)
+        rep, effect = 3, 1
+        row = montecarlo_module._size_power_cell(config, "less", rep * len(config.effect_sizes) + effect)
+        true_params = {**config.true_params, "b_cost": config.effect_sizes[effect]}
+        # b_cost declares 'less' and a 0 null: --sided one tests it as the cell's one-sided rates do.
+        one, two = (self.results_of("estimate", config, true_params, rep, tmp_path, "--sided", s) for s in ("one", "two"))
+        assert one["estimates"]["b_cost"] == row["estimate"]
+        for sided, doc in (("one", one), ("two", two)):
+            tests = doc["tests"]["b_cost"]
+            assert tests["t_classical"]["p_value"] == row[f"p_t_classical_{sided}"]
+            assert tests["t_robust"]["p_value"] == row[f"p_t_robust_{sided}"]
+        assert one["tests"]["b_cost"]["t_classical"]["sidedness"] == "one_sided_less"
+        assert one["tests"]["b_cost"]["t_classical"]["statistic"] == row["t_classical"]
+        assert one["tests"]["b_cost"]["wald"]["p_value"] == row["p_wald"]
+
+    def test_a_coverage_rep_reports_the_intervals_estimate_and_bootstrap_write(self, tmp_path, capsys):
+        config = make_config(n_persons=120, ci_level=0.9, bootstrap_s=MIN_DRAWS + 9)
+        rep = 2
+        row = montecarlo_module._coverage_rep(config, rep)
+        fit = self.results_of("estimate", config, config.true_params, rep, tmp_path)
+        for method in ("classical", "robust"):
+            interval = fit["intervals"]["b_cost"][method]
+            assert (interval["lower"], interval["upper"]) == (row[f"ci_lower_{method}"], row[f"ci_upper_{method}"])
+        flags = ("--S", str(config.bootstrap_s), "--seed", str(seed_from(config.seed, rep, 1)))
+        boot = self.results_of("bootstrap", config, config.true_params, rep, tmp_path, *flags)
+        quantile = boot["bootstrap"]["intervals"]["b_cost"]["quantile"]
+        assert (quantile["lower"], quantile["upper"]) == (row["ci_lower_bootstrap"], row["ci_upper_bootstrap"])
 
 
 class TestSamplingSummary:

@@ -3,6 +3,7 @@
 import copy
 import json
 import re
+import sys
 import warnings
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
 from functools import reduce
@@ -70,6 +71,15 @@ class TestScalars:
         with pytest.raises(DataError) as excinfo:
             from_json(tp, value, "doc")
         assert str(excinfo.value) == f"doc {message}"
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400)])
+    def test_a_whole_number_beyond_the_float_range_is_refused_at_its_key_path(self, value):
+        with pytest.raises(DataError) as excinfo:
+            from_json(float, value, "doc", "alpha")
+        assert str(excinfo.value) == "doc: alpha must be a finite number, got a whole number beyond the float range"
+
+    def test_the_largest_whole_number_a_float_holds_is_accepted(self):
+        assert from_json(float, int(sys.float_info.max), "doc") == sys.float_info.max
 
 
 class TestContainers:

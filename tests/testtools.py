@@ -386,6 +386,12 @@ def concat_take_persons(design, person_order):
     }
 
 
+def lm_statistic(score, information):
+    """Lagrange multiplier statistic g' I^-1 g by a plain linear solve: the
+    oracle of ``lm_test_at``'s BHHH route."""
+    return float(score @ np.linalg.solve(information, score))
+
+
 def assert_close_rel(actual, expected, rtol, context=""):
     """|actual - expected| <= rtol * max(1, |expected|), element-wise."""
     actual = np.asarray(actual, dtype=float)

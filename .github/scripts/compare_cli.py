@@ -22,7 +22,9 @@ The paths: ``estimate`` (with and without ``--starts 3``, and with
 and ``auto`` declarations take every branch of the sidedness rule),
 ``bootstrap``, exit 2 from a singular Hessian and from a singular
 covariance, exit 3 from a fit that does not converge (``estimate`` and
-``bootstrap``; one iteration at an unreachable tolerance) and from
+``bootstrap``; one iteration at an unreachable tolerance, set through the
+estimation module's constants or, in a tree that predates them, the CLI's
+``EstimationOptions``) and from
 ``bootstrap --S 5``, ``montecarlo`` of each config, and ``report`` of the
 first ``estimate``'s results.
 
@@ -44,10 +46,17 @@ import tempfile
 from pathlib import Path
 
 # A fit that runs out of iterations: one step at a tolerance no fit meets.
+# A tree with the estimation module's MAX_ITERATIONS and GRADIENT_TOLERANCE
+# constants gets them set; an older tree, whose CLI builds an
+# EstimationOptions, gets its defaults replaced.
 STUCK = """
 import functools, sys
 import choicestats.cli as cli
-cli.EstimationOptions = functools.partial(cli.EstimationOptions, max_iterations=1, gradient_tolerance=1e-13)
+import choicestats.estimation as estimation
+if hasattr(estimation, "MAX_ITERATIONS"):
+    estimation.MAX_ITERATIONS, estimation.GRADIENT_TOLERANCE = 1, 1e-13
+else:
+    cli.EstimationOptions = functools.partial(cli.EstimationOptions, max_iterations=1, gradient_tolerance=1e-13)
 sys.exit(cli.main(sys.argv[1:]))
 """
 CLI = ("-m", "choicestats.cli")

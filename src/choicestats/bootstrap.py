@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, IdentificationError
-from .estimation import STATUS_CONVERGED, EstimationOptions, _start_vector, estimate_design
+from .estimation import STATUS_CONVERGED, _start_vector, estimate_design
 from .inference import ConfidenceInterval, asymptotic_ci
 from .linalg import solve_positive_definite
 from .util import Failure, parallel_map, seed_from
@@ -61,18 +61,18 @@ def _one_step_start(mle, terms, counts):
         return mle
 
 
-def _bootstrap_replicate(design, options, base_seed, mle, terms, s):
+def _bootstrap_replicate(design, base_seed, mle, terms, s):
     n = design.n_persons
     drawn = np.random.default_rng(seed_from(base_seed, s)).integers(0, n, n)
     counts = np.bincount(drawn, minlength=n)
     start = _one_step_start(mle, terms, counts)
-    result = estimate_design(design.weighted(counts), options, start=start, estimate_only=True)
+    result = estimate_design(design.weighted(counts), start=start, estimate_only=True)
     if not result.converged:
         raise ConvergenceError(result.status)
     return result.params_hat
 
 
-def bootstrap_run(design, options=None, s_samples=400, base_seed=0, jobs=1, mle=None):
+def bootstrap_run(design, s_samples=400, base_seed=0, jobs=1, mle=None):
     """Estimate on s_samples person-level resamples of a compiled design.
 
     Replicate s draws n_persons persons with replacement, with a seed
@@ -90,12 +90,11 @@ def bootstrap_run(design, options=None, s_samples=400, base_seed=0, jobs=1, mle=
     """
     if s_samples < 2:
         raise ValueError(f"s_samples must be >= 2, got {s_samples}")
-    options = options or EstimationOptions()
     if mle is None:
-        mle = estimate_design(design, options).params_hat
+        mle = estimate_design(design).params_hat
     mle = _start_vector(design, mle)
     terms = design.person_terms(design.probabilities(mle), information=True)
-    args = (design, options, base_seed, mle, terms * design.person_weights[:, None])
+    args = (design, base_seed, mle, terms * design.person_weights[:, None])
     outcomes = parallel_map(_bootstrap_replicate, args, s_samples, jobs)
     failed = [isinstance(out, Failure) for out in outcomes]
     nan_row = np.full(design.k, np.nan)

@@ -46,7 +46,6 @@ from .errors import (
 from .estimation import (
     STATUS_CONVERGED,
     STATUS_SINGULAR_HESSIAN,
-    EstimationOptions,
     estimate_design,
     multi_start,
 )
@@ -58,7 +57,7 @@ from .montecarlo import (
     save_rows,
     size_and_power_experiment,
 )
-from .reporting import Column, ReportOptions, bic, format_table, rho_bar_squared
+from .reporting import Column, bic, format_table, rho_bar_squared
 from .util import from_json
 
 OUTDIR_ENV = "CHOICESTATS_OUTDIR"
@@ -130,17 +129,16 @@ def _fit_data(args, outdir):
     and ConvergenceError otherwise."""
     spec = load_model_spec(args.spec)
     design = build_design(load_dataset(args.data), spec)
-    options = EstimationOptions(n_starts=args.starts, seed=args.seed)
-    if options.n_starts > 1:
+    if args.starts > 1:
         try:
-            best, runs = multi_start(design, options)
+            best, runs = multi_start(design, args.starts, args.seed)
         except ConvergenceError as exc:
             # No start converged; the best partial fit (ll_hat is always finite) is reported.
             best, runs = max(exc.runs, key=lambda r: r.ll_hat), list(exc.runs)
     else:
-        best, runs = estimate_design(design, options), None
+        best, runs = estimate_design(design), None
     if best.status == STATUS_CONVERGED:
-        return spec, design, options, best, runs
+        return spec, design, best, runs
     _write_run(args, outdir, [("results.json", _results_head(args, best, best.status))])
     if best.status != STATUS_SINGULAR_HESSIAN:
         raise ConvergenceError(f"estimation did not converge (status: {best.status})")
@@ -157,7 +155,7 @@ def _table(args, doc):
     command renders here, so ``report`` re-renders the table the command printed."""
     rows_of_doc, columns = _TABLES[doc["command"]][:2]
     shown = [c for c in columns if (c.kind != "se" or args.se) and (c.kind != "t" or args.t)]
-    table = format_table(shown, rows_of_doc(doc), ReportOptions(include_stars=args.stars), args.format)
+    table = format_table(shown, rows_of_doc(doc), args.format, stars=args.stars)
     return f"table.{'txt' if args.format == 'text' else args.format}", table
 
 
@@ -180,7 +178,7 @@ def _estimate_results_doc(args, spec, design, best, runs, covs, tests, intervals
             "bic_n": design.n_obs,
         },
         "covariance": {
-            "grouping": covs.grouping,
+            "grouping": "person",
             "classical": encode_matrix(covs.classical, names, names),
             "bhhh": encode_matrix(covs.bhhh, names, names),
             "robust": encode_matrix(covs.robust, names, names),
@@ -250,7 +248,7 @@ _ESTIMATE_COLUMNS = (
 
 
 def cmd_estimate(args, outdir):
-    spec, design, options, best, runs = _fit_data(args, outdir)
+    spec, design, best, runs = _fit_data(args, outdir)
     try:
         covs = fit_covariance(design, best)
     except (IdentificationError, CovarianceError):
@@ -315,14 +313,9 @@ _BOOTSTRAP_COLUMNS = (
 
 
 def cmd_bootstrap(args, outdir):
-    spec, design, options, best, _ = _fit_data(args, outdir)
+    spec, design, best, _ = _fit_data(args, outdir)
     result = bootstrap_run(
-        design,
-        options,
-        s_samples=args.s_samples,
-        base_seed=args.seed,
-        jobs=args.jobs,
-        mle=best.params_hat,
+        design, s_samples=args.s_samples, base_seed=args.seed, jobs=args.jobs, mle=best.params_hat
     )
     draws_csv = ("draws.csv", partial(save_draws, result))
     if result.s_converged < MIN_DRAWS:

@@ -24,17 +24,6 @@ class CovarianceSet:
     se_classical: np.ndarray
     se_bhhh: np.ndarray
     se_robust: np.ndarray
-    grouping: str
-
-    def matrix(self, method):
-        return {"classical": self.classical, "bhhh": self.bhhh, "robust": self.robust}[method]
-
-    def se(self, method):
-        return {
-            "classical": self.se_classical,
-            "bhhh": self.se_bhhh,
-            "robust": self.se_robust,
-        }[method]
 
 
 def standard_errors(cov, names=None):
@@ -51,15 +40,13 @@ def standard_errors(cov, names=None):
     return np.sqrt(diagonal)
 
 
-def covariance_set(hessian, scores, grouping="person", names=None):
+def covariance_set(hessian, scores, names=None):
     """The three standard covariance estimators from H and grouped scores.
 
     classical = (-H)^-1, bhhh = (S'S)^-1, robust = classical (S'S) classical.
-    ``scores`` must already be grouped (one row per person by default, per
-    observation on the override); no degrees-of-freedom correction.
+    The caller groups ``scores``, one row per cluster (:func:`fit_covariance`
+    groups them by person); no degrees-of-freedom correction.
     """
-    if grouping not in ("person", "observation"):
-        raise ValueError(f"grouping must be 'person' or 'observation', got '{grouping}'")
     hessian = require_symmetric(np.asarray(hessian, dtype=float), tolerance=1e-10, name="hessian")
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2 or scores.shape[1] != hessian.shape[0]:
@@ -78,11 +65,10 @@ def covariance_set(hessian, scores, grouping="person", names=None):
         se_classical=standard_errors(classical, names),
         se_bhhh=standard_errors(bhhh, names),
         se_robust=standard_errors(robust, names),
-        grouping=grouping,
     )
 
 
 def fit_covariance(design, fit):
     """The covariance set of a converged ``fit`` of ``design``, scores grouped by person."""
-    scores = design.score(fit.params_hat, grouping="person")
+    scores = design.score(fit.params_hat)
     return covariance_set(fit.hessian_at_optimum, scores, names=fit.names)

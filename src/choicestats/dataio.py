@@ -9,6 +9,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -163,7 +164,9 @@ def save_dataset(dataset, path):
 def read_json(path):
     """The JSON object in ``path``; any other document raises DataError, as
     does a number that write_json would not write: the NaN and Infinity
-    tokens, or a literal beyond the float range such as 1e400."""
+    tokens, or a literal beyond the float range such as 1e400. So does an
+    integer literal with more digits than ``int`` converts from text
+    (``sys.get_int_max_str_digits()``, 4300 by default)."""
     source = str(path)
 
     def finite(text):
@@ -172,9 +175,18 @@ def read_json(path):
             raise DataError(f"invalid JSON: {text} is not a finite number", source=source)
         return value
 
+    def integer(text):
+        digits, limit = len(text.lstrip("-")), sys.get_int_max_str_digits()
+        if limit and digits > limit:
+            raise DataError(
+                f"invalid JSON: an integer literal of {digits} digits exceeds the limit of {limit}",
+                source=source,
+            )
+        return int(text)
+
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh, parse_constant=finite, parse_float=finite)
+            doc = json.load(fh, parse_constant=finite, parse_float=finite, parse_int=integer)
     except json.JSONDecodeError as exc:
         raise DataError(f"invalid JSON: {exc.msg}", source=source, line=exc.lineno) from exc
     except OSError as exc:
@@ -213,7 +225,3 @@ def encode_matrix(matrix, rows, cols):
     """JSON form of a labelled matrix: {"rows", "cols", "data"}."""
     m = np.asarray(matrix, dtype=float)
     return {"rows": list(rows), "cols": list(cols), "data": [[float(x) for x in r] for r in m]}
-
-
-def decode_matrix(doc):
-    return np.asarray(doc["data"], dtype=float), list(doc["rows"]), list(doc["cols"])

@@ -53,17 +53,11 @@ START_PERTURBATION_SCALE = 1.0
 #: |g|_inf < 1e-6, the gradient test's tolerance.
 NEWTON_DECREMENT_TOLERANCE = 1e-8
 
-
-@dataclass(frozen=True)
-class EstimationOptions:
-    max_iterations: int = 200
-    gradient_tolerance: float = 1e-6
-    n_starts: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.max_iterations < 1 or self.n_starts < 1 or not self.gradient_tolerance > 0:
-            raise ValueError("max_iterations and n_starts must be >= 1, gradient_tolerance > 0")
+#: A fit converges once the largest |gradient| entry is at most
+#: GRADIENT_TOLERANCE, and stops with status max_iterations after
+#: MAX_ITERATIONS accepted steps short of that.
+MAX_ITERATIONS = 200
+GRADIENT_TOLERANCE = 1e-6
 
 
 @dataclass(frozen=True)
@@ -156,7 +150,7 @@ def _start_vector(design, start):
     return params
 
 
-def estimate_design(design, options=None, start=None, start_index=0, estimate_only=False):
+def estimate_design(design, start=None, start_index=0, estimate_only=False):
     """Run the optimiser against an already compiled design.
 
     Each trial point costs one softmax pass: the line search takes the
@@ -169,7 +163,6 @@ def estimate_design(design, options=None, start=None, start_index=0, estimate_on
     taken and ends the fit, converged, without evaluating its end point; the
     fit returns a :class:`PointEstimate`, not an EstimationResult.
     """
-    options = options or EstimationOptions()
     params = _start_vector(design, start)
     p = design.probabilities(params)
     ll, floored = design.chosen_log_likelihood(p)
@@ -180,10 +173,10 @@ def estimate_design(design, options=None, start=None, start_index=0, estimate_on
     iterations = 0
     while True:
         gradient, hessian = design.derivatives(p)
-        if np.abs(gradient).max() <= options.gradient_tolerance:
+        if np.abs(gradient).max() <= GRADIENT_TOLERANCE:
             status = STATUS_CONVERGED
             break
-        if iterations == options.max_iterations:
+        if iterations == MAX_ITERATIONS:
             break
         try:
             direction, newton = _ascent_direction(design, params, gradient, hessian)
@@ -257,29 +250,30 @@ def estimate_design(design, options=None, start=None, start_index=0, estimate_on
     return result
 
 
-def estimate(dataset, spec, options=None):
+def estimate(dataset, spec):
     """Maximise the sample log-likelihood for ``spec`` on ``dataset``."""
-    return estimate_design(build_design(dataset, spec), options)
+    return estimate_design(build_design(dataset, spec))
 
 
-def multi_start(design, options=None):
+def multi_start(design, n_starts=1, seed=0):
     """Estimate a compiled design from several starting points; return
     (best, all runs).
 
     Start 0 uses the declared start values; later starts perturb them with
-    seeded normal noise. The best run is the converged one with the highest
-    log-likelihood. Converged runs disagreeing by more than 1e-4 in their
+    normal noise seeded from ``seed``. The best run is the converged one with
+    the highest log-likelihood. Converged runs disagreeing by more than 1e-4 in their
     final log-likelihood raise EstimationDisagreementWarning.
     """
-    options = options or EstimationOptions()
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     runs = []
-    for i in range(options.n_starts):
+    for i in range(n_starts):
         if i == 0:
             start = design.start_values.copy()
         else:
-            rng = np.random.default_rng(seed_from(options.seed, i))
+            rng = np.random.default_rng(seed_from(seed, i))
             start = design.start_values + START_PERTURBATION_SCALE * rng.standard_normal(design.k)
-        runs.append(estimate_design(design, options, start=start, start_index=i))
+        runs.append(estimate_design(design, start=start, start_index=i))
 
     converged = [r for r in runs if r.converged]
     if not converged:

@@ -415,21 +415,17 @@ class DesignArrays:
             axis=1,
         )
 
-    def score(self, params, grouping="person"):
-        """Score rows x_chosen - sum_j p_j x_j per observation, or per person by
-        :meth:`person_terms`; unweighted, a person of weight m giving one row."""
-        p = self.probabilities(params)
-        if grouping == "person":
-            return self.person_terms(p)
-        if grouping != "observation":
-            raise ValueError(f"grouping must be 'person' or 'observation', got '{grouping}'")
-        return (self._x_chosen - self._xbar(p.T)).T
+    def score(self, params):
+        """Per-person score rows, sums of x_chosen - sum_j p_j x_j over the
+        person's observations, by :meth:`person_terms`; unweighted, a person
+        of weight m giving one row."""
+        return self.person_terms(self.probabilities(params))
 
     def bhhh(self, params):
         """sum_i w_i s_i s_i' over persons i with score s_i and weight w_i."""
         # Scaling by sqrt(w) keeps the product of one array with itself, so
         # unit weights give the same bits as the unweighted product.
-        rows = self.score(params, grouping="person") * np.sqrt(self.person_weights)[:, None]
+        rows = self.score(params) * np.sqrt(self.person_weights)[:, None]
         return rows.T @ rows
 
     def weighted(self, person_weights):

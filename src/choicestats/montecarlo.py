@@ -23,7 +23,7 @@ import numpy as np
 from .bootstrap import MIN_DRAWS, bootstrap_covariance, bootstrap_record, bootstrap_run
 from .covariance import fit_covariance, standard_errors
 from .errors import ChoiceStatsError, DataError
-from .estimation import EstimationOptions, estimate_design
+from .estimation import estimate_design
 from .inference import asymptotic_record, lm_test_at, lr_test, normal_cdf, resolve_sidedness
 from .model import GeneratorSpec, ModelSpec, simulate_design
 from .util import Failure, from_json, parallel_map, seed_from
@@ -135,7 +135,7 @@ def _fit_replicate(config, true_params, rep):
         config.obs_per_person,
         seed_from(config.seed, rep),
     )
-    result = estimate_design(design, EstimationOptions(), start=truth)
+    result = estimate_design(design, start=truth)
     if not result.converged:
         raise ChoiceStatsError("replication did not converge")
     return design, result, fit_covariance(design, result)
@@ -258,7 +258,6 @@ def _coverage_rep(config, rep):
     if config.bootstrap_s >= 2:
         boot = bootstrap_run(
             design,
-            EstimationOptions(),
             s_samples=config.bootstrap_s,
             base_seed=seed_from(config.seed, rep, 1),
             mle=result.params_hat,

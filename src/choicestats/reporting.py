@@ -1,15 +1,17 @@
 """Fit metrics and table rendering.
 
 Rendering rules the tables enforce rather than document:
-  - estimates and interval bounds to a significant-digit budget (leading
-    zeros never count), switching to scientific notation below 0.01;
+  - estimates and interval bounds to SIGNIFICANT_DIGITS significant digits
+    (leading zeros never count), switching to scientific notation below 0.01;
   - standard errors always in scientific notation, which keeps their digits
     visible an order of magnitude below the estimates;
-  - p-values floored at the APA notation "< .001", never rendered "0";
+  - p-values to P_DIGITS decimals, floored at the APA notation "< .001",
+    never rendered "0";
   - every p column labelled with its sidedness, read from its cells: in the
     header when they share one, on each cell otherwise, plus a footer note;
-  - significance stars (ReportOptions.include_stars) refused unless a
-    standard-error or t column is present, and appended to the p cells.
+  - significance stars at STAR_THRESHOLDS, only on request (``stars``),
+    refused unless a standard-error or t column is present, and appended to
+    the p cells.
 """
 
 from __future__ import annotations
@@ -20,11 +22,13 @@ import json
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .bootstrap import EmpiricalPValue
 
-DEFAULT_STAR_THRESHOLDS = (0.01, 0.05, 0.10)
+SIGNIFICANT_DIGITS = 4
+P_DIGITS = 3
+#: On the p grid (a multiple of 10**-P_DIGITS), so no p rounds to below it.
+APA_FLOOR = 0.001
+STAR_THRESHOLDS = (0.01, 0.05, 0.10)
 
 SIDEDNESS_LABELS = {
     "two_sided": "2-sided",
@@ -72,14 +76,12 @@ def prediction_gain(delta_ll, n_obs, base_avg_prob):
     return min(raw, 1.0), raw > 1.0
 
 
-def star_code(p, thresholds=DEFAULT_STAR_THRESHOLDS):
-    """"***" for p <= t1, "**" to t2, "*" to t3, else ""."""
+def star_code(p):
+    """"***" for p <= .01, "**" to .05, "*" to .10 (STAR_THRESHOLDS), else ""."""
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    t1, t2, t3 = thresholds
-    if not t1 < t2 < t3:
-        raise ValueError(f"star thresholds must increase strictly, got {thresholds}")
+    t1, t2, t3 = STAR_THRESHOLDS
     if p <= t1:
         return "***"
     if p <= t2:
@@ -87,26 +89,6 @@ def star_code(p, thresholds=DEFAULT_STAR_THRESHOLDS):
     if p <= t3:
         return "*"
     return ""
-
-
-@dataclass(frozen=True)
-class ReportOptions:
-    significant_digits: int = 4
-    p_digits: int = 3
-    apa_floor: float = 0.001
-    star_thresholds: tuple = DEFAULT_STAR_THRESHOLDS
-    include_stars: bool = False
-
-    def __post_init__(self):
-        t1, t2, t3 = self.star_thresholds
-        if not t1 < t2 < t3:
-            raise ValueError(
-                f"star thresholds must increase strictly, got {self.star_thresholds}"
-            )
-        # Above the p grid's step, a floor off the grid lets rounding print a p below it.
-        on_grid = float(f"{self.apa_floor:.{self.p_digits}f}") == self.apa_floor
-        if self.apa_floor > 10.0**-self.p_digits and not on_grid:
-            raise ValueError(f"apa_floor {self.apa_floor} is not a multiple of 10**-{self.p_digits}")
 
 
 def format_significant(value, digits=4):
@@ -139,27 +121,17 @@ def format_estimate(value, digits=4):
     return format_significant(value, digits)
 
 
-def format_p_value(p, options=None, sidedness=None):
+def format_p_value(p, sidedness=None):
     """APA-floored p with optional sidedness annotation, never exactly "0"."""
-    options = options or ReportOptions()
     suffix = f" ({SIDEDNESS_LABELS.get(sidedness, sidedness)})" if sidedness else ""
     if isinstance(p, EmpiricalPValue):
-        return p.display(options.p_digits) + suffix
+        return p.display(P_DIGITS) + suffix
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    if p < options.apa_floor:
-        return f"< {_strip_leading_zero(options.apa_floor)}" + suffix
-    rendered = f"{p:.{options.p_digits}f}"
-    if float(rendered) == 0.0:
-        return f"< {_strip_leading_zero(10.0 ** -options.p_digits)}" + suffix
-    return rendered + suffix
-
-
-def _strip_leading_zero(x):
-    # Every digit of the shortest repr, so the text reads back as x itself.
-    text = np.format_float_positional(x, trim="-")
-    return text[1:] if text.startswith("0.") else text
+    if p < APA_FLOOR:
+        return "< " + f"{APA_FLOOR:.{P_DIGITS}f}".removeprefix("0") + suffix
+    return f"{p:.{P_DIGITS}f}" + suffix
 
 
 def _star_p(p):
@@ -190,7 +162,7 @@ def _uniform_sidedness(column, rows):
     return tags.pop() if len(tags) == 1 else None
 
 
-def _render_cell(column, row, options, header_sidedness):
+def _render_cell(column, row, stars, header_sidedness):
     value = row.get(column.key)
     if value is None:
         return ""
@@ -198,24 +170,21 @@ def _render_cell(column, row, options, header_sidedness):
     if kind == "label":
         return str(value)
     if kind == "estimate":
-        return format_estimate(value, options.significant_digits)
+        return format_estimate(value, SIGNIFICANT_DIGITS)
     if kind == "se":
-        return format_scientific(value, options.significant_digits)
+        return format_scientific(value, SIGNIFICANT_DIGITS)
     if kind in ("t", "ratio"):
         return f"{float(value):.2f}"
     if kind == "p":
         p, sidedness = _p_and_sidedness(value)
         # A sidedness shown in the header is not repeated on the cell.
-        text = format_p_value(p, options, None if header_sidedness else sidedness)
-        if options.include_stars:
-            stars = star_code(_star_p(p), options.star_thresholds)
-            if stars:
-                text += f" {stars}"
-        return text
+        text = format_p_value(p, None if header_sidedness else sidedness)
+        code = star_code(_star_p(p)) if stars else ""
+        return f"{text} {code}" if code else text
     raise ValueError(f"unknown column kind '{column.kind}'")
 
 
-def _footer_notes(columns, sidedness, options):
+def _footer_notes(columns, sidedness, stars):
     notes = []
     parts = [
         f"{c.header}: {SIDEDNESS_LABELS.get(tag, tag) if tag else 'per cell'}"
@@ -224,23 +193,23 @@ def _footer_notes(columns, sidedness, options):
     ]
     if parts:
         notes.append("p-value sidedness - " + "; ".join(parts))
-    if options.include_stars:
-        t1, t2, t3 = options.star_thresholds
+    if stars:
+        t1, t2, t3 = STAR_THRESHOLDS
         notes.append(f"***: p <= {t1:g}; **: p <= {t2:g}; *: p <= {t3:g}")
     return notes
 
 
-def format_table(columns, rows, options=None, fmt="text"):
+def format_table(columns, rows, fmt="text", stars=False):
     """Render rows under the reporting conventions; see module docstring.
 
-    A p cell is a bare p (two-sided) or a (p, sidedness) pair. Stars are
-    refused unless a standard-error or t column is present: bare starred
-    estimates hide the uncertainty the stars pretend to summarise.
+    A p cell is a bare p (two-sided) or a (p, sidedness) pair. ``stars``
+    appends significance stars to the p cells; they are refused unless a
+    standard-error or t column is present: bare starred estimates hide the
+    uncertainty the stars pretend to summarise.
     """
-    options = options or ReportOptions()
     columns = list(columns)
     rows = list(rows)
-    if options.include_stars and not any(c.kind in ("se", "t") for c in columns):
+    if stars and not any(c.kind in ("se", "t") for c in columns):
         raise ValueError(
             "significance stars require a standard-error or t-ratio column "
             "alongside; add one or drop the stars"
@@ -251,8 +220,8 @@ def format_table(columns, rows, options=None, fmt="text"):
         f"{c.header} ({SIDEDNESS_LABELS.get(tag, tag)})" if tag else c.header
         for c, tag in zip(columns, sidedness)
     ]
-    cells = [[_render_cell(c, row, options, tag) for c, tag in zip(columns, sidedness)] for row in rows]
-    notes = _footer_notes(columns, sidedness, options)
+    cells = [[_render_cell(c, row, stars, tag) for c, tag in zip(columns, sidedness)] for row in rows]
+    notes = _footer_notes(columns, sidedness, stars)
 
     if fmt == "text":
         widths = [

@@ -121,7 +121,7 @@ FIVE_PARAM_TRUE = {
 def classical_covariances(design, result):
     return covariance_set(
         design.evaluate(result.params_hat)[2],
-        design.score(result.params_hat, "person"),
+        design.score(result.params_hat),
         names=result.names,
     )
 

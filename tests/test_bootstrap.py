@@ -10,13 +10,13 @@ from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 import choicestats.bootstrap as bootstrap_module
+import choicestats.estimation as estimation_module
 from choicestats import (
     MIN_DRAWS,
     BootstrapResult,
     ChoiceStatsError,
     DesignArrays,
     EmpiricalPValue,
-    EstimationOptions,
     ReplicateFailureWarning,
     asymmetry_index,
     asymptotic_ci,
@@ -92,9 +92,9 @@ class TestBootstrapRun:
         real = bootstrap_module.estimate_design
         starts = []
 
-        def recording(design, options, **kwargs):
+        def recording(design, **kwargs):
             starts.append((design, kwargs.get("start")))
-            return real(design, options, **kwargs)
+            return real(design, **kwargs)
 
         monkeypatch.setattr(bootstrap_module, "estimate_design", recording)
         dataset = three_mode_data(n_persons=40, obs_per_person=1, seed=13)
@@ -119,17 +119,16 @@ class TestBootstrapRun:
         assert all(np.array_equal(a, b) for (_, a), b in zip(starts[1:], given_starts))
         assert np.array_equal(fitted.draws, given.draws)
 
-    def test_one_step_start_is_the_first_newton_iterate(self):
+    def test_one_step_start_is_the_first_newton_iterate(self, monkeypatch):
         dataset = three_mode_data(n_persons=60, obs_per_person=2, seed=3)
         design = build_design(dataset, three_mode_spec())
         mle = estimate_design(design).params_hat
         terms = design.person_terms(design.probabilities(mle), information=True)
         rng = np.random.default_rng(3)
+        monkeypatch.setattr(estimation_module, "MAX_ITERATIONS", 1)
         for _ in range(5):
             counts = np.bincount(rng.integers(0, 60, 60), minlength=60)
-            first = estimate_design(
-                design.weighted(counts), EstimationOptions(max_iterations=1), start=mle
-            )
+            first = estimate_design(design.weighted(counts), start=mle)
             assert first.iterations == 1
             start = bootstrap_module._one_step_start(mle, terms, counts)
             np.testing.assert_allclose(start, first.params_hat, rtol=1e-10, atol=0)
@@ -160,7 +159,6 @@ class TestBootstrapRun:
         # stops.
         dataset = three_mode_data(n_persons=500, obs_per_person=4, seed=1)
         design = build_design(dataset, three_mode_spec())
-        options = EstimationOptions()
         mle = estimate_design(design).params_hat
         terms = design.person_terms(design.probabilities(mle), information=True)
         n = design.n_persons
@@ -170,7 +168,7 @@ class TestBootstrapRun:
         )
         assert full.iterations == 2
         calls = _count_kernel_passes(monkeypatch)
-        estimate = bootstrap_module._bootstrap_replicate(design, options, 1, mle, terms, 2)
+        estimate = bootstrap_module._bootstrap_replicate(design, 1, mle, terms, 2)
         assert calls == {"probabilities": 2, "derivatives": 2}
         assert estimate.tobytes() == full.params_hat.tobytes()
 
@@ -193,11 +191,11 @@ class TestBootstrapRun:
         real = bootstrap_module.estimate_design
         calls = {"n": 0}
 
-        def flaky(design, options, **kwargs):
+        def flaky(design, **kwargs):
             calls["n"] += 1
             if calls["n"] % 3 == 0:
                 raise ChoiceStatsError("synthetic replicate failure")
-            return real(design, options, **kwargs)
+            return real(design, **kwargs)
 
         monkeypatch.setattr(bootstrap_module, "estimate_design", flaky)
         dataset = three_mode_data(n_persons=40, obs_per_person=1, seed=13)
@@ -220,9 +218,9 @@ class TestBootstrapRun:
         real = bootstrap_module.estimate_design
         calls = {"n": 0}
 
-        def stalling(design, options, **kwargs):
+        def stalling(design, **kwargs):
             calls["n"] += 1
-            result = real(design, options, **kwargs)
+            result = real(design, **kwargs)
             return dataclasses.replace(result, status="max_iterations") if calls["n"] == 2 else result
 
         monkeypatch.setattr(bootstrap_module, "estimate_design", stalling)

@@ -1,7 +1,6 @@
 """Command-line workflows: files in, files out, exit codes, determinism."""
 
 import argparse
-import functools
 import json
 import subprocess
 import sys
@@ -13,7 +12,6 @@ import pytest
 from choicestats import (
     ChoiceStatsError,
     ConvergenceError,
-    EstimationOptions,
     EstimationResult,
     ExperimentConfig,
     ReplicateFailureWarning,
@@ -25,6 +23,7 @@ from choicestats import (
 )
 import choicestats.bootstrap as bootstrap_module
 import choicestats.cli as cli_module
+import choicestats.estimation as estimation_module
 import choicestats.montecarlo as montecarlo_module
 from choicestats import model
 from choicestats.cli import main
@@ -89,7 +88,7 @@ def cli_files(tmp_path_factory):
     return root
 
 
-def stuck_fit(design, options):
+def stuck_fit(design):
     """Stand-in for estimate_design: a fit that ran out of iterations."""
     return EstimationResult(
         params_hat=np.zeros(design.k),
@@ -361,10 +360,8 @@ class TestExitCodes:
         self, cli_files, tmp_path, capsys, monkeypatch, command
     ):
         # One iteration at an unreachable tolerance: no start converges.
-        options = functools.partial(
-            EstimationOptions, max_iterations=1, gradient_tolerance=1e-13
-        )
-        monkeypatch.setattr(cli_module, "EstimationOptions", options)
+        monkeypatch.setattr(estimation_module, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(estimation_module, "GRADIENT_TOLERANCE", 1e-13)
         argv = [
             command,
             "--data", str(cli_files / "data.csv"),
@@ -381,7 +378,7 @@ class TestExitCodes:
 
         design = build_design(load_dataset(cli_files / "data.csv"), three_mode_spec())
         with pytest.raises(ConvergenceError) as excinfo:
-            multi_start(design, options(n_starts=3, seed=0))
+            multi_start(design, n_starts=3, seed=0)
         best = max(excinfo.value.runs, key=lambda r: r.ll_hat)
         assert partial["ll_hat"] == best.ll_hat
         assert partial["estimates"] == best.params_dict()
@@ -594,7 +591,7 @@ class TestMontecarloCommand:
         assert read_json(tmp_path / "report.json")["config"]["seed"] == 0
 
     def test_rates_without_converged_cells_are_null(self, cli_files, tmp_path, capsys, monkeypatch):
-        def fail(design, options=None, **kwargs):
+        def fail(design, **kwargs):
             raise ChoiceStatsError("synthetic fit failure")
 
         monkeypatch.setattr(montecarlo_module, "estimate_design", fail)
@@ -1004,6 +1001,18 @@ class TestCommandLineContract:
         assert capsys.readouterr().err == (
             f"error: {path}: malformed experiment config: alpha must be a finite number, "
             "got a whole number beyond the float range\n"
+        )
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_an_integer_literal_past_the_digit_limit_exits_1_naming_the_file(self, cli_files, tmp_path, capsys):
+        # int() refuses text of more than sys.get_int_max_str_digits() digits with a ValueError.
+        doc = {**read_json(cli_files / "mc_size.json"), "alpha": "literal"}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc).replace('"literal"', "1" * 5000), encoding="utf-8")
+        assert main(["montecarlo", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+        limit = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == (
+            f"error: {path}: invalid JSON: an integer literal of 5000 digits exceeds the limit of {limit}\n"
         )
         assert not (tmp_path / "out" / "report.json").exists()
 

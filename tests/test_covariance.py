@@ -12,7 +12,7 @@ from choicestats import (
     standard_errors,
 )
 from choicestats.linalg import invert_symmetric, require_symmetric, solve_positive_definite
-from testtools import three_mode_data, three_mode_spec
+from testtools import observation_scores, three_mode_data, three_mode_spec
 
 
 def fitted(n_persons=500, obs_per_person=1, seed=33, heterogeneity=None):
@@ -34,10 +34,10 @@ class TestCovarianceSet:
             result.hessian_at_optimum, design.score(result.params_hat), names=result.names
         )
         for method in ("classical", "bhhh", "robust"):
-            m = covs.matrix(method)
+            m = getattr(covs, method)
             np.testing.assert_array_equal(m, m.T)
             assert (np.diag(m) > 0).all()
-            np.testing.assert_array_equal(covs.se(method), np.sqrt(np.diag(m)))
+            np.testing.assert_array_equal(getattr(covs, f"se_{method}"), np.sqrt(np.diag(m)))
 
     def test_classical_inverts_negative_hessian(self):
         result, design = fitted(seed=34)
@@ -80,16 +80,10 @@ class TestCovarianceSet:
     def test_observation_grouping_changes_the_sandwich(self):
         result, design = fitted(n_persons=200, obs_per_person=4, seed=39,
                                 heterogeneity={"b_tt": 0.03})
-        by_person = covariance_set(
-            result.hessian_at_optimum, design.score(result.params_hat, grouping="person"),
-            grouping="person",
-        )
+        by_person = covariance_set(result.hessian_at_optimum, design.score(result.params_hat))
         by_obs = covariance_set(
-            result.hessian_at_optimum,
-            design.score(result.params_hat, grouping="observation"),
-            grouping="observation",
+            result.hessian_at_optimum, observation_scores(design, result.params_hat)
         )
-        assert by_person.grouping == "person"
         assert not np.allclose(by_person.robust, by_obs.robust)
 
     def test_shape_mismatch_rejected(self):

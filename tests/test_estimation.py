@@ -14,7 +14,6 @@ from choicestats import (
     DesignArrays,
     DivergenceWarning,
     EstimationDisagreementWarning,
-    EstimationOptions,
     IdentificationError,
     ModelSpec,
     ParameterDef,
@@ -60,29 +59,29 @@ def constants_only_data(alternatives, counts):
 
 
 class TestClosedForms:
-    def test_binary_constant_matches_log_odds(self):
+    def test_binary_constant_matches_log_odds(self, monkeypatch):
         # With only a constant, the MLE is the log odds of the observed share.
         # A tight gradient tolerance makes the closed form sharp.
         data = constants_only_data(TWO_ALTS, (30, 70))
-        options = EstimationOptions(gradient_tolerance=1e-10)
-        result = estimate(data, constants_only_spec(TWO_ALTS), options)
+        monkeypatch.setattr(estimation_module, "GRADIENT_TOLERANCE", 1e-10)
+        result = estimate(data, constants_only_spec(TWO_ALTS))
         assert result.status == "converged"
         assert result.params_hat[0] == pytest.approx(np.log(70 / 30), abs=1e-10)
 
-    def test_three_way_constants_match_share_log_ratios(self):
+    def test_three_way_constants_match_share_log_ratios(self, monkeypatch):
         alts = ("a", "b", "c")
         data = constants_only_data(alts, (50, 30, 20))
-        options = EstimationOptions(gradient_tolerance=1e-10)
-        result = estimate(data, constants_only_spec(alts), options)
+        monkeypatch.setattr(estimation_module, "GRADIENT_TOLERANCE", 1e-10)
+        result = estimate(data, constants_only_spec(alts))
         assert result.params_hat[0] == pytest.approx(np.log(30 / 50), abs=1e-10)
         assert result.params_hat[1] == pytest.approx(np.log(20 / 50), abs=1e-10)
 
-    def test_log_likelihood_at_optimum_matches_entropy_form(self):
+    def test_log_likelihood_at_optimum_matches_entropy_form(self, monkeypatch):
         alts = ("a", "b", "c")
         counts = np.array([50, 30, 20])
         data = constants_only_data(alts, tuple(counts))
-        options = EstimationOptions(gradient_tolerance=1e-10)
-        result = estimate(data, constants_only_spec(alts), options)
+        monkeypatch.setattr(estimation_module, "GRADIENT_TOLERANCE", 1e-10)
+        result = estimate(data, constants_only_spec(alts))
         shares = counts / counts.sum()
         expected = float((counts * np.log(shares)).sum())
         assert result.ll_hat == pytest.approx(expected, abs=1e-9)
@@ -108,10 +107,11 @@ class TestOptimiserContract:
         truth = np.array([0.5, 0.2, -0.05, -0.15])
         assert np.all(np.abs(result.params_hat - truth) < 0.08)
 
-    def test_max_iterations_status(self):
+    def test_max_iterations_status(self, monkeypatch):
         data = three_mode_data(n_persons=150, seed=19)
-        options = EstimationOptions(max_iterations=1, gradient_tolerance=1e-12)
-        result = estimate(data, three_mode_spec(), options)
+        monkeypatch.setattr(estimation_module, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(estimation_module, "GRADIENT_TOLERANCE", 1e-12)
+        result = estimate(data, three_mode_spec())
         assert result.status == "max_iterations"
         assert not result.converged
 
@@ -135,11 +135,11 @@ class TestOptimiserContract:
         assert isinstance(raised.value, ChoiceStatsError)
 
     @pytest.mark.parametrize(
-        "options, status",
-        [(EstimationOptions(), "converged"), (EstimationOptions(max_iterations=2), "max_iterations")],
+        "max_iterations, status",
+        [(200, "converged"), (2, "max_iterations")],
         ids=["converged", "max_iterations"],
     )
-    def test_one_softmax_pass_per_accepted_step(self, monkeypatch, options, status):
+    def test_one_softmax_pass_per_accepted_step(self, monkeypatch, max_iterations, status):
         # One softmax pass at the start and one per trial point. An accepted
         # point's derivatives come from its trial pass, so no point is passed
         # twice and no other kernel entry runs.
@@ -161,7 +161,8 @@ class TestOptimiserContract:
 
             monkeypatch.setattr(DesignArrays, name, counting)
         design = build_design(three_mode_data(n_persons=200, seed=17), three_mode_spec())
-        result = estimate_design(design, options)
+        monkeypatch.setattr(estimation_module, "MAX_ITERATIONS", max_iterations)
+        result = estimate_design(design)
         assert result.status == status
         assert result.iterations >= 2
         trial_points = set(points[1:]) - {points[0]}
@@ -226,9 +227,10 @@ class TestDuplicationInvariance:
             np.testing.assert_allclose(got, 2.0 * np.asarray(want), rtol=1e-12, atol=1e-12)
         # Both fits run to a gradient of 1e-10, so where each stops within
         # the tolerance moves an estimate by far less than 1e-10 of its SE.
-        options = EstimationOptions(gradient_tolerance=1e-10)
-        once = estimate_design(design, options)
-        twice = estimate_design(doubled, options)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(estimation_module, "GRADIENT_TOLERANCE", 1e-10)
+            once = estimate_design(design)
+            twice = estimate_design(doubled)
         assert once.converged and twice.converged
         halved = np.linalg.inv(-once.hessian_at_optimum) / 2.0
         se = np.sqrt(np.diag(halved))
@@ -331,8 +333,7 @@ class TestIdentificationRule:
 class TestMultiStart:
     def test_runs_are_seeded_and_best_is_max(self):
         data = three_mode_data(n_persons=150, seed=27)
-        options = EstimationOptions(n_starts=4, seed=123)
-        best, runs = multi_start(build_design(data, three_mode_spec()), options)
+        best, runs = multi_start(build_design(data, three_mode_spec()), n_starts=4, seed=123)
         assert len(runs) == 4
         assert [r.start_index for r in runs] == [0, 1, 2, 3]
         assert best.ll_hat == max(r.ll_hat for r in runs if r.converged)
@@ -343,26 +344,32 @@ class TestMultiStart:
 
     def test_multi_start_is_reproducible(self):
         data = three_mode_data(n_persons=80, seed=28)
-        options = EstimationOptions(n_starts=3, seed=77)
         design = build_design(data, three_mode_spec())
-        best_a, runs_a = multi_start(design, options)
-        best_b, runs_b = multi_start(design, options)
+        best_a, runs_a = multi_start(design, n_starts=3, seed=77)
+        best_b, runs_b = multi_start(design, n_starts=3, seed=77)
         np.testing.assert_array_equal(best_a.params_hat, best_b.params_hat)
         for ra, rb in zip(runs_a, runs_b):
             np.testing.assert_array_equal(ra.params_hat, rb.params_hat)
 
-    def test_no_converged_start_raises_with_statuses(self):
+    def test_at_least_one_start(self):
+        design = build_design(three_mode_data(n_persons=30, seed=29), three_mode_spec())
+        with pytest.raises(ValueError, match="n_starts must be >= 1, got 0"):
+            multi_start(design, n_starts=0)
+
+    def test_no_converged_start_raises_with_statuses(self, monkeypatch):
         data = three_mode_data(n_persons=100, seed=29)
-        options = EstimationOptions(n_starts=2, max_iterations=1, gradient_tolerance=1e-13)
+        monkeypatch.setattr(estimation_module, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(estimation_module, "GRADIENT_TOLERANCE", 1e-13)
         with pytest.raises(ConvergenceError) as excinfo:
-            multi_start(build_design(data, three_mode_spec()), options)
+            multi_start(build_design(data, three_mode_spec()), n_starts=2)
         assert excinfo.value.statuses == ("max_iterations", "max_iterations")
 
-    def test_no_converged_start_carries_the_runs(self):
+    def test_no_converged_start_carries_the_runs(self, monkeypatch):
         data = three_mode_data(n_persons=100, seed=29)
-        options = EstimationOptions(n_starts=2, max_iterations=1, gradient_tolerance=1e-13)
+        monkeypatch.setattr(estimation_module, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(estimation_module, "GRADIENT_TOLERANCE", 1e-13)
         with pytest.raises(ConvergenceError) as excinfo:
-            multi_start(build_design(data, three_mode_spec()), options)
+            multi_start(build_design(data, three_mode_spec()), n_starts=2)
         runs = excinfo.value.runs
         assert [r.start_index for r in runs] == [0, 1]
         assert tuple(r.status for r in runs) == excinfo.value.statuses
@@ -375,14 +382,14 @@ class TestMultiStart:
         real = est.estimate_design
         lls = iter((-100.0, -100.001))
 
-        def fake(design, options=None, start=None, start_index=0):
-            result = real(design, options, start=design.start_values, start_index=start_index)
+        def fake(design, start=None, start_index=0):
+            result = real(design, start=design.start_values, start_index=start_index)
             object.__setattr__(result, "ll_hat", next(lls))
             return result
 
         monkeypatch.setattr(est, "estimate_design", fake)
         with pytest.warns(EstimationDisagreementWarning):
-            est.multi_start(build_design(data, three_mode_spec()), EstimationOptions(n_starts=2))
+            est.multi_start(build_design(data, three_mode_spec()), n_starts=2)
 
 
 class _FourIdentityBhhhDesign:

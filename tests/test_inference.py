@@ -263,9 +263,6 @@ class _BadHessian:
         ll, gradient, hessian, floored = self.design.evaluate(p)
         return ll, gradient, -hessian, floored
 
-    def score(self, p, grouping):
-        return self.design.score(p, grouping=grouping)
-
     def bhhh(self, p):
         return self.design.bhhh(p)
 
@@ -299,7 +296,7 @@ class TestLmAtRestrictedEstimates:
         design = build_design(dataset, spec)
         params = design.start_values
 
-        rows = design.score(params, grouping="person")
+        rows = design.score(params)
         want = lm_statistic(design.evaluate(params)[1], rows.T @ rows)
         got = lm_test_at(_BadHessian(design), params, 1)
         assert got.statistic == pytest.approx(want, rel=1e-12)

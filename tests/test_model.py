@@ -35,6 +35,7 @@ from testtools import (
     fd_hessian,
     hand_dataset,
     loop_compile,
+    observation_scores,
     same_data,
     take_observations,
     three_mode_data,
@@ -212,7 +213,7 @@ class TestDerivatives:
         data = three_mode_data(n_persons=50, obs_per_person=3, seed=8)
         design = build_design(data, three_mode_spec())
         params = np.array([0.2, -0.1, -0.05, -0.2])
-        rows = design.score(params, grouping="observation")
+        rows = observation_scores(design, params)
         np.testing.assert_allclose(rows.sum(axis=0), design.evaluate(params)[1], rtol=1e-12)
 
     @settings(max_examples=40, deadline=None)
@@ -233,15 +234,15 @@ class TestDerivatives:
         p_chosen = design.probabilities(params)[np.arange(design.n_obs), design.chosen]
         assert floored == bool(np.any(p_chosen < PROBABILITY_FLOOR))
         np.testing.assert_allclose(
-            gradient, design.score(params, "observation").sum(axis=0), rtol=1e-12
+            gradient, observation_scores(design, params).sum(axis=0), rtol=1e-12
         )
 
     def test_person_grouping_sums_observation_rows(self):
         data = three_mode_data(n_persons=40, obs_per_person=3, seed=9)
         design = build_design(data, three_mode_spec())
         params = np.array([0.2, -0.1, -0.05, -0.2])
-        by_obs = design.score(params, grouping="observation")
-        by_person = design.score(params, grouping="person")
+        by_obs = observation_scores(design, params)
+        by_person = design.score(params)
         assert by_person.shape == (40, 4)
         np.testing.assert_allclose(by_person.sum(axis=0), by_obs.sum(axis=0), rtol=1e-12)
         # First person's block of observation rows adds up to its person row.
@@ -331,8 +332,8 @@ class TestDesignSurgery:
         coefficient = st.floats(-1.0, 1.0)
         params = np.array(data.draw(st.lists(coefficient, min_size=design.k, max_size=design.k)))
         want = np.zeros((design.n_persons, design.k))
-        np.add.at(want, design.person_index, design.score(params, grouping="observation"))
-        assert design.score(params, grouping="person").tobytes() == want.tobytes()
+        np.add.at(want, design.person_index, observation_scores(design, params))
+        assert design.score(params).tobytes() == want.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -349,7 +350,7 @@ class TestDesignSurgery:
 
         terms = design.person_terms(design.probabilities(params), information=True)
         assert terms.shape == (design.n_persons, k + k * k)
-        assert terms[:, :k].tobytes() == design.score(params, "person").tobytes()
+        assert terms[:, :k].tobytes() == design.score(params).tobytes()
         p, x = design.probabilities(params), design.X
         centred = x - np.einsum("nj,njk->nk", p, x)[:, None, :]
         rows = np.einsum("nj,nja,njb->nab", p, centred, centred).reshape(design.n_obs, -1)

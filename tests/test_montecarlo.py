@@ -259,8 +259,8 @@ class TestSizePower:
         # so its fit starts from the general estimate with the target removed.
         fits = []
 
-        def recording(design, options=None, start=None, start_index=0):
-            result = estimate_design(design, options, start=start, start_index=start_index)
+        def recording(design, start=None, start_index=0):
+            result = estimate_design(design, start=start, start_index=start_index)
             fits.append((design.free_names, start, result))
             return result
 

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from choicestats import (
     Column,
     EmpiricalPValue,
-    ReportOptions,
     bic,
     format_estimate,
     format_p_value,
@@ -23,6 +22,7 @@ from choicestats import (
     rho_bar_squared,
     star_code,
 )
+from choicestats.reporting import APA_FLOOR, P_DIGITS, STAR_THRESHOLDS
 
 
 class TestFitMeasures:
@@ -79,14 +79,14 @@ class TestStars:
         assert star_code(0.100001) == ""
         assert star_code(1.0) == ""
 
-    def test_custom_thresholds(self):
-        assert star_code(0.02, (0.001, 0.01, 0.05)) == "*"
-
     def test_thresholds_must_increase(self):
-        with pytest.raises(ValueError):
-            star_code(0.02, (0.05, 0.05, 0.1))
-        with pytest.raises(ValueError):
-            ReportOptions(star_thresholds=(0.1, 0.05, 0.01))
+        # Each star level is a strictly smaller p than the one before, and
+        # the table footer states the thresholds in that order.
+        t1, t2, t3 = STAR_THRESHOLDS
+        assert 0.0 < t1 < t2 < t3 < 1.0
+        assert [star_code(t) for t in STAR_THRESHOLDS] == ["***", "**", "*"]
+        text = format_table(example_columns(), example_rows(), stars=True)
+        assert f"***: p <= {t1:g}; **: p <= {t2:g}; *: p <= {t3:g}" in text
 
     def test_p_out_of_range_rejected(self):
         with pytest.raises(ValueError):
@@ -188,29 +188,14 @@ class TestNumberFormatProperties:
             assert abs(float(text) - value) <= 0.5 * unit * (1 + 1e-9), text
 
     @settings(max_examples=500, deadline=None)
-    @given(
-        p=st.floats(0.0, 1.0) | st.sampled_from((0.0, 1e-300, 0.0005, 0.000999999, 0.001, 0.0015, 1.0)),
-        p_digits=st.integers(1, 6),
-        # i * 10**-d: on the p grid, below its step, or above it and off it;
-        # or any float, mostly off every grid.
-        floor=st.builds(lambda i, d: float(f"{i}e-{d}"), st.integers(1, 50), st.integers(1, 6))
-        | st.floats(1e-20, 1.0),
-    )
-    def test_p_values_are_never_printed_as_zero_or_below_the_floor(self, p, p_digits, floor):
-        try:
-            options = ReportOptions(p_digits=p_digits, apa_floor=floor)
-        except ValueError:
-            # Refused only above the grid's step and off the grid.
-            steps = round(floor * 10**p_digits)
-            assert floor > 10.0**-p_digits and float(f"{steps}e-{p_digits}") != floor
-            return
-        text = format_p_value(p, options)
+    @given(p=st.floats(0.0, 1.0) | st.sampled_from((0.0, 1e-300, 0.0005, 0.000999999, 0.001, 0.0015, 1.0)))
+    def test_p_values_are_never_printed_as_zero_or_below_the_floor(self, p):
+        text = format_p_value(p)
         if text.startswith("< "):
-            bound = float(text[2:])
-            assert bound > 0 and p < bound and bound >= options.apa_floor
+            assert text == "< .001" and p < 0.001
         else:
-            assert float(text) >= options.apa_floor and float(text) > 0
-            assert abs(float(text) - p) <= 0.5 * 10.0**-p_digits * (1 + 1e-9)
+            assert float(text) >= 0.001 and float(text) > 0
+            assert abs(float(text) - p) <= 0.5 * 10.0**-3 * (1 + 1e-9)
 
 
 class TestPValueFormat:
@@ -222,27 +207,22 @@ class TestPValueFormat:
         assert format_p_value(0.000999999) == "< .001"
         assert format_p_value(0.001) == "0.001"
 
-    def test_resolution_floor_when_apa_floor_lowered(self):
-        # Below display resolution but above the APA floor: never "0.000".
-        options = ReportOptions(apa_floor=1e-6)
-        assert format_p_value(0.0001, options) == "< .001"
-
     def test_floors_print_every_digit_they_need(self):
-        # Floors finer than ten decimals, and one whose digits run past ten:
-        # the printed bound must read back as the floor.
-        assert format_p_value(0.0, ReportOptions(apa_floor=1e-12)) == "< .000000000001"
-        options = ReportOptions(p_digits=12, apa_floor=1e-14)
-        assert format_p_value(1e-13, options) == "< .000000000001"
-        floor = 1.192092896e-07
-        text = format_p_value(0.0, ReportOptions(p_digits=1, apa_floor=floor))
-        assert text == "< .0000001192092896" and float(text[2:]) >= floor
+        # The printed bound must read back as the floor: the APA floor, and
+        # an empirical p's resolution bound 1/S.
+        text = format_p_value(0.0)
+        assert text == "< .001" and float(text[2:]) == APA_FLOOR
+        for s_converged, want in ((40, "< 0.025"), (400, "< 0.0025"), (4000, "< 0.00025")):
+            text = format_p_value(EmpiricalPValue(crossings=0, s_converged=s_converged))
+            assert text == want and float(text[2:]) == 1.0 / s_converged
 
-    def test_floor_off_the_grid_is_refused(self):
-        # p = 0.0012 would print as 0.001, below the floor.
-        with pytest.raises(ValueError, match=r"apa_floor 0\.0012 is not a multiple of 10\*\*-3"):
-            ReportOptions(apa_floor=0.0012)
-        assert format_p_value(0.0015, ReportOptions(apa_floor=0.002)) == "< .002"
-        assert format_p_value(0.002, ReportOptions(apa_floor=0.002)) == "0.002"
+    def test_floor_is_on_the_p_grid(self):
+        # A floor off the 10**-P_DIGITS grid would let p = 0.0012 print as
+        # 0.001, below it; on the grid, no p at or above the floor does.
+        assert round(APA_FLOOR * 10**P_DIGITS) == APA_FLOOR * 10**P_DIGITS
+        assert format_p_value(APA_FLOOR) == "0.001"
+        assert format_p_value(0.0012) == "0.001"
+        assert format_p_value(0.0014999) == "0.001"
 
     def test_sidedness_annotation(self):
         assert format_p_value(0.05, sidedness="one_sided_less") == "0.050 (1-sided, H1 <)"
@@ -314,8 +294,7 @@ class TestFormatTable:
         assert "0.989 (2-sided)" in text
 
     def test_stars_appended_inside_p_cells(self):
-        options = ReportOptions(include_stars=True)
-        text = format_table(example_columns(), example_rows(), options)
+        text = format_table(example_columns(), example_rows(), stars=True)
         assert "< .001 ***" in text
         assert "0.989 *" not in text
         assert "note: ***: p <= 0.01; **: p <= 0.05; *: p <= 0.1" in text
@@ -327,7 +306,7 @@ class TestFormatTable:
             Column("p", "p-value", "p"),
         ]
         with pytest.raises(ValueError, match="standard-error or t-ratio column"):
-            format_table(columns, example_rows(), ReportOptions(include_stars=True))
+            format_table(columns, example_rows(), stars=True)
 
     def test_empirical_p_star_uses_resolution_bound(self):
         # crossings 0 out of 40: stars from the conservative 1/40 = 0.025.
@@ -335,7 +314,7 @@ class TestFormatTable:
         rows = example_rows()
         rows[0]["p"] = (EmpiricalPValue(crossings=0, s_converged=40), "empirical")
         rows[1]["p"] = (0.989, "empirical")
-        text = format_table(columns, rows, ReportOptions(include_stars=True))
+        text = format_table(columns, rows, stars=True)
         assert "< 0.025 **" in text
 
     def test_missing_cells_render_empty(self):

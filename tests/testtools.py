@@ -386,6 +386,15 @@ def concat_take_persons(design, person_order):
     }
 
 
+def observation_scores(design, params):
+    """Score rows x_chosen - sum_j p_j x_j, one per observation: the rows
+    that DesignArrays.score sums into one row per person. The mean is taken
+    over the design's parameter-major (k, n_alts, n_obs) storage, ``X.T``."""
+    X_t, p_t = design.X.T, design.probabilities(params).T
+    xbar = np.einsum("kjn,jn->kn", X_t, p_t)
+    return (X_t[:, design.chosen, np.arange(design.n_obs)] - xbar).T
+
+
 def lm_statistic(score, information):
     """Lagrange multiplier statistic g' I^-1 g by a plain linear solve: the
     oracle of ``lm_test_at``'s BHHH route."""

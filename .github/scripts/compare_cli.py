@@ -30,14 +30,19 @@ first ``estimate``'s results.
 
 Compared per path: exit code, stdout, stderr (each tree's root path
 replaced by ``<root>``), the listing of the output directory and every file
-in it, ``manifest.json`` with its ``timestamp`` removed. The report goes to
+in it, ``manifest.json`` with its ``timestamp`` removed. A CSV or JSON file
+that differs but keeps its shape (the same header and row count, or the
+same key paths) also gets, per column or key, the largest relative
+difference of its numbers, and a count of the other cells that changed. The report goes to
 ``$GITHUB_STEP_SUMMARY`` when that is set, else to stdout. The exit status
 is 0 whatever differs: the comparison is a report, not a gate.
 """
 
 from __future__ import annotations
 
+import csv
 import difflib
+import io
 import json
 import os
 import subprocess
@@ -145,6 +150,66 @@ def run_paths(root, cwd):
     return outcomes
 
 
+def _cells(name, text):
+    """{(column or key, position): cell} of a CSV or JSON file, or None for
+    any other file. A JSON key drops its list indices: ``rates[].rate``."""
+    if name.endswith(".csv"):
+        header, *rows = list(csv.reader(io.StringIO(text))) or [[]]
+        return {(column, i): cell for i, row in enumerate(rows) for column, cell in zip(header, row)}
+    if not name.endswith(".json"):
+        return None
+    cells = {}
+
+    def walk(value, key, position):
+        if isinstance(value, dict):
+            for k, v in value.items():
+                walk(v, f"{key}.{k}" if key else k, position)
+        elif isinstance(value, list):
+            for i, v in enumerate(value):
+                walk(v, f"{key}[]", (*position, i))
+        else:
+            cells[key, position] = value
+
+    walk(json.loads(text), "", ())
+    return cells
+
+
+def _number(cell):
+    # A CSV cell or JSON leaf as a float; None for a boolean, text or null.
+    if isinstance(cell, bool) or cell is None:
+        return None
+    try:
+        return float(cell)
+    except (TypeError, ValueError):
+        return None
+
+
+def numeric_differences(name, old, new):
+    """Markdown lines with the largest relative difference per column or key
+    of the numbers that changed, and the count of other changed cells; no
+    lines when the file is not CSV or JSON or its shape changed."""
+    cells_old, cells_new = _cells(name, old), _cells(name, new)
+    if cells_old is None or cells_old.keys() != cells_new.keys():
+        return []
+    worst, other = {}, 0
+    for key, a in cells_old.items():
+        b = cells_new[key]
+        if a == b:
+            continue
+        x, y = _number(a), _number(b)
+        if x is None or y is None:
+            other += 1
+            continue
+        scale = max(abs(x), abs(y))
+        gap = abs(x - y) / scale if scale else 0.0
+        worst[key[0]] = max(worst.get(key[0], 0.0), gap)
+    by_column = ", ".join(f"`{column}` {gap:.2g}" for column, gap in sorted(worst.items(), key=lambda kv: -kv[1]))
+    return [
+        f"- {name}: same shape; largest relative difference by column or key: {by_column or 'none'}; "
+        f"{other} non-numeric cell(s) changed"
+    ]
+
+
 def differences(base, change):
     """Markdown lines naming every way ``change`` differs from ``base``."""
     lines = []
@@ -158,6 +223,7 @@ def differences(base, change):
     texts += [(name, files_b[name], files_c[name]) for name in sorted(set(files_b) & set(files_c))]
     for label, old, new in texts:
         if old != new:
+            lines.extend(numeric_differences(label, old, new))
             diff = list(difflib.unified_diff(
                 old.splitlines(), new.splitlines(), "base", "change", lineterm=""
             ))

@@ -220,7 +220,12 @@ class EmpiricalPValue:
 
     def display(self, digits=3):
         if self.below_resolution:
-            return f"< {1.0 / self.s_converged:.{digits}g}"
+            # 1/S rounded up at ``digits`` significant digits, never below it;
+            # imported here, so importing the package never loads decimal.
+            from decimal import ROUND_CEILING, Context, Decimal
+
+            bound = Context(prec=digits, rounding=ROUND_CEILING).divide(Decimal(1), Decimal(self.s_converged))
+            return f"< {float(bound):.{digits}g}"
         return f"{self.value:.{digits}f}"
 
 

@@ -96,6 +96,7 @@ class EstimationResult(PointEstimate):
     ll_hat: float
     ll_0: float
     gradient_norm: float
+    gradient: np.ndarray
     hessian_at_optimum: np.ndarray
     start_index: int = 0
     identification: IdentificationReport | None = None
@@ -128,9 +129,10 @@ def check_identification(hessian, names=None):
     )
 
 
-def _ascent_direction(design, params, gradient, hessian):
+def _ascent_direction(design, params, gradient, hessian, block=...):
     # (direction, newton): Newton when -H is positive definite, else the BHHH
-    # direction built from person-grouped score outer products.
+    # direction built from person-grouped score outer products, cut by
+    # ``block`` (np.ix_ of the free entries, or ... for all) as gradient and hessian are.
     # DesignArrays.derivatives returns a bitwise-symmetric Hessian, so only
     # finiteness is checked.
     if not np.isfinite(hessian).all():
@@ -138,7 +140,7 @@ def _ascent_direction(design, params, gradient, hessian):
     try:
         return solve_positive_definite(-hessian, gradient, name="negative hessian"), True
     except IdentificationError:
-        bhhh = require_symmetric(design.bhhh(params), name="bhhh matrix")
+        bhhh = require_symmetric(design.bhhh(params)[block], name="bhhh matrix")
         return solve_positive_definite(bhhh, gradient, name="bhhh matrix"), False
 
 
@@ -150,7 +152,7 @@ def _start_vector(design, start):
     return params
 
 
-def estimate_design(design, start=None, start_index=0, estimate_only=False):
+def estimate_design(design, start=None, start_index=0, estimate_only=False, hold=()):
     """Run the optimiser against an already compiled design.
 
     Each trial point costs one softmax pass: the line search takes the
@@ -162,8 +164,14 @@ def estimate_design(design, start=None, start_index=0, estimate_only=False):
     a Newton step whose decrement is at most NEWTON_DECREMENT_TOLERANCE is
     taken and ends the fit, converged, without evaluating its end point; the
     fit returns a :class:`PointEstimate`, not an EstimationResult.
+
+    The parameters at the indices in ``hold`` keep their start values; steps
+    and the gradient test take the free rest. ``gradient`` and
+    ``hessian_at_optimum`` stay full, the LM test's inputs at a restriction.
     """
     params = _start_vector(design, start)
+    free = np.delete(np.arange(design.k), hold) if len(hold) else None
+    block = ... if free is None else np.ix_(free, free)
     p = design.probabilities(params)
     ll, floored = design.chosen_log_likelihood(p)
     if not np.isfinite(ll):
@@ -173,17 +181,19 @@ def estimate_design(design, start=None, start_index=0, estimate_only=False):
     iterations = 0
     while True:
         gradient, hessian = design.derivatives(p)
-        if np.abs(gradient).max() <= GRADIENT_TOLERANCE:
+        g_free, h_free = (gradient, hessian) if free is None else (gradient[free], hessian[block])
+        if np.abs(g_free).max(initial=0.0) <= GRADIENT_TOLERANCE:
             status = STATUS_CONVERGED
             break
         if iterations == MAX_ITERATIONS:
             break
         try:
-            direction, newton = _ascent_direction(design, params, gradient, hessian)
+            step, newton = _ascent_direction(design, params, g_free, h_free, block)
         except IdentificationError:
             status = STATUS_SINGULAR_HESSIAN
             break
-        if estimate_only and newton and gradient @ direction <= NEWTON_DECREMENT_TOLERANCE:
+        direction = step if free is None else np.bincount(free, step, design.k)  # 0 where held
+        if estimate_only and newton and g_free @ step <= NEWTON_DECREMENT_TOLERANCE:
             params = params + direction
             iterations += 1
             status = STATUS_CONVERGED
@@ -230,7 +240,8 @@ def estimate_design(design, start=None, start_index=0, estimate_only=False):
             status=status,
             ll_hat=ll,
             ll_0=design.null_log_likelihood(),
-            gradient_norm=float(np.abs(gradient).max()),
+            gradient_norm=float(np.abs(g_free).max(initial=0.0)),
+            gradient=gradient,
             hessian_at_optimum=hessian,
             start_index=start_index,
             identification=identification,

@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import NestingError
 from .estimation import _ascent_direction
 
@@ -270,15 +268,13 @@ def lr_test(ll_general, ll_restricted, d):
     return _chi_square_test("lr", d, statistic)
 
 
-def lm_test_at(design, params, d):
-    """LM test from a compiled general-model design at restricted estimates:
-    the gradient times the optimiser's own step there (Newton on the
-    negative analytic Hessian, else the BHHH step of ``design.bhhh``)."""
-    params = np.asarray(params, dtype=float)
-    _, gradient, hessian, _ = design.evaluate(params)
-    return _chi_square_test(
-        "lm", d, lambda: gradient @ _ascent_direction(design, params, gradient, hessian)[0]
-    )
+def lm_test_at(design, fit, d):
+    """LM test from a fit of the general-model ``design`` holding the
+    restrictions (``estimate_design``'s ``hold``): g'(-H)^-1 g from the fit's
+    own gradient and Hessian at its estimate, Newton on the negative analytic
+    Hessian, else the BHHH step of ``design.bhhh``, as the optimiser steps."""
+    g, h = fit.gradient, fit.hessian_at_optimum
+    return _chi_square_test("lm", d, lambda: g @ _ascent_direction(design, fit.params_hat, g, h)[0])
 
 
 def asymptotic_ci(estimate, se, level=0.95, method="asymptotic_classical"):

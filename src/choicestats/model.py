@@ -451,25 +451,6 @@ class DesignArrays:
             person_weights=weights[keep],
         )
 
-    def fix_column(self, index, value):
-        """Design with free parameter ``index`` fixed at ``value``.
-
-        Equivalent to recompiling against spec.with_fixed(name, value): the
-        column moves into the offset.
-        """
-        keep = [c for c in range(self.k) if c != index]
-        return DesignArrays(
-            X=self._Xt[keep].transpose(2, 1, 0),
-            offset=(self._offset_t + float(value) * self._Xt[index]).T,
-            avail=self.avail,
-            chosen=self.chosen,
-            person_index=self.person_index,
-            person_ids=list(self.person_ids),
-            free_names=[self.free_names[c] for c in keep],
-            start_values=self.start_values[keep],
-            person_weights=self.person_weights,
-        )
-
 
 def _softmax(v):
     """Overwrite (n_alts, n_obs) utilities ``v`` with their choice
@@ -703,7 +684,14 @@ def simulate_design(spec, true_params, generator, n_persons, obs_per_person, see
         probabilities at the (person-specific) true coefficients. Equal to
         ``build_design(simulate_dataset(...), spec)`` with the same arguments.
     """
-    return _simulate(spec, true_params, generator, n_persons, obs_per_person, seed)[0]
+    return simulate_designs(spec, [true_params], generator, n_persons, obs_per_person, seed)[0]
+
+
+def simulate_designs(spec, truths, generator, n_persons, obs_per_person, seed):
+    """``[simulate_design(spec, truth, ...) for truth in truths]``, bit for bit, from
+    one set of attribute, heterogeneity and choice-uniform draws; the designs
+    differ in their choices only and share read-only ``X``, ``offset`` and ``avail``."""
+    return _simulate(spec, truths, generator, n_persons, obs_per_person, seed)[0]
 
 
 def simulate_dataset(spec, true_params, generator, n_persons, obs_per_person, seed):
@@ -711,9 +699,7 @@ def simulate_dataset(spec, true_params, generator, n_persons, obs_per_person, se
 
     Each alternative carries every attribute the generator draws for it.
     """
-    design, values, carried = _simulate(
-        spec, true_params, generator, n_persons, obs_per_person, seed
-    )
+    (design,), values, carried = _simulate(spec, [true_params], generator, n_persons, obs_per_person, seed)
     masks = {
         name: np.tile([alt in carried[name] for alt in spec.alternatives], (design.n_obs, 1))
         for name in values
@@ -734,21 +720,26 @@ def _person_ids(n_persons):
     return tuple(f"p{person + 1:06d}" for person in range(n_persons))
 
 
-def _simulate(spec, true_params, generator, n_persons, obs_per_person, seed):
-    # (design, attribute -> (n_obs, n_alts) draws, attribute -> alternatives drawn for)
-    spec.validate()
-    if n_persons < 1 or obs_per_person < 1:
-        raise ValueError("n_persons and obs_per_person must be positive")
-    free = spec.free_names()
+def _beta(free, true_params):
+    # The true coefficients in free order, from a mapping by name or a sequence.
     if isinstance(true_params, Mapping):
         missing = [name for name in free if name not in true_params]
         if missing:
             raise SpecMismatchError(f"true_params missing free parameters: {missing}")
-        beta = np.array([float(true_params[name]) for name in free])
-    else:
-        beta = np.asarray(true_params, dtype=float)
-        if beta.shape != (len(free),):
-            raise SpecMismatchError(f"true_params must have length {len(free)}, got shape {beta.shape}")
+        true_params = [true_params[name] for name in free]
+    beta = np.asarray(true_params, dtype=float)
+    if beta.shape != (len(free),):
+        raise SpecMismatchError(f"true_params must have length {len(free)}, got shape {beta.shape}")
+    return beta
+
+
+def _simulate(spec, truths, generator, n_persons, obs_per_person, seed):
+    # (one design per truth, attribute -> (n_obs, n_alts) draws, attribute -> alternatives drawn for)
+    spec.validate()
+    if n_persons < 1 or obs_per_person < 1:
+        raise ValueError("n_persons and obs_per_person must be positive")
+    free = spec.free_names()
+    betas = [_beta(free, truth) for truth in truths]
     carried = generator.check_against(spec)
 
     referenced = {t.attribute for terms in spec.utilities.values() for t in terms if t.param in free}
@@ -778,26 +769,31 @@ def _simulate(spec, true_params, generator, n_persons, obs_per_person, seed):
         if rule.alternatives is not None:
             arr = arr * np.isin(spec.alternatives, rule.alternatives)
         values[rule.name] = values[rule.name] + arr if rule.name in values else arr
+    heterogeneity = generator.heterogeneity.items()
+    spread = [(free.index(name), rng.normal(0.0, float(sd), size=n_persons)) for name, sd in heterogeneity]
+    u = rng.random(n_obs)
 
     person_of_obs = np.repeat(np.arange(n_persons), obs_per_person)
-    beta_person = np.tile(beta, (n_persons, 1))
-    for name, sd in generator.heterogeneity.items():
-        beta_person[:, free.index(name)] += rng.normal(0.0, float(sd), size=n_persons)
-
-    avail = np.ones((n_obs, j_count), dtype=bool)
-    person_ids = list(_person_ids(n_persons))
+    avail = np.ones((j_count, n_obs), dtype=bool).T  # a view of parameter-major storage
     X, offset = _compile(spec, values, avail)
-    # Alternative-major (n_alts, n_obs) rows, as in the kernel, each
-    # observation at its person's coefficients.
-    beta_obs = np.repeat(beta_person.T, obs_per_person, axis=1)
-    v = np.zeros((j_count, n_obs))
-    for x, beta in zip(X.transpose(2, 1, 0), beta_obs):
-        v += x * beta
-    v += offset.T
-    cum = np.cumsum(_softmax(v), axis=0)
-    u = rng.random(n_obs)
-    chosen = np.minimum((cum < u).sum(axis=0), j_count - 1)
-    design = DesignArrays(
-        X, offset, avail, chosen, person_of_obs, person_ids, free, spec.starts(), np.ones(n_persons)
-    )
-    return design, values, carried
+    for shared in (X, offset, avail, person_of_obs):
+        shared.flags.writeable = False
+    designs = []
+    for beta in betas:
+        beta_person = np.tile(beta, (n_persons, 1))
+        for col, draws in spread:
+            beta_person[:, col] += draws
+        # Alternative-major (n_alts, n_obs) rows, as in the kernel, each
+        # observation at its person's coefficients.
+        beta_obs = np.repeat(beta_person.T, obs_per_person, axis=1)
+        v = np.zeros((j_count, n_obs))
+        for x, b in zip(X.transpose(2, 1, 0), beta_obs):
+            v += x * b
+        v += offset.T
+        cum = np.cumsum(_softmax(v), axis=0)
+        chosen = np.minimum((cum < u).sum(axis=0), j_count - 1)
+        designs.append(DesignArrays(
+            X, offset, avail, chosen, person_of_obs, list(_person_ids(n_persons)), list(free),
+            spec.starts(), np.ones(n_persons),
+        ))
+    return designs, values, carried

@@ -10,7 +10,10 @@ Two experiment shapes over a common config:
 
 Replication r always draws with a seed derived from (seed, r), never from
 the effect size, so power at effect 0 is computed on exactly the draws that
-measured size, and results are identical at any job count.
+measured size, and results are identical at any job count. A size/power
+replication simulates once for all its effects, which differ only in their
+choices; each effect's cell fails or counts on its own. Its restricted fit
+holds the target at 0 in the general design, and its last pass gives the LM test.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from .covariance import fit_covariance, standard_errors
 from .errors import ChoiceStatsError, DataError
 from .estimation import estimate_design
 from .inference import asymptotic_record, lm_test_at, lr_test, normal_cdf, resolve_sidedness
-from .model import GeneratorSpec, ModelSpec, simulate_design
-from .util import Failure, from_json, parallel_map, seed_from
+from .model import GeneratorSpec, ModelSpec, simulate_design, simulate_designs
+from .util import Failure, _attempt, from_json, parallel_map, seed_from
 
 ### config
 
@@ -119,41 +122,40 @@ class MonteCarloReport:
         }
 
 
-def _fit_replicate(config, true_params, rep):
-    """Simulate replication ``rep`` at ``true_params``, fit it, and take its covariances.
-
-    The fit starts at the true parameters. The MNL log-likelihood is concave,
-    so the estimate depends on the start only within the convergence
-    tolerance, and the truth is the closest start the experiment knows.
-    """
-    truth = [true_params[name] for name in config.spec.free_names()]
-    design = simulate_design(
-        config.spec,
-        truth,
-        config.generator,
-        config.n_persons,
-        config.obs_per_person,
-        seed_from(config.seed, rep),
-    )
+def _fit(design, truth):
+    """The fit of a simulated design from its true parameters, and its covariances.
+    The MNL log-likelihood is concave, so the estimate depends on the start only
+    within the convergence tolerance, and the truth is the closest start the experiment knows."""
     result = estimate_design(design, start=truth)
     if not result.converged:
         raise ChoiceStatsError("replication did not converge")
-    return design, result, fit_covariance(design, result)
+    return result, fit_covariance(design, result)
 
 
 ### size and power
 
-def _size_power_cell(config, direction, index):
-    # Cell (rep, effect) sits at index rep * n_effects + e; every effect of a
-    # rep draws from the same seed.
-    rep, e = divmod(index, len(config.effect_sizes))
-    effect = config.effect_sizes[e]
-    target_col = config.spec.free_names().index(config.target_parameter)
-    design, general, covs = _fit_replicate(
-        config, {**config.true_params, config.target_parameter: effect}, rep
+def _size_power_rep(config, direction, rep):
+    # One cell per effect, in effect order; every effect of a rep draws from the same seed.
+    free, target = config.spec.free_names(), config.target_parameter
+    truths = [[{**config.true_params, target: e}[name] for name in free] for e in config.effect_sizes]
+    designs = _attempt(
+        simulate_designs, config.spec, truths, config.generator, config.n_persons, config.obs_per_person,
+        seed_from(config.seed, rep),
     )
-    start = np.delete(general.params_hat, target_col)
-    restricted = estimate_design(design.fix_column(target_col, 0.0), start=start)
+    if isinstance(designs, Failure):
+        return [designs] * len(truths)
+    return [
+        _attempt(_size_power_cell, config, direction, rep, effect, design, truth)
+        for effect, design, truth in zip(config.effect_sizes, designs, truths)
+    ]
+
+
+def _size_power_cell(config, direction, rep, effect, design, truth):
+    target_col = config.spec.free_names().index(config.target_parameter)
+    general, covs = _fit(design, truth)
+    start = general.params_hat.copy()
+    start[target_col] = 0.0
+    restricted = estimate_design(design, start=start, hold=(target_col,))
     if not restricted.converged:
         raise ChoiceStatsError("restricted model did not converge")
 
@@ -163,7 +165,6 @@ def _size_power_cell(config, direction, index):
     one, two = (
         asymptotic_record(estimate, se_c, se_r, 0.0, s, config.ci_level)[0] for s in (direction, "two_sided")
     )
-    tilde = np.insert(restricted.params_hat, target_col, 0.0)
     row = {
         "rep": rep,
         "effect": effect,
@@ -178,7 +179,7 @@ def _size_power_cell(config, direction, index):
         "p_t_robust_two": two["t_robust"].p_value,
         "p_wald": two["wald"].p_value,
         "p_lr": lr_test(general.ll_hat, restricted.ll_hat, 1).p_value,
-        "p_lm": lm_test_at(design, tilde, 1).p_value,
+        "p_lm": lm_test_at(design, restricted, 1).p_value,
     }
     for method in REJECTION_METHODS:
         row[f"reject_{method}"] = bool(row[f"p_{method}"] < config.alpha)
@@ -202,13 +203,12 @@ def size_and_power_experiment(config, jobs=1):
         "direction 'greater'",
     )
 
-    n_effects = len(config.effect_sizes)
-    total = config.replications * n_effects
-    rows = parallel_map(_size_power_cell, (config, direction), total, jobs)
-    for i, row in enumerate(rows):
-        if isinstance(row, Failure):
-            effect = config.effect_sizes[i % n_effects]
-            rows[i] = {"rep": i // n_effects, "effect": effect, "converged": False}
+    reps = parallel_map(_size_power_rep, (config, direction), config.replications, jobs)
+    rows = [
+        {"rep": rep, "effect": effect, "converged": False} if isinstance(row, Failure) else row
+        for rep, cells in enumerate(reps)
+        for effect, row in zip(config.effect_sizes, cells)
+    ]
 
     rates = []
     sampling = {}
@@ -244,7 +244,12 @@ def size_and_power_experiment(config, jobs=1):
 def _coverage_rep(config, rep):
     target_col = config.spec.free_names().index(config.target_parameter)
     true_value = float(config.true_params[config.target_parameter])
-    design, result, covs = _fit_replicate(config, config.true_params, rep)
+    truth = [config.true_params[name] for name in config.spec.free_names()]
+    design = simulate_design(
+        config.spec, truth, config.generator, config.n_persons, config.obs_per_person,
+        seed_from(config.seed, rep),
+    )
+    result, covs = _fit(design, truth)
     estimate = float(result.params_hat[target_col])
     row = {"rep": rep, "converged": True, "estimate": estimate}
     row["params"] = [float(v) for v in result.params_hat]

@@ -118,16 +118,18 @@ BLOCKS_PER_WORKER = 8
 _worker_task = None
 
 
+def _attempt(fn, *args):
+    """``fn(*args)``, or a Failure holding the message of the ChoiceStatsError it raised."""
+    try:
+        return fn(*args)
+    except ChoiceStatsError as exc:
+        return Failure(str(exc))
+
+
 def _run_chunk(fn, args, first, count):
-    out = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for i in range(first, first + count):
-            try:
-                out.append(fn(*args, i))
-            except ChoiceStatsError as exc:
-                out.append(Failure(str(exc)))
-    return out
+        return [_attempt(fn, *args, i) for i in range(first, first + count)]
 
 
 def _init_worker(fn, args):
@@ -150,9 +152,10 @@ def parallel_map(fn, args, total, jobs=1):
     """``[fn(*args, i) for i in range(total)]``, run as replicates.
 
     A replicate that raises ChoiceStatsError leaves a Failure in its slot;
-    any other exception propagates. When more than 10% of the slots fail,
-    one ReplicateFailureWarning tallies them by reason. Warnings raised
-    inside replicates are silenced. With more than one
+    any other exception propagates. A replicate that returns a list holds
+    one slot per element, each a result or a Failure. When more than 10% of
+    the slots fail, one ReplicateFailureWarning tallies them by reason.
+    Warnings raised inside replicates are silenced. With more than one
     worker, ``min(jobs, total, usable CPUs)`` processes each receive ``fn``
     and ``args`` once, at start-up, so ``fn`` must be a module-level
     function. The indices are split into about BLOCKS_PER_WORKER contiguous
@@ -173,11 +176,12 @@ def parallel_map(fn, args, total, jobs=1):
             max_workers=workers, initializer=_init_worker, initargs=(fn, args)
         ) as pool:
             outcomes = [out for block in pool.map(_run_block, blocks) for out in block]
-    reasons = Counter(out.reason for out in outcomes if isinstance(out, Failure))
+    slots = [slot for out in outcomes for slot in (out if isinstance(out, list) else (out,))]
+    reasons = Counter(slot.reason for slot in slots if isinstance(slot, Failure))
     failed = sum(reasons.values())
-    if failed > 0.1 * total:
+    if failed > 0.1 * len(slots):
         warnings.warn(
-            f"{failed} of {total} replicates failed (by reason: {dict(sorted(reasons.items()))}); "
+            f"{failed} of {len(slots)} replicates failed (by reason: {dict(sorted(reasons.items()))}); "
             "only the others count downstream",
             ReplicateFailureWarning,
             stacklevel=3,

@@ -17,8 +17,6 @@ the tolerance that survives the four-significant-digit rounding of the
 stored inputs, and each named anchor value is also asserted exactly.
 """
 
-import sys
-
 import numpy as np
 import pytest
 
@@ -48,7 +46,7 @@ from choicestats import (
     t_test,
 )
 from choicestats.cli import main
-from choicestats.dataio import read_json, write_json
+from choicestats.dataio import write_json
 from choicestats.inference import normal_quantile
 from choicestats.reporting import format_significant
 from testtools import (

@@ -388,6 +388,17 @@ class TestEmpiricalPValue:
         assert p.value == 0.0
         assert p.display() == "< 0.0025"
 
+    @pytest.mark.parametrize(
+        "s_converged, want",
+        [(3, "< 0.334"), (997, "< 0.00101"), (1000, "< 0.001"), (1024, "< 0.000977"), (200, "< 0.005"), (50, "< 0.02")],
+    )
+    def test_resolution_bound_rounds_up(self, s_converged, want):
+        # The bound 1/S rounds up at three significant digits, so it never
+        # prints below 1/S; an exact 1/S prints as it is.
+        text = EmpiricalPValue(crossings=0, s_converged=s_converged).display()
+        assert text == want
+        assert float(text[2:]) >= 1.0 / s_converged
+
     def test_display_formats_exact_values(self):
         p = EmpiricalPValue(crossings=2, s_converged=400)
         assert p.display() == "0.005"

@@ -96,6 +96,7 @@ def stuck_fit(design):
         ll_hat=-500.0,
         ll_0=-600.0,
         gradient_norm=0.4,
+        gradient=np.full(design.k, 0.4),
         hessian_at_optimum=-np.eye(design.k),
         iterations=100,
         status="max_iterations",
@@ -797,8 +798,8 @@ class TestExitPaths:
 
 
 class TestCompileOnce:
-    """Each command compiles its dataset once; each Monte Carlo cell simulates
-    straight into one design."""
+    """Each command compiles its dataset once; each Monte Carlo replication
+    simulates once, straight into its designs."""
 
     @staticmethod
     def _count_calls(monkeypatch, function):
@@ -821,6 +822,10 @@ class TestCompileOnce:
     @pytest.fixture
     def simulate_calls(self, monkeypatch):
         return self._count_calls(monkeypatch, "simulate_design")
+
+    @pytest.fixture
+    def simulate_many_calls(self, monkeypatch):
+        return self._count_calls(monkeypatch, "simulate_designs")
 
     @staticmethod
     def _config(**overrides):
@@ -869,11 +874,13 @@ class TestCompileOnce:
         assert len(build_calls) == 0
         assert len(simulate_calls) == 1
 
-    def test_size_power_cell_simulates_design_once(self, build_calls, simulate_calls):
-        row = montecarlo_module._size_power_cell(self._config(effect_sizes=(0.0,)), "less", 0)
-        assert "p_lm" in row
+    def test_size_power_rep_simulates_once_for_all_effects(self, build_calls, simulate_calls, simulate_many_calls):
+        rows = montecarlo_module._size_power_rep(self._config(effect_sizes=(0.0, -0.4)), "less", 0)
+        assert [row["effect"] for row in rows] == [0.0, -0.4]
+        assert all("p_lm" in row for row in rows)
         assert len(build_calls) == 0
-        assert len(simulate_calls) == 1
+        assert len(simulate_calls) == 0
+        assert len(simulate_many_calls) == 1
 
 
 class TestSubprocessEntry:

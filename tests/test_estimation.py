@@ -27,7 +27,7 @@ from choicestats import (
 )
 from choicestats import estimation as estimation_module
 from choicestats.linalg import solve_positive_definite
-from testtools import binary_spec, hand_dataset, three_mode_data, three_mode_spec
+from testtools import assert_close_rel, hand_dataset, three_mode_data, three_mode_spec
 
 TWO_ALTS = ("car", "bus")
 
@@ -392,6 +392,39 @@ class TestMultiStart:
             est.multi_start(build_design(data, three_mode_spec()), n_starts=2)
 
 
+class TestHeldParameters:
+    """A fit holding parameters at their start values is the fit of the
+    model with those parameters fixed, and it keeps the full derivatives."""
+
+    @pytest.mark.parametrize("name, value", [("b_cost", 0.0), ("b_tt", -0.03), ("asc_bus", 0.4)])
+    def test_a_held_fit_equals_the_fit_with_the_parameter_fixed(self, name, value):
+        data = three_mode_data(n_persons=300, obs_per_person=2, seed=41)
+        spec = three_mode_spec()
+        design = build_design(data, spec)
+        col = design.free_names.index(name)
+        start = design.start_values.copy()
+        start[col] = value
+        held = estimate_design(design, start=start, hold=(col,))
+        fixed = estimate_design(build_design(data, spec.with_fixed(name, value)))
+        assert held.converged and fixed.converged
+        assert held.params_hat[col].tobytes() == np.float64(value).tobytes()
+        assert_close_rel(np.delete(held.params_hat, col), fixed.params_hat, 1e-10, "estimate")
+        assert_close_rel(held.ll_hat, fixed.ll_hat, 1e-10, "ll_hat")
+
+    def test_a_held_fit_keeps_the_full_derivatives_at_its_estimate(self):
+        design = build_design(three_mode_data(n_persons=300, seed=42), three_mode_spec())
+        col = design.free_names.index("b_cost")
+        held = estimate_design(design, hold=(col,))
+        ll, gradient, hessian, _ = design.evaluate(held.params_hat)
+        assert held.ll_hat == ll
+        assert held.gradient.tobytes() == gradient.tobytes()
+        assert held.hessian_at_optimum.tobytes() == hessian.tobytes()
+        # The gradient test reads the free entries only; the held one is the LM score.
+        free = np.delete(gradient, col)
+        assert held.gradient_norm == np.abs(free).max() <= estimation_module.GRADIENT_TOLERANCE
+        assert abs(gradient[col]) > 1.0
+
+
 class _FourIdentityBhhhDesign:
     # The BHHH fallback gets 4 I, so its direction is gradient / 4.
     def bhhh(self, params):
@@ -434,6 +467,17 @@ class TestNewtonStep:
         expected = gradient / np.array(eigenvalues) if newton else gradient / 4.0
         np.testing.assert_allclose(direction, expected, rtol=1e-12)
         assert kind == newton
+
+    def test_bhhh_fallback_is_cut_to_the_free_block(self):
+        class Design:
+            def bhhh(self, params):
+                return np.diag([4.0, 5.0, 6.0])
+
+        block = np.ix_([0, 2], [0, 2])
+        gradient = np.array([1.0, 2.0])
+        direction, newton = estimation_module._ascent_direction(Design(), None, gradient, np.eye(2), block)
+        np.testing.assert_array_equal(direction, [1.0 / 4.0, 2.0 / 6.0])
+        assert not newton
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_hessian_raises(self, bad):

@@ -1,11 +1,12 @@
-"""Every name a package module imports is used in that module, every
-private function is used somewhere in the package, importing the package
-loads no process pool, only ``linalg`` decides singularity, and the command
-line catches no exception wholesale.
+"""Every name a module of the package, the tests or the CI scripts imports
+is used in that module, every private function is used somewhere in the
+package, importing the package loads no process pool, only ``linalg``
+decides singularity, and the command line catches no exception wholesale.
 
-No linter runs on the package, so this parses each module and fails on an
-imported name that nothing in the module reads. A name listed in the
-module's ``__all__`` counts as used: it is re-exported. It also fails on a
+No linter runs on the repository, so this parses each module and fails on
+an imported name that nothing in the module reads. A name listed in the
+module's ``__all__`` counts as used: it is re-exported; one whose line says
+``# noqa: F401`` is imported for its effect. It also fails on a
 ``_``-prefixed function or method that no code in the package names outside
 its own definition, on a module other than ``linalg`` that decomposes,
 inverts or solves with ``numpy.linalg``, on a function outside
@@ -29,16 +30,19 @@ PACKAGE = Path(__file__).resolve().parents[1] / "src" / "choicestats"
 
 
 def unused_imports(source):
-    """(line, name) of each imported name the module never reads."""
+    """(line, name) of each imported name the module never reads, unless its
+    line says ``# noqa: F401``, the mark of an import made for its effect."""
     tree = ast.parse(source)
+    lines = source.splitlines()
     imported = {}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
-                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+                imported[alias.asname or alias.name.split(".")[0]] = alias.lineno
         elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
             for alias in node.names:
-                imported[alias.asname or alias.name] = node.lineno
+                imported[alias.asname or alias.name] = alias.lineno
+    imported = {name: line for name, line in imported.items() if "# noqa: F401" not in lines[line - 1]}
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     for node in tree.body:
         targets = node.targets if isinstance(node, ast.Assign) else []
@@ -53,12 +57,22 @@ def test_the_scan_finds_an_unused_import():
         "import math\nimport os.path\nfrom typing import Mapping, Sequence\n"
         "from .a import exported\n"
         "__all__ = ['exported']\n"
+        "import probe  # noqa: F401\n"
+        "from b import (\n    kept,  # noqa: F401\n    dropped,\n)\n"
         "def f(x: Mapping):\n    return os.path.join(x)\n"
     )
-    assert unused_imports(source) == [(2, "math"), (4, "Sequence")]
+    assert unused_imports(source) == [(2, "math"), (4, "Sequence"), (10, "dropped")]
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+#: The package, the tests and the CI scripts: no linter runs on any of them.
+SCANNED = [
+    *sorted(PACKAGE.glob("*.py")),
+    *sorted(Path(__file__).parent.glob("*.py")),
+    *sorted((PACKAGE.parents[1] / ".github" / "scripts").glob("*.py")),
+]
+
+
+@pytest.mark.parametrize("path", SCANNED, ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
 

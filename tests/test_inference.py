@@ -19,10 +19,12 @@ from choicestats import (
     NestingError,
     asymptotic_ci,
     asymptotic_record,
+    DesignArrays,
     build_design,
     chisq_cdf,
     chisq_sf,
     estimate,
+    estimate_design,
     lm_test_at,
     lr_test,
     normal_cdf,
@@ -33,7 +35,7 @@ from choicestats import (
 )
 from choicestats.inference import resolve_sidedness
 
-from testtools import lm_statistic, take_observations, three_mode_data, three_mode_spec
+from testtools import assert_close_rel, lm_oracle, take_observations, three_mode_data, three_mode_spec
 
 mpmath.mp.dps = 40
 
@@ -253,71 +255,85 @@ class TestLikelihoodRatio:
             lr_test(-100.0, -104.0, d)
 
 
-class _BadHessian:
-    # -hessian comes back negative definite, forcing the score outer-product
-    # route.
-    def __init__(self, design):
-        self.design = design
+def _held_fit(design, name, value=0.0):
+    # The restricted fit: the general design with ``name`` held at ``value``.
+    col = design.free_names.index(name)
+    start = design.start_values.copy()
+    start[col] = value
+    return estimate_design(design, start=start, hold=(col,))
 
-    def evaluate(self, p):
-        ll, gradient, hessian, floored = self.design.evaluate(p)
-        return ll, gradient, -hessian, floored
 
-    def bhhh(self, p):
-        return self.design.bhhh(p)
+def _bhhh_forced(fit):
+    # The fit with its Hessian negated, so -H is negative definite and the
+    # LM test takes the score outer-product route.
+    return replace(fit, hessian_at_optimum=-fit.hessian_at_optimum)
 
 
 class TestLmAtRestrictedEstimates:
-    def test_agrees_with_lr_and_wald_when_restriction_is_false(self):
+    def test_agrees_with_lr_when_restriction_is_false(self):
         dataset = three_mode_data(n_persons=1500, obs_per_person=1, seed=31)
         spec = three_mode_spec()
+        design = build_design(dataset, spec)
 
-        restricted = estimate(dataset, spec.with_fixed("b_cost", 0.0))
-        general = estimate(dataset, spec)
+        restricted = _held_fit(design, "b_cost")
+        general = estimate_design(design)
         assert restricted.status == "converged" and general.status == "converged"
 
-        design = build_design(dataset, spec)
-        at = restricted.params_dict()
-        at["b_cost"] = 0.0
-        params = np.array([at[name] for name in design.free_names])
-
-        res_lm = lm_test_at(design, params, 1)
+        res_lm = lm_test_at(design, restricted, 1)
         res_lr = lr_test(general.ll_hat, restricted.ll_hat, 1)
         assert res_lm.df == res_lr.df == 1
 
-        # All three tests see the same strong violation; statistics agree to
+        # Both tests see the same strong violation; statistics agree to
         # first order at this sample size.
         assert res_lm.statistic > 10.0
         assert res_lm.statistic == pytest.approx(res_lr.statistic, rel=0.15)
 
-    def test_bhhh_fallback_when_hessian_route_fails(self):
-        dataset = three_mode_data(n_persons=200, obs_per_person=1, seed=32)
-        spec = three_mode_spec()
-        design = build_design(dataset, spec)
-        params = design.start_values
+    @pytest.mark.parametrize("obs_per_person", [1, 3])
+    def test_matches_the_evaluate_oracle_on_both_routes(self, obs_per_person):
+        dataset = three_mode_data(n_persons=200, obs_per_person=obs_per_person, seed=32)
+        design = build_design(dataset, three_mode_spec())
+        fit = _held_fit(design, "b_cost")
+        assert fit.converged
+        newton = lm_test_at(design, fit, 1)
+        assert_close_rel(newton.statistic, lm_oracle(design, fit.params_hat), 1e-12)
+        bhhh = lm_test_at(design, _bhhh_forced(fit), 1)
+        want = lm_oracle(design, fit.params_hat, bhhh=True)
+        assert_close_rel(bhhh.statistic, want, 1e-12)
+        assert bhhh.p_value == pytest.approx(chisq_sf(want, 1), rel=1e-12)
 
-        rows = design.score(params)
-        want = lm_statistic(design.evaluate(params)[1], rows.T @ rows)
-        got = lm_test_at(_BadHessian(design), params, 1)
-        assert got.statistic == pytest.approx(want, rel=1e-12)
-        assert got.p_value == pytest.approx(chisq_sf(want, 1), rel=1e-12)
+    def test_newton_route_makes_no_probabilities_pass(self, monkeypatch):
+        # The statistic comes from the fit's last pass; the test evaluates nothing.
+        design = build_design(three_mode_data(n_persons=200, obs_per_person=1, seed=32), three_mode_spec())
+        fit = _held_fit(design, "b_cost")
+        calls = []
+        real = DesignArrays.probabilities
+
+        def counting(self, params):
+            calls.append(params)
+            return real(self, params)
+
+        monkeypatch.setattr(DesignArrays, "probabilities", counting)
+        assert lm_test_at(design, fit, 1).statistic > 0.0
+        assert calls == []
 
     def test_bhhh_fallback_counts_person_weights(self):
         # Weights of 2 are the sample with every person twice, so the
         # fallback information doubles with the gradient.
         dataset = three_mode_data(n_persons=200, obs_per_person=2, seed=32)
         spec = three_mode_spec()
-        design = build_design(dataset, spec)
         copies = replace(
             take_observations(dataset, np.tile(np.arange(dataset.n_obs), 2)),
             person_ids=[pid + copy for copy in ("a", "b") for pid in dataset.person_ids],
             obs_ids=[oid + copy for copy in ("a", "b") for oid in dataset.obs_ids],
         )
         duplicated = build_design(copies, spec)
-        params = design.start_values
-        doubled = design.weighted(np.full(design.n_persons, 2.0))
-        want = lm_test_at(_BadHessian(duplicated), params, 1)
-        got = lm_test_at(_BadHessian(doubled), params, 1)
+        doubled = build_design(dataset, spec).weighted(np.full(dataset.n_persons, 2.0))
+        fit = _held_fit(doubled, "b_cost")
+        # The duplicated sample's own record at the same point.
+        _, gradient, hessian, _ = duplicated.evaluate(fit.params_hat)
+        twin = replace(fit, gradient=gradient, hessian_at_optimum=hessian)
+        want = lm_test_at(duplicated, _bhhh_forced(twin), 1)
+        got = lm_test_at(doubled, _bhhh_forced(fit), 1)
         assert got.statistic == pytest.approx(want.statistic, rel=1e-12)
         assert got.p_value == pytest.approx(want.p_value, rel=1e-12)
 

@@ -21,6 +21,7 @@ from choicestats import (
     estimate_design,
     simulate_dataset,
     simulate_design,
+    simulate_designs,
 )
 from choicestats.model import PROBABILITY_FLOOR
 from testtools import (
@@ -361,16 +362,6 @@ class TestDesignSurgery:
         information = (design.person_weights @ terms[:, k:]).reshape(k, k)
         assert np.all(np.abs(information + hessian) <= 1e-12 * np.abs(hessian).max())
 
-    def test_fix_column_moves_contribution_to_offset(self):
-        data = three_mode_data(n_persons=25, seed=15)
-        design = build_design(data, three_mode_spec())
-        full = np.array([0.2, -0.1, -0.05, -0.2])
-        reduced = design.fix_column(3, -0.2)
-        assert reduced.k == 3
-        np.testing.assert_allclose(
-            reduced.log_likelihood(full[:3]), design.log_likelihood(full), rtol=1e-14
-        )
-
 
 class TestSpecValidation:
     def test_duplicate_parameter_name_rejected(self):
@@ -501,14 +492,17 @@ class TestKernelReference:
         # Attributes and coefficients keep utility gaps below 25, so no
         # probability is so small that rounding in its neighbours' terms
         # outweighs its own Hessian contribution.
-        _, _, design = _random_case(data, st.floats(-3.0, 3.0), 8, 3)
-        surgery = data.draw(st.sampled_from(("none", "weighted", "fix_column")))
+        dataset, spec, design = _random_case(data, st.floats(-3.0, 3.0), 8, 3)
+        surgery = data.draw(st.sampled_from(("none", "weighted", "with_fixed")))
         if surgery == "weighted":
             counts = st.lists(st.integers(0, 3), min_size=design.n_persons, max_size=design.n_persons)
             design = design.weighted(np.array(data.draw(counts)))
-        elif surgery == "fix_column" and design.k > 1:
-            index = data.draw(st.integers(0, design.k - 1))
-            design = design.fix_column(index, data.draw(st.floats(-1.0, 1.0)))
+        elif surgery == "with_fixed" and design.k > 1:
+            # A second fixed coefficient moves one more column into the offset.
+            name = data.draw(st.sampled_from(design.free_names))
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", IdentificationRiskWarning)
+                design = build_design(dataset, spec.with_fixed(name, data.draw(st.floats(-1.0, 1.0))))
         coefficient = st.floats(-1.0, 1.0)
         params = np.array(data.draw(st.lists(coefficient, min_size=design.k, max_size=design.k)))
 
@@ -887,6 +881,49 @@ class TestSimulateDesign:
         assert (got[0], got[3]) == (want[0], want[3])
         assert got[1].tobytes() == want[1].tobytes()
         assert got[2].tobytes() == want[2].tobytes()
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_persons=st.integers(1, 25),
+        obs_per_person=st.sampled_from([1, 3]),
+        tt_sd=st.sampled_from([0.0, 0.03]),
+        fixed=st.sampled_from([None, "b_cost"]),
+        cost_shifts=st.lists(st.floats(-0.5, 0.5), min_size=1, max_size=3),
+    )
+    def test_simulate_designs_equals_one_simulation_per_truth(
+        self, seed, n_persons, obs_per_person, tt_sd, fixed, cost_shifts
+    ):
+        # Truths that differ in one coefficient, as a size/power replication's
+        # effects do, and in the alternative-specific constant of another.
+        spec = _wait_spec(fixed)
+        gen = GeneratorSpec(
+            attributes=(
+                AttributeRule("tt", dist="uniform", low=5.0, high=20.0, alternatives=("car",)),
+                AttributeRule("tt", dist="lognormal", mean=3.0, sd=0.4, alternatives=("bus", "rail")),
+                AttributeRule("cost", dist="normal", mean=6.0, sd=2.0),
+                AttributeRule("wait", dist="uniform", low=0.0, high=15.0, alternatives=("bus", "rail")),
+            ),
+            heterogeneity={"b_tt": tt_sd} if tt_sd else {},
+        )
+        base = {**THREE_MODE_TRUE_COPY, "b_wait": -0.08}
+        truths = [
+            [{**base, "b_cost": base["b_cost"] + shift, "asc_bus": base["asc_bus"] - shift}[name] for name in spec.free_names()]
+            for shift in cost_shifts
+        ]
+        designs = simulate_designs(spec, truths, gen, n_persons, obs_per_person, seed)
+        assert len(designs) == len(truths)
+        for design, truth in zip(designs, truths):
+            alone = simulate_design(spec, truth, gen, n_persons, obs_per_person, seed)
+            for name in ("X", "offset", "avail", "chosen", "person_index"):
+                a, b = getattr(design, name), getattr(alone, name)
+                assert (a.dtype, a.shape) == (b.dtype, b.shape), name
+                assert a.tobytes() == b.tobytes(), name
+            assert design.person_ids == alone.person_ids
+        for name in ("X", "offset", "avail"):
+            assert not getattr(designs[0], name).flags.writeable, name
+            assert all(np.shares_memory(getattr(designs[0], name), getattr(d, name)) for d in designs), name
 
 
 def _pinned_case(case):

@@ -11,9 +11,11 @@ import choicestats.montecarlo as montecarlo_module
 from choicestats import (
     MIN_DRAWS,
     REJECTION_METHODS,
+    ChoiceStatsError,
     DataError,
     ExperimentConfig,
     MonteCarloReport,
+    ReplicateFailureWarning,
     coverage_experiment,
     estimate_design,
     sampling_distribution_summary,
@@ -22,6 +24,7 @@ from choicestats import (
     save_rows,
     seed_from,
     simulate_dataset,
+    simulate_design,
     size_and_power_experiment,
 )
 from choicestats.cli import main
@@ -254,24 +257,85 @@ class TestSizePower:
         assert serial.rows == parallel.rows
         assert serial.rates == parallel.rates
 
-    def test_restricted_fit_starts_from_the_general_estimate(self, monkeypatch):
-        # The restricted model is the general one with the target fixed at 0,
-        # so its fit starts from the general estimate with the target removed.
+    def test_restricted_fit_holds_the_target_in_the_general_design(self, monkeypatch):
+        # The restricted model is the general one with the target fixed at 0:
+        # its fit runs on the same design, holding the target at 0, from the
+        # general estimate.
         fits = []
 
-        def recording(design, start=None, start_index=0):
-            result = estimate_design(design, start=start, start_index=start_index)
-            fits.append((design.free_names, start, result))
+        def recording(design, start=None, hold=()):
+            result = estimate_design(design, start=start, hold=hold)
+            fits.append((design, start, hold, result))
             return result
 
         monkeypatch.setattr(montecarlo_module, "estimate_design", recording)
+        config = make_config(n_persons=60, effect_sizes=(-0.4,))
+        montecarlo_module._size_power_rep(config, "less", 1)
+        (design, general_start, general_hold, general), (restricted_design, start, hold, restricted) = fits
+        names = design.free_names
+        target = names.index("b_cost")
+        assert general_start == [{**config.true_params, "b_cost": -0.4}[n] for n in names]
+        assert (general_hold, hold) == ((), (target,))
+        assert restricted_design is design
+        np.testing.assert_array_equal(start, np.where(np.arange(design.k) == target, 0.0, general.params_hat))
+        assert restricted.params_hat[target] == 0.0
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failure_fails_only_its_own_cells(self, monkeypatch, jobs):
+        # Planted failures: the general fit at effect -0.4 on about half the
+        # reps, the restricted fit on about a fifth of the cells, and the
+        # whole simulation of rep 7. Each fails its own (rep, effect) cells only;
+        # they are counted per cell and tallied per cell by reason.
         config = make_config(n_persons=60)
-        montecarlo_module._size_power_cell(config, "less", 1)
-        (general_names, general_start, general), (restricted_names, start, _) = fits
-        assert general_start == [{**config.true_params, "b_cost": -0.4}[n] for n in general_names]
-        assert restricted_names == [n for n in general_names if n != "b_cost"]
-        target = general_names.index("b_cost")
-        np.testing.assert_array_equal(start, np.delete(general.params_hat, target))
+        clean = size_and_power_experiment(config, jobs=1)
+        target = config.spec.free_names().index("b_cost")
+        real_fit, real_simulate = montecarlo_module.estimate_design, montecarlo_module.simulate_designs
+        seed_7 = seed_from(config.seed, 7)
+
+        def planted(design, start, hold=()):
+            if hold:
+                return "restricted" if int(design.chosen.sum()) % 5 == 0 else None
+            return "general" if start[target] == -0.4 and int(design.chosen.sum()) % 2 == 0 else None
+
+        def failing_fit(design, start=None, hold=()):
+            if planted(design, start, hold):
+                raise ChoiceStatsError(f"planted {planted(design, start, hold)} failure")
+            return real_fit(design, start=start, hold=hold)
+
+        def failing_simulate(spec, truths, generator, n_persons, obs_per_person, seed):
+            if seed == seed_7:
+                raise ChoiceStatsError("planted simulation failure")
+            return real_simulate(spec, truths, generator, n_persons, obs_per_person, seed)
+
+        monkeypatch.setattr(montecarlo_module, "estimate_design", failing_fit)
+        monkeypatch.setattr(montecarlo_module, "simulate_designs", failing_simulate)
+        with pytest.warns(ReplicateFailureWarning) as caught:
+            report = size_and_power_experiment(config, jobs=jobs)
+
+        want_rows, reasons = [], {}
+        for row in clean.rows:
+            rep, effect = row["rep"], row["effect"]
+            truth = [{**config.true_params, "b_cost": effect}[n] for n in config.spec.free_names()]
+            design = simulate_design(
+                config.spec, truth, config.generator, config.n_persons, config.obs_per_person, seed_from(config.seed, rep)
+            )
+            reason = "simulation" if rep == 7 else planted(design, truth) or planted(design, None, (target,))
+            if reason is None:
+                want_rows.append(row)
+            else:
+                want_rows.append({"rep": rep, "effect": effect, "converged": False})
+                reasons[f"planted {reason} failure"] = reasons.get(f"planted {reason} failure", 0) + 1
+        failed = sum(reasons.values())
+        assert set(reasons) == {"planted general failure", "planted restricted failure", "planted simulation failure"}
+        assert report.rows == want_rows
+        assert report.failures == failed
+        for record in report.rates:
+            good = [r for r in want_rows if r["effect"] == record["effect"] and r["converged"]]
+            assert record["n"] == len(good)
+        assert [str(w.message) for w in caught] == [
+            f"{failed} of {len(want_rows)} replicates failed (by reason: {dict(sorted(reasons.items()))}); "
+            "only the others count downstream"
+        ]
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_value_error_in_a_cell_propagates(self, monkeypatch, jobs):
@@ -399,7 +463,7 @@ class TestCellsReadTheEstimateRecord:
     def test_a_size_power_cell_reports_what_estimate_writes(self, tmp_path, capsys):
         config = make_config(n_persons=120, ci_level=0.9)
         rep, effect = 3, 1
-        row = montecarlo_module._size_power_cell(config, "less", rep * len(config.effect_sizes) + effect)
+        row = montecarlo_module._size_power_rep(config, "less", rep)[effect]
         true_params = {**config.true_params, "b_cost": config.effect_sizes[effect]}
         # b_cost declares 'less' and a 0 null: --sided one tests it as the cell's one-sided rates do.
         one, two = (self.results_of("estimate", config, true_params, rep, tmp_path, "--sided", s) for s in ("one", "two"))

@@ -395,10 +395,17 @@ def observation_scores(design, params):
     return (X_t[:, design.chosen, np.arange(design.n_obs)] - xbar).T
 
 
-def lm_statistic(score, information):
-    """Lagrange multiplier statistic g' I^-1 g by a plain linear solve: the
-    oracle of ``lm_test_at``'s BHHH route."""
-    return float(score @ np.linalg.solve(information, score))
+def lm_oracle(design, params, bhhh=False):
+    """Lagrange multiplier statistic g' I^-1 g at ``params``, from a fresh
+    ``design.evaluate`` and a plain linear solve: I is the negative Hessian,
+    or with ``bhhh`` the sum of the person score outer products, each person
+    counted by its weight. The oracle of both routes of ``lm_test_at``."""
+    _, gradient, hessian, _ = design.evaluate(params)
+    information = -hessian
+    if bhhh:
+        rows = design.score(params) * np.sqrt(design.person_weights)[:, None]
+        information = rows.T @ rows
+    return float(gradient @ np.linalg.solve(information, gradient))
 
 
 def assert_close_rel(actual, expected, rtol, context=""):

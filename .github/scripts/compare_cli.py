@@ -7,8 +7,10 @@ PYTHONPATH of fresh ``python`` processes. Both trees run the same command
 lines, from working directories at the same depth, on the same inputs, all
 drawn with ``perfbench/inputs.py`` of CHANGE_ROOT (imported, never written):
 
-- the fixed reference panel with its spec, and a copy of the spec that adds
-  a second time coefficient on the same attribute (a singular Hessian);
+- the fixed reference panel with its spec, a copy of the spec that adds
+  a second time coefficient on the same attribute (a singular Hessian), and
+  a copy that gives every alternative a free constant (identified only up
+  to a utility shift, which the spec's validation warns of);
 - a three-person panel, whose fit converges but whose BHHH matrix has rank
   3 for 4 parameters (a singular covariance);
 - a 50-replication size/power ``montecarlo`` config;
@@ -20,11 +22,11 @@ drawn with ``perfbench/inputs.py`` of CHANGE_ROOT (imported, never written):
 The paths: ``estimate`` (with and without ``--starts 3``, and with
 ``--sided one`` and ``--sided two``, which on the reference spec's ``less``
 and ``auto`` declarations take every branch of the sidedness rule),
-``bootstrap``, exit 2 from a singular Hessian and from a singular
-covariance, exit 3 from a fit that does not converge (``estimate`` and
-``bootstrap``; one iteration at an unreachable tolerance, set through the
-estimation module's constants or, in a tree that predates them, the CLI's
-``EstimationOptions``) and from
+``bootstrap``, exit 2 from a singular Hessian (the collinear spec and the
+spec with a constant on every alternative) and from a singular covariance,
+exit 3 from a fit that does not converge (``estimate``, with and without
+``--starts 3``, and ``bootstrap``; one iteration at an unreachable
+tolerance, set through the estimation module's constants) and from
 ``bootstrap --S 5``, ``montecarlo`` of each config, and ``report`` of the
 first ``estimate``'s results.
 
@@ -51,17 +53,11 @@ import tempfile
 from pathlib import Path
 
 # A fit that runs out of iterations: one step at a tolerance no fit meets.
-# A tree with the estimation module's MAX_ITERATIONS and GRADIENT_TOLERANCE
-# constants gets them set; an older tree, whose CLI builds an
-# EstimationOptions, gets its defaults replaced.
 STUCK = """
-import functools, sys
+import sys
 import choicestats.cli as cli
 import choicestats.estimation as estimation
-if hasattr(estimation, "MAX_ITERATIONS"):
-    estimation.MAX_ITERATIONS, estimation.GRADIENT_TOLERANCE = 1, 1e-13
-else:
-    cli.EstimationOptions = functools.partial(cli.EstimationOptions, max_iterations=1, gradient_tolerance=1e-13)
+estimation.MAX_ITERATIONS, estimation.GRADIENT_TOLERANCE = 1, 1e-13
 sys.exit(cli.main(sys.argv[1:]))
 """
 CLI = ("-m", "choicestats.cli")
@@ -81,7 +77,11 @@ PATHS = {
     "singular-covariance": (
         CLI, ("estimate", "--data", "../inputs/three/data.csv", "--spec", "../inputs/three/spec.json"),
     ),
+    "estimate-shift-unidentified": (
+        CLI, ("estimate", "--data", "../inputs/panel/data.csv", "--spec", "../inputs/shift_spec.json"),
+    ),
     "estimate-not-converged": (("-c", STUCK), ("estimate", *PANEL)),
+    "estimate-starts-3-not-converged": (("-c", STUCK), ("estimate", *PANEL, "--starts", "3")),
     "bootstrap-not-converged": (("-c", STUCK), ("bootstrap", *PANEL, "--S", "10")),
     "bootstrap-too-few": (CLI, ("bootstrap", *PANEL, "--S", "5")),
     "montecarlo": (CLI, ("montecarlo", "--config", "../inputs/montecarlo.json", "--jobs", "2")),
@@ -101,6 +101,11 @@ def write_inputs(directory, inputs):
     for terms in spec["utilities"].values():
         terms.append({"param": "b_tt_copy", "attribute": "tt"})
     (directory / "collinear_spec.json").write_text(json.dumps(spec, indent=2) + "\n", encoding="utf-8")
+    # The reference spec's constants are on bus and rail; one on car leaves a utility shift free.
+    shift = inputs.spec_doc(with_wait=False)
+    shift["parameters"].append({**shift["parameters"][0], "name": "asc_car"})
+    shift["utilities"]["car"].append({"param": "asc_car", "attribute": "_const"})
+    (directory / "shift_spec.json").write_text(json.dumps(shift, indent=2) + "\n", encoding="utf-8")
     config = inputs.montecarlo_config(1, replications=50)
     (directory / "montecarlo.json").write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
     coverage = {**inputs.montecarlo_config(1, n_persons=200, replications=50), "experiment": "coverage"}

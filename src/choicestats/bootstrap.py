@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, IdentificationError
-from .estimation import STATUS_CONVERGED, _start_vector, estimate_design
+from .estimation import STATUS_CONVERGED, _require_converged, _start_vector, estimate_design, multi_start
 from .inference import ConfidenceInterval, asymptotic_ci
 from .linalg import solve_positive_definite
 from .util import Failure, parallel_map, seed_from
@@ -78,20 +78,23 @@ def bootstrap_run(design, s_samples=400, base_seed=0, jobs=1, mle=None):
     Replicate s draws n_persons persons with replacement, with a seed
     derived from (base_seed, s), and fits the design weighted by each
     person's draw count. It starts one Newton step from the full-sample
-    estimate ``mle`` (estimated here from the declared start values when not
-    given): the step its own first iteration would take, found from each
-    person's score and information at ``mle``, one pass per run. A replicate
-    reads only its estimate, so its fit ends on a certified Newton step (see
-    ``estimate_design``'s ``estimate_only``): one softmax and one
-    derivatives pass at its start and at each accepted point before that
-    step, and none at the estimate itself. A failed replicate is kept as a
-    NaN row, flagged not-converged, with the failure reason as its status (a
-    fit's own status when it does not converge), and excluded downstream.
+    estimate ``mle``: the step its own first iteration would take, found
+    from each person's score and information at ``mle``, one pass per run.
+    A replicate reads only its estimate, so its fit ends on a certified
+    Newton step (see ``estimate_design``'s ``estimate_only``): one softmax
+    and one derivatives pass at its start and at each accepted point before
+    that step, and none at the estimate itself. A failed replicate is kept
+    as a NaN row, flagged not-converged, with the failure reason as its
+    status (a fit's own status when it does not converge), and excluded
+    downstream.
+
+    Without ``mle``, the run fits it from the declared starts and raises
+    ``_require_converged``'s error, before any replicate, if that fails.
     """
     if s_samples < 2:
         raise ValueError(f"s_samples must be >= 2, got {s_samples}")
     if mle is None:
-        mle = estimate_design(design).params_hat
+        mle = _require_converged(multi_start(design)[0]).params_hat
     mle = _start_vector(design, mle)
     terms = design.person_terms(design.probabilities(mle), information=True)
     args = (design, base_seed, mle, terms * design.person_weights[:, None])

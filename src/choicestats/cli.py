@@ -43,12 +43,7 @@ from .errors import (
     DataError,
     IdentificationError,
 )
-from .estimation import (
-    STATUS_CONVERGED,
-    STATUS_SINGULAR_HESSIAN,
-    estimate_design,
-    multi_start,
-)
+from .estimation import STATUS_CONVERGED, _require_converged, multi_start
 from .inference import asymptotic_record, resolve_sidedness
 from .model import build_design
 from .montecarlo import (
@@ -124,30 +119,16 @@ def _results_head(args, fit, status):
 
 
 def _fit_data(args, outdir):
-    """Load, compile and fit the data. A fit that does not converge writes its
-    partial results, then raises IdentificationError for a singular Hessian
-    and ConvergenceError otherwise."""
+    """Load, compile and fit the data from ``--starts`` starts. A best fit that
+    does not converge writes its partial results, then raises
+    IdentificationError for a singular Hessian and ConvergenceError otherwise."""
     spec = load_model_spec(args.spec)
     design = build_design(load_dataset(args.data), spec)
-    if args.starts > 1:
-        try:
-            best, runs = multi_start(design, args.starts, args.seed)
-        except ConvergenceError as exc:
-            # No start converged; the best partial fit (ll_hat is always finite) is reported.
-            best, runs = max(exc.runs, key=lambda r: r.ll_hat), list(exc.runs)
-    else:
-        best, runs = estimate_design(design), None
-    if best.status == STATUS_CONVERGED:
-        return spec, design, best, runs
-    _write_run(args, outdir, [("results.json", _results_head(args, best, best.status))])
-    if best.status != STATUS_SINGULAR_HESSIAN:
-        raise ConvergenceError(f"estimation did not converge (status: {best.status})")
-    report = best.identification  # always set on a full fit with a singular Hessian
-    raise IdentificationError(
-        f"the Hessian is singular\n  rank {report.hessian_rank}, condition number "
-        f"{report.condition_number:.3e}, suspect parameters: "
-        f"{', '.join(report.suspect_parameters) or 'none isolated'}"
-    )
+    best, runs = multi_start(design, args.starts, args.seed)
+    if not best.converged:
+        _write_run(args, outdir, [("results.json", _results_head(args, best, best.status))])
+        _require_converged(best)
+    return spec, design, best, runs
 
 
 def _table(args, doc):
@@ -163,17 +144,18 @@ def _table(args, doc):
 
 def _estimate_results_doc(args, spec, design, best, runs, covs, tests, intervals):
     names = best.names
+    ll_0 = design.null_log_likelihood()
     doc = {
         **_results_head(args, best, best.status),
         "model": asdict(spec),
         "n_obs": design.n_obs,
         "n_persons": design.n_persons,
-        "ll_0": best.ll_0,
+        "ll_0": ll_0,
         "start_index": best.start_index,
         "hessian": encode_matrix(best.hessian_at_optimum, names, names),
         "fit": {
             "k": len(names),
-            "rho_bar_squared": rho_bar_squared(best.ll_hat, best.ll_0, len(names)),
+            "rho_bar_squared": rho_bar_squared(best.ll_hat, ll_0, len(names)),
             "bic": bic(best.ll_hat, len(names), design.n_obs),
             "bic_n": design.n_obs,
         },
@@ -192,7 +174,7 @@ def _estimate_results_doc(args, spec, design, best, runs, covs, tests, intervals
         "intervals": intervals,
         "ci_level": args.ci_level,
     }
-    if runs is not None:
+    if len(runs) > 1:
         doc["multi_start"] = {
             "n_starts": len(runs),
             "ll_by_start": [r.ll_hat if r.converged else None for r in runs],

@@ -10,12 +10,13 @@ import csv
 import json
 import math
 import sys
+import warnings
 from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DataError, SpecMismatchError
+from .errors import DataError, IdentificationRiskWarning, SpecMismatchError
 from .model import Dataset, ModelSpec
 from .util import first_failure, from_json
 
@@ -197,10 +198,13 @@ def read_json(path):
 
 
 def load_model_spec(path):
-    """Read a model file: the JSON form of a ModelSpec, which must validate."""
+    """Read a model file: the JSON form of a ModelSpec, which must validate.
+    Its identification-risk warning is left to the build_design that follows."""
     spec = from_json(ModelSpec, read_json(path), f"{path}: malformed model file")
     try:
-        spec.validate()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", IdentificationRiskWarning)
+            spec.validate()
     except SpecMismatchError as exc:
         raise DataError(str(exc), source=str(path)) from exc
     return spec

@@ -33,12 +33,7 @@ class IdentificationError(ChoiceStatsError):
 
 
 class ConvergenceError(ChoiceStatsError):
-    """A fit did not converge; ``runs`` holds multi-start's failed fits."""
-
-    def __init__(self, message, statuses=(), runs=()):
-        super().__init__(message)
-        self.statuses = tuple(statuses)
-        self.runs = tuple(runs)
+    """A fit, or too many bootstrap replicates, did not converge."""
 
 
 class StartPointError(ChoiceStatsError, ValueError):

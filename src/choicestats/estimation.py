@@ -21,7 +21,6 @@ from .errors import (
     StartPointError,
 )
 from .linalg import near_null_space, require_symmetric, solve_positive_definite
-from .model import build_design
 from .util import seed_from
 
 STATUS_CONVERGED = "converged"
@@ -81,10 +80,6 @@ class PointEstimate:
     def converged(self):
         return self.status == STATUS_CONVERGED
 
-    @property
-    def diverged(self):
-        return bool(np.any(np.abs(self.params_hat) > DIVERGENCE_BOUND))
-
     def params_dict(self):
         return {name: float(v) for name, v in zip(self.names, self.params_hat)}
 
@@ -94,7 +89,6 @@ class EstimationResult(PointEstimate):
     """A point estimate with the log-likelihood and derivatives at it."""
 
     ll_hat: float
-    ll_0: float
     gradient_norm: float
     gradient: np.ndarray
     hessian_at_optimum: np.ndarray
@@ -152,7 +146,7 @@ def _start_vector(design, start):
     return params
 
 
-def estimate_design(design, start=None, start_index=0, estimate_only=False, hold=()):
+def estimate_design(design, start=None, estimate_only=False, hold=()):
     """Run the optimiser against an already compiled design.
 
     Each trial point costs one softmax pass: the line search takes the
@@ -168,10 +162,14 @@ def estimate_design(design, start=None, start_index=0, estimate_only=False, hold
     The parameters at the indices in ``hold`` keep their start values; steps
     and the gradient test take the free rest. ``gradient`` and
     ``hessian_at_optimum`` stay full, the LM test's inputs at a restriction.
+    A fit that does not converge says so in its status rather than raising.
     """
     params = _start_vector(design, start)
-    free = np.delete(np.arange(design.k), hold) if len(hold) else None
-    block = ... if free is None else np.ix_(free, free)
+    # A list, not np.delete, and take(), not np.ix_ indexing: at k = 4 these
+    # cost a bootstrap replicate's fit about 1.5%, against 2.4% and more.
+    free = np.array([i for i in range(design.k) if i not in hold], dtype=np.intp)
+    block = free[:, None], free  # np.ix_(free, free), for the BHHH fallback
+    direction = np.zeros(design.k)  # stays 0 where held
     p = design.probabilities(params)
     ll, floored = design.chosen_log_likelihood(p)
     if not np.isfinite(ll):
@@ -181,7 +179,7 @@ def estimate_design(design, start=None, start_index=0, estimate_only=False, hold
     iterations = 0
     while True:
         gradient, hessian = design.derivatives(p)
-        g_free, h_free = (gradient, hessian) if free is None else (gradient[free], hessian[block])
+        g_free, h_free = gradient[free], hessian.take(free, 0).take(free, 1)
         if np.abs(g_free).max(initial=0.0) <= GRADIENT_TOLERANCE:
             status = STATUS_CONVERGED
             break
@@ -192,7 +190,7 @@ def estimate_design(design, start=None, start_index=0, estimate_only=False, hold
         except IdentificationError:
             status = STATUS_SINGULAR_HESSIAN
             break
-        direction = step if free is None else np.bincount(free, step, design.k)  # 0 where held
+        direction[free] = step  # every bit of step, the sign of a zero too
         if estimate_only and newton and g_free @ step <= NEWTON_DECREMENT_TOLERANCE:
             params = params + direction
             iterations += 1
@@ -230,28 +228,20 @@ def estimate_design(design, start=None, start_index=0, estimate_only=False, hold
     if estimate_only:
         result = PointEstimate(params_hat=params, names=names, iterations=iterations, status=status)
     else:
-        identification = None
-        if status == STATUS_SINGULAR_HESSIAN:
-            identification = check_identification(hessian, names=design.free_names)
+        singular = status == STATUS_SINGULAR_HESSIAN
         result = EstimationResult(
             params_hat=params,
             names=names,
             iterations=iterations,
             status=status,
             ll_hat=ll,
-            ll_0=design.null_log_likelihood(),
             gradient_norm=float(np.abs(g_free).max(initial=0.0)),
             gradient=gradient,
             hessian_at_optimum=hessian,
-            start_index=start_index,
-            identification=identification,
+            identification=check_identification(hessian, names=names) if singular else None,
         )
-    if result.diverged:
-        runaway = [
-            name
-            for name, v in zip(result.names, result.params_hat)
-            if abs(v) > DIVERGENCE_BOUND
-        ]
+    runaway = [name for name, v in zip(names, params) if abs(v) > DIVERGENCE_BOUND]
+    if runaway:
         warnings.warn(
             f"coefficients {runaway} exceed |{DIVERGENCE_BOUND:g}|; the model "
             "may be empirically unidentified on this sample",
@@ -261,43 +251,51 @@ def estimate_design(design, start=None, start_index=0, estimate_only=False, hold
     return result
 
 
-def estimate(dataset, spec):
-    """Maximise the sample log-likelihood for ``spec`` on ``dataset``."""
-    return estimate_design(build_design(dataset, spec))
-
-
 def multi_start(design, n_starts=1, seed=0):
-    """Estimate a compiled design from several starting points; return
-    (best, all runs).
+    """Fit a compiled design from n_starts starts; return (best, all runs).
 
-    Start 0 uses the declared start values; later starts perturb them with
-    normal noise seeded from ``seed``. The best run is the converged one with
-    the highest log-likelihood. Converged runs disagreeing by more than 1e-4 in their
-    final log-likelihood raise EstimationDisagreementWarning.
+    Start 0 is the declared start values; start i > 0 adds normal noise
+    seeded from (seed, i) to them, and labels its run ``start_index`` i.
+    ``best`` is the converged run with the highest log-likelihood, else the
+    run with the highest log-likelihood, whose status says it did not
+    converge: nothing here raises for that. Converged runs disagreeing by
+    more than 1e-4 in log-likelihood raise EstimationDisagreementWarning.
     """
     if n_starts < 1:
         raise ValueError(f"n_starts must be >= 1, got {n_starts}")
     runs = []
     for i in range(n_starts):
-        if i == 0:
-            start = design.start_values.copy()
-        else:
+        start = design.start_values
+        if i > 0:
             rng = np.random.default_rng(seed_from(seed, i))
-            start = design.start_values + START_PERTURBATION_SCALE * rng.standard_normal(design.k)
-        runs.append(estimate_design(design, start=start, start_index=i))
+            start = start + START_PERTURBATION_SCALE * rng.standard_normal(design.k)
+        run = estimate_design(design, start=start)
+        run.start_index = i
+        runs.append(run)
 
     converged = [r for r in runs if r.converged]
-    if not converged:
-        raise ConvergenceError(
-            "no start converged", statuses=tuple(r.status for r in runs), runs=runs
-        )
     lls = [r.ll_hat for r in converged]
-    if max(lls) - min(lls) > DISAGREEMENT_TOLERANCE:
+    if lls and max(lls) - min(lls) > DISAGREEMENT_TOLERANCE:
         warnings.warn(
             f"converged starts disagree: log-likelihood spread "
             f"{max(lls) - min(lls):.3e} exceeds {DISAGREEMENT_TOLERANCE:g}",
             EstimationDisagreementWarning,
             stacklevel=2,
         )
-    best = max(converged, key=lambda r: r.ll_hat)
+    best = max(converged or runs, key=lambda r: r.ll_hat)
     return best, runs
+
+
+def _require_converged(fit):
+    """``fit`` if it converged, else its error: IdentificationError for a
+    singular Hessian, ConvergenceError for any other status."""
+    if fit.converged:
+        return fit
+    if fit.status != STATUS_SINGULAR_HESSIAN:
+        raise ConvergenceError(f"estimation did not converge (status: {fit.status})")
+    report = fit.identification  # always set on a full fit with a singular Hessian
+    raise IdentificationError(
+        f"the Hessian is singular\n  rank {report.hessian_rank}, condition number "
+        f"{report.condition_number:.3e}, suspect parameters: "
+        f"{', '.join(report.suspect_parameters) or 'none isolated'}"
+    )

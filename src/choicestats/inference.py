@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 from .errors import NestingError
 from .estimation import _ascent_direction
+from .model import SIDEDNESS_CHOICES
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -29,8 +30,6 @@ _FPMIN = 1e-300
 #: Log-likelihood slack allowed before a "restricted" model beating the
 #: general one is treated as a nesting violation.
 NESTING_TOLERANCE = 1e-8
-
-T_SIDEDNESS = ("less", "greater", "two_sided", "auto")
 
 
 def normal_cdf(x):
@@ -169,8 +168,8 @@ def t_test(estimate, se, h0_value=0.0, sidedness="auto"):
     se = float(se)
     if not se > 0.0:
         raise ValueError(f"standard error must be positive, got {se}")
-    if sidedness not in T_SIDEDNESS:
-        raise ValueError(f"sidedness must be one of {T_SIDEDNESS}, got '{sidedness}'")
+    if sidedness not in SIDEDNESS_CHOICES:
+        raise ValueError(f"sidedness must be one of {SIDEDNESS_CHOICES}, got '{sidedness}'")
     estimate = float(estimate)
     h0_value = float(h0_value)
     t = (estimate - h0_value) / se

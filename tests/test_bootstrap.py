@@ -15,8 +15,11 @@ from choicestats import (
     MIN_DRAWS,
     BootstrapResult,
     ChoiceStatsError,
+    ConvergenceError,
     DesignArrays,
     EmpiricalPValue,
+    IdentificationError,
+    IdentificationRiskWarning,
     ReplicateFailureWarning,
     asymmetry_index,
     asymptotic_ci,
@@ -32,7 +35,7 @@ from choicestats import (
     seed_from,
 )
 
-from testtools import three_mode_data, three_mode_spec
+from testtools import shift_spec, three_mode_data, three_mode_spec
 
 
 def _count_kernel_passes(monkeypatch):
@@ -97,6 +100,7 @@ class TestBootstrapRun:
             return real(design, **kwargs)
 
         monkeypatch.setattr(bootstrap_module, "estimate_design", recording)
+        monkeypatch.setattr(estimation_module, "estimate_design", recording)
         dataset = three_mode_data(n_persons=40, obs_per_person=1, seed=13)
         design = build_design(dataset, three_mode_spec())
         mle = real(design).params_hat
@@ -115,7 +119,7 @@ class TestBootstrapRun:
         given_starts = [start for _, start in starts]
         starts.clear()
         fitted = bootstrap_run(design, s_samples=5, base_seed=1)
-        assert starts[0][1] is None and len(starts) == 6
+        assert np.array_equal(starts[0][1], design.start_values) and len(starts) == 6
         assert all(np.array_equal(a, b) for (_, a), b in zip(starts[1:], given_starts))
         assert np.array_equal(fitted.draws, given.draws)
 
@@ -242,11 +246,32 @@ class TestBootstrapRun:
         with pytest.raises(ValueError, match="start vector must have length 4"):
             bootstrap_run(design, s_samples=4, base_seed=1, jobs=jobs, mle=np.zeros(3))
 
-    def test_draws_scatter_around_full_data_estimate(self):
-        from choicestats import estimate
+    @staticmethod
+    def _no_replicate(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a replicate ran")
 
+        monkeypatch.setattr(bootstrap_module, "parallel_map", refuse)
+
+    def test_an_estimate_with_a_singular_hessian_is_refused_before_any_replicate(self, monkeypatch):
+        self._no_replicate(monkeypatch)
+        dataset = three_mode_data(n_persons=50, obs_per_person=1, seed=13)
+        with pytest.warns(IdentificationRiskWarning, match="every alternative carries a free constant"):
+            design = build_design(dataset, shift_spec())
+        with pytest.raises(IdentificationError, match="^the Hessian is singular\n  rank 4, "):
+            bootstrap_run(design, s_samples=20)
+
+    def test_an_estimate_that_runs_out_of_iterations_is_refused_before_any_replicate(self, monkeypatch):
+        self._no_replicate(monkeypatch)
+        monkeypatch.setattr(estimation_module, "MAX_ITERATIONS", 1)
+        monkeypatch.setattr(estimation_module, "GRADIENT_TOLERANCE", 1e-13)
+        design = build_design(three_mode_data(n_persons=50, obs_per_person=1, seed=13), three_mode_spec())
+        with pytest.raises(ConvergenceError, match=r"^estimation did not converge \(status: max_iterations\)$"):
+            bootstrap_run(design, s_samples=20)
+
+    def test_draws_scatter_around_full_data_estimate(self):
         dataset = three_mode_data(n_persons=80, obs_per_person=1, seed=11)
-        fit = estimate(dataset, three_mode_spec())
+        fit = estimate_design(build_design(dataset, three_mode_spec()))
         result = small_run()
         means = result.converged_draws().mean(axis=0)
         assert np.all(np.abs(means - fit.params_hat) < 0.25)

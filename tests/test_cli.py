@@ -2,9 +2,11 @@
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from choicestats import (
     save_dataset,
     save_model_spec,
 )
+import choicestats
 import choicestats.bootstrap as bootstrap_module
 import choicestats.cli as cli_module
 import choicestats.estimation as estimation_module
@@ -33,6 +36,7 @@ from testtools import (
     THREE_MODE_TRUE,
     binary_spec,
     hand_dataset,
+    shift_spec,
     three_mode_data,
     three_mode_generator,
     three_mode_spec,
@@ -88,13 +92,12 @@ def cli_files(tmp_path_factory):
     return root
 
 
-def stuck_fit(design):
+def stuck_fit(design, start=None):
     """Stand-in for estimate_design: a fit that ran out of iterations."""
     return EstimationResult(
         params_hat=np.zeros(design.k),
         names=list(design.free_names),
         ll_hat=-500.0,
-        ll_0=-600.0,
         gradient_norm=0.4,
         gradient=np.full(design.k, 0.4),
         hessian_at_optimum=-np.eye(design.k),
@@ -232,7 +235,7 @@ class TestExitCodes:
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted before the arguments were checked")
 
-        monkeypatch.setattr(cli_module, "estimate_design", no_fit)
+        monkeypatch.setattr(cli_module, "multi_start", no_fit)
         for command, extra in (("estimate", []), ("bootstrap", ["--S", "4"])):
             argv = [
                 command, "--data", str(cli_files / "data.csv"), "--spec", str(cli_files / "spec.json"),
@@ -248,7 +251,7 @@ class TestExitCodes:
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted before the arguments were checked")
 
-        monkeypatch.setattr(cli_module, "estimate_design", no_fit)
+        monkeypatch.setattr(cli_module, "multi_start", no_fit)
         data = ["--data", str(cli_files / "data.csv"), "--spec", str(cli_files / "spec.json")]
         for command, extra in (
             ("estimate", data),
@@ -332,7 +335,7 @@ class TestExitCodes:
         assert "partial estimate results (status singular_covariance)" in capsys.readouterr().err
 
     def test_nonconvergence_exits_3(self, cli_files, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli_module, "estimate_design", stuck_fit)
+        monkeypatch.setattr(estimation_module, "estimate_design", stuck_fit)
         assert run_estimate(cli_files, tmp_path) == 3
         assert "did not converge" in capsys.readouterr().err
         partial = read_json(tmp_path / "results.json")
@@ -341,7 +344,7 @@ class TestExitCodes:
     def test_bootstrap_nonconvergence_writes_partial_results(
         self, cli_files, tmp_path, capsys, monkeypatch
     ):
-        monkeypatch.setattr(cli_module, "estimate_design", stuck_fit)
+        monkeypatch.setattr(estimation_module, "estimate_design", stuck_fit)
         argv = [
             "bootstrap",
             "--data", str(cli_files / "data.csv"),
@@ -378,9 +381,8 @@ class TestExitCodes:
         assert read_json(tmp_path / "manifest.json")["output_paths"] == ["results.json"]
 
         design = build_design(load_dataset(cli_files / "data.csv"), three_mode_spec())
-        with pytest.raises(ConvergenceError) as excinfo:
-            multi_start(design, n_starts=3, seed=0)
-        best = max(excinfo.value.runs, key=lambda r: r.ll_hat)
+        best, _ = multi_start(design, n_starts=3, seed=0)
+        assert best.status == "max_iterations"
         assert partial["ll_hat"] == best.ll_hat
         assert partial["estimates"] == best.params_dict()
 
@@ -458,7 +460,7 @@ class TestReportCommand:
         if command == "estimate":
             data, spec, code = "collinear.csv", "binary_spec.json", 2
         else:
-            monkeypatch.setattr(cli_module, "estimate_design", stuck_fit)
+            monkeypatch.setattr(estimation_module, "estimate_design", stuck_fit)
             data, spec, code = "data.csv", "spec.json", 3
         fit = tmp_path / "fit"
         argv = [
@@ -786,7 +788,7 @@ class TestExitPaths:
         if argv[0] == "report":
             run_estimate(cli_files, tmp_path / "fit")
         if stuck:
-            monkeypatch.setattr(cli_module, "estimate_design", stuck_fit)
+            monkeypatch.setattr(estimation_module, "estimate_design", stuck_fit)
         out = tmp_path / "out"
         argv = [arg.format(inputs=cli_files, tmp=tmp_path) for arg in argv]
         assert main([*argv, "--out", str(out)]) == code
@@ -900,6 +902,27 @@ class TestSubprocessEntry:
         assert "parameter" in proc.stdout
         assert (tmp_path / "results.json").exists()
 
+    def test_a_spec_with_a_constant_on_every_alternative_warns_once(self, cli_files, tmp_path):
+        # Loading and compiling the spec both validate it; the run warns once,
+        # then exits 2 on the singular Hessian.
+        save_model_spec(shift_spec(), tmp_path / "spec.json")
+        proc = subprocess.run(
+            [
+                sys.executable, "-m", "choicestats.cli",
+                "estimate",
+                "--data", str(cli_files / "data.csv"),
+                "--spec", str(tmp_path / "spec.json"),
+                "--out", str(tmp_path / "out"),
+            ],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(Path(choicestats.__file__).parents[1])},
+        )
+        assert proc.returncode == 2, proc.stderr
+        warned = [line for line in proc.stderr.splitlines() if "IdentificationRiskWarning" in line]
+        assert len(warned) == 1 and "every alternative carries a free constant" in warned[0]
+        assert "identification failure: the Hessian is singular" in proc.stderr
+
 
 def _subcommand_options(command):
     parser = cli_module._build_parser()
@@ -964,7 +987,7 @@ class TestCommandLineContract:
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted before the arguments were checked")
 
-        monkeypatch.setattr(cli_module, "estimate_design", no_fit)
+        monkeypatch.setattr(cli_module, "multi_start", no_fit)
         monkeypatch.setattr(montecarlo_module, "_size_power_cell", no_fit)
         if command == "montecarlo":
             source = ["--config", str(cli_files / "mc_size.json")]
@@ -1223,7 +1246,7 @@ class TestCommandLineContract:
         def no_fit(*args, **kwargs):
             raise AssertionError("fitted before the input was checked")
 
-        monkeypatch.setattr(cli_module, "estimate_design", no_fit)
+        monkeypatch.setattr(cli_module, "multi_start", no_fit)
         monkeypatch.setattr(montecarlo_module, "_size_power_cell", no_fit)
         doc = read_json(cli_files / name)
         change(doc)

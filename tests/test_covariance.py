@@ -8,7 +8,7 @@ from choicestats import (
     IdentificationError,
     build_design,
     covariance_set,
-    estimate,
+    estimate_design,
     standard_errors,
 )
 from choicestats.linalg import invert_symmetric, require_symmetric, solve_positive_definite
@@ -20,10 +20,9 @@ def fitted(n_persons=500, obs_per_person=1, seed=33, heterogeneity=None):
         n_persons=n_persons, obs_per_person=obs_per_person, seed=seed,
         heterogeneity=heterogeneity,
     )
-    spec = three_mode_spec()
-    result = estimate(data, spec)
+    design = build_design(data, three_mode_spec())
+    result = estimate_design(design)
     assert result.converged
-    design = build_design(data, spec)
     return result, design
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from choicestats import (
     ChoiceStatsError,
-    ConvergenceError,
     Dataset,
     DesignArrays,
     DivergenceWarning,
@@ -21,7 +20,6 @@ from choicestats import (
     UtilityTerm,
     build_design,
     check_identification,
-    estimate,
     estimate_design,
     multi_start,
 )
@@ -64,7 +62,7 @@ class TestClosedForms:
         # A tight gradient tolerance makes the closed form sharp.
         data = constants_only_data(TWO_ALTS, (30, 70))
         monkeypatch.setattr(estimation_module, "GRADIENT_TOLERANCE", 1e-10)
-        result = estimate(data, constants_only_spec(TWO_ALTS))
+        result = estimate_design(build_design(data, constants_only_spec(TWO_ALTS)))
         assert result.status == "converged"
         assert result.params_hat[0] == pytest.approx(np.log(70 / 30), abs=1e-10)
 
@@ -72,7 +70,7 @@ class TestClosedForms:
         alts = ("a", "b", "c")
         data = constants_only_data(alts, (50, 30, 20))
         monkeypatch.setattr(estimation_module, "GRADIENT_TOLERANCE", 1e-10)
-        result = estimate(data, constants_only_spec(alts))
+        result = estimate_design(build_design(data, constants_only_spec(alts)))
         assert result.params_hat[0] == pytest.approx(np.log(30 / 50), abs=1e-10)
         assert result.params_hat[1] == pytest.approx(np.log(20 / 50), abs=1e-10)
 
@@ -81,17 +79,19 @@ class TestClosedForms:
         counts = np.array([50, 30, 20])
         data = constants_only_data(alts, tuple(counts))
         monkeypatch.setattr(estimation_module, "GRADIENT_TOLERANCE", 1e-10)
-        result = estimate(data, constants_only_spec(alts))
+        design = build_design(data, constants_only_spec(alts))
+        result = estimate_design(design)
         shares = counts / counts.sum()
         expected = float((counts * np.log(shares)).sum())
         assert result.ll_hat == pytest.approx(expected, abs=1e-9)
-        assert result.ll_0 == pytest.approx(-counts.sum() * np.log(3), rel=1e-12)
+        assert design.null_log_likelihood() == pytest.approx(-counts.sum() * np.log(3), rel=1e-12)
 
 
 class TestOptimiserContract:
     def test_converged_result_fields(self):
         data = three_mode_data(n_persons=200, seed=17)
-        result = estimate(data, three_mode_spec())
+        design = build_design(data, three_mode_spec())
+        result = estimate_design(design)
         assert result.status == "converged"
         assert result.converged
         assert result.gradient_norm <= 1e-6
@@ -99,11 +99,11 @@ class TestOptimiserContract:
         assert result.hessian_at_optimum.shape == (4, 4)
         assert result.names == ["asc_bus", "asc_rail", "b_tt", "b_cost"]
         assert set(result.params_dict()) == set(result.names)
-        assert result.ll_hat > result.ll_0
+        assert result.ll_hat > design.null_log_likelihood()
 
     def test_estimate_recovers_truth_on_large_sample(self):
         data = three_mode_data(n_persons=4000, obs_per_person=2, seed=23)
-        result = estimate(data, three_mode_spec())
+        result = estimate_design(build_design(data, three_mode_spec()))
         truth = np.array([0.5, 0.2, -0.05, -0.15])
         assert np.all(np.abs(result.params_hat - truth) < 0.08)
 
@@ -111,7 +111,7 @@ class TestOptimiserContract:
         data = three_mode_data(n_persons=150, seed=19)
         monkeypatch.setattr(estimation_module, "MAX_ITERATIONS", 1)
         monkeypatch.setattr(estimation_module, "GRADIENT_TOLERANCE", 1e-12)
-        result = estimate(data, three_mode_spec())
+        result = estimate_design(build_design(data, three_mode_spec()))
         assert result.status == "max_iterations"
         assert not result.converged
 
@@ -261,7 +261,7 @@ class TestDegenerateProblems:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            result = estimate(data, spec)
+            result = estimate_design(build_design(data, spec))
         assert result.status == "singular_hessian"
         report = result.identification
         assert report is not None
@@ -289,12 +289,12 @@ class TestDegenerateProblems:
                        "bus": (UtilityTerm("b_tt", "tt"),)},
         )
         with pytest.warns(DivergenceWarning):
-            result = estimate(data, spec)
+            result = estimate_design(build_design(data, spec))
         assert abs(result.params_hat[0]) > 50.0
 
     def test_identification_report_on_well_posed_problem(self):
         data = three_mode_data(n_persons=200, seed=26)
-        result = estimate(data, three_mode_spec())
+        result = estimate_design(build_design(data, three_mode_spec()))
         report = check_identification(result.hessian_at_optimum, names=result.names)
         assert report.is_identified
         assert report.hessian_rank == 4
@@ -356,23 +356,32 @@ class TestMultiStart:
         with pytest.raises(ValueError, match="n_starts must be >= 1, got 0"):
             multi_start(design, n_starts=0)
 
-    def test_no_converged_start_raises_with_statuses(self, monkeypatch):
+    def test_no_converged_start_returns_the_highest_log_likelihood_run(self, monkeypatch):
         data = three_mode_data(n_persons=100, seed=29)
         monkeypatch.setattr(estimation_module, "MAX_ITERATIONS", 1)
         monkeypatch.setattr(estimation_module, "GRADIENT_TOLERANCE", 1e-13)
-        with pytest.raises(ConvergenceError) as excinfo:
-            multi_start(build_design(data, three_mode_spec()), n_starts=2)
-        assert excinfo.value.statuses == ("max_iterations", "max_iterations")
+        best, runs = multi_start(build_design(data, three_mode_spec()), n_starts=3)
+        assert [r.start_index for r in runs] == [0, 1, 2]
+        assert [r.status for r in runs] == ["max_iterations"] * 3
+        assert best.status == "max_iterations" and not best.converged
+        assert best.ll_hat == max(r.ll_hat for r in runs)
+        assert best is runs[best.start_index]
 
-    def test_no_converged_start_carries_the_runs(self, monkeypatch):
-        data = three_mode_data(n_persons=100, seed=29)
-        monkeypatch.setattr(estimation_module, "MAX_ITERATIONS", 1)
-        monkeypatch.setattr(estimation_module, "GRADIENT_TOLERANCE", 1e-13)
-        with pytest.raises(ConvergenceError) as excinfo:
-            multi_start(build_design(data, three_mode_spec()), n_starts=2)
-        runs = excinfo.value.runs
-        assert [r.start_index for r in runs] == [0, 1]
-        assert tuple(r.status for r in runs) == excinfo.value.statuses
+    def test_a_converged_start_beats_a_higher_unconverged_one(self, monkeypatch):
+        import choicestats.estimation as est
+
+        data = three_mode_data(n_persons=30, seed=30)
+        real = est.estimate_design
+        outcomes = iter((("converged", -100.0), ("max_iterations", -90.0)))
+
+        def fake(design, start=None):
+            result = real(design, start=design.start_values)
+            result.status, result.ll_hat = next(outcomes)
+            return result
+
+        monkeypatch.setattr(est, "estimate_design", fake)
+        best, runs = est.multi_start(build_design(data, three_mode_spec()), n_starts=2)
+        assert best is runs[0] and best.ll_hat == -100.0
 
     def test_disagreeing_optima_warn(self, monkeypatch):
         # Force two fake converged runs with log-likelihoods 1e-3 apart.
@@ -382,8 +391,8 @@ class TestMultiStart:
         real = est.estimate_design
         lls = iter((-100.0, -100.001))
 
-        def fake(design, start=None, start_index=0):
-            result = real(design, start=design.start_values, start_index=start_index)
+        def fake(design, start=None):
+            result = real(design, start=design.start_values)
             object.__setattr__(result, "ll_hat", next(lls))
             return result
 

@@ -23,7 +23,6 @@ from choicestats import (
     build_design,
     chisq_cdf,
     chisq_sf,
-    estimate,
     estimate_design,
     lm_test_at,
     lr_test,

@@ -71,6 +71,14 @@ def three_mode_spec():
     )
 
 
+def shift_spec():
+    """three_mode_spec with a free constant on car too: with a constant on
+    every alternative, utilities are identified only up to a common shift."""
+    spec = three_mode_spec()
+    car = (UtilityTerm("asc_car", "_const"), *spec.utilities["car"])
+    return ModelSpec(spec.alternatives, (ParameterDef("asc_car"), *spec.parameters), {**spec.utilities, "car": car})
+
+
 def three_mode_generator():
     return GeneratorSpec(
         attributes=(

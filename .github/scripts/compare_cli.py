@@ -13,6 +13,8 @@ drawn with ``perfbench/inputs.py`` of CHANGE_ROOT (imported, never written):
   to a utility shift, which the spec's validation warns of);
 - a three-person panel, whose fit converges but whose BHHH matrix has rank
   3 for 4 parameters (a singular covariance);
+- 40 binary choices, each of the faster mode, so that the time coefficient
+  runs away (perfect separation) and the fit warns;
 - a 50-replication size/power ``montecarlo`` config;
 - a 50-replication coverage ``montecarlo`` config whose generator draws
   from every attribute distribution, restricts rules to some alternatives,
@@ -27,8 +29,10 @@ spec with a constant on every alternative) and from a singular covariance,
 exit 3 from a fit that does not converge (``estimate``, with and without
 ``--starts 3``, and ``bootstrap``; one iteration at an unreachable
 tolerance, set through the estimation module's constants) and from
-``bootstrap --S 5``, ``montecarlo`` of each config, and ``report`` of the
-first ``estimate``'s results.
+``bootstrap --S 5``, ``estimate`` of the separated choices, ``montecarlo``
+of each config, the same with fits that do not converge (at ``--jobs 1``,
+so that the patched constants hold in the one process that runs the
+cells), and ``report`` of the first ``estimate``'s results.
 
 Compared per path: exit code, stdout, stderr (each tree's root path
 replaced by ``<root>``), the listing of the output directory and every file
@@ -47,6 +51,7 @@ import difflib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -85,7 +90,14 @@ PATHS = {
     "bootstrap-not-converged": (("-c", STUCK), ("bootstrap", *PANEL, "--S", "10")),
     "bootstrap-too-few": (CLI, ("bootstrap", *PANEL, "--S", "5")),
     "montecarlo": (CLI, ("montecarlo", "--config", "../inputs/montecarlo.json", "--jobs", "2")),
+    "estimate-separated": (
+        CLI, ("estimate", "--data", "../inputs/separated/data.csv", "--spec", "../inputs/separated/spec.json"),
+    ),
     "montecarlo-coverage": (CLI, ("montecarlo", "--config", "../inputs/coverage.json", "--jobs", "2")),
+    "montecarlo-not-converged": (("-c", STUCK), ("montecarlo", "--config", "../inputs/montecarlo.json", "--jobs", "1")),
+    "montecarlo-coverage-not-converged": (
+        ("-c", STUCK), ("montecarlo", "--config", "../inputs/coverage.json", "--jobs", "1"),
+    ),
     "report": (CLI, ("report", "--results", "out/estimate/results.json", *TABLE)),
 }
 SHOWN_DIFF_LINES = 40
@@ -106,6 +118,21 @@ def write_inputs(directory, inputs):
     shift["parameters"].append({**shift["parameters"][0], "name": "asc_car"})
     shift["utilities"]["car"].append({"param": "asc_car", "attribute": "_const"})
     (directory / "shift_spec.json").write_text(json.dumps(shift, indent=2) + "\n", encoding="utf-8")
+    # Each choice is of the faster mode, by under half a minute: the time coefficient runs past
+    # the divergence bound, and the fit warns.
+    rng, lines = random.Random(3), ["person_id,obs_id,alt_id,avail,chosen,tt"]
+    for person in range(1, 41):
+        car = rng.uniform(5.0, 60.0)
+        tt = {"car": car, "bus": car + rng.choice((-1, 1)) * rng.uniform(0.01, 0.5)}
+        lines += [f"p{person},p{person}.1,{alt},1,{int(t == min(tt.values()))},{t!r}" for alt, t in tt.items()]
+    separated = {
+        "alternatives": ["car", "bus"],
+        "parameters": [p for p in inputs.spec_doc(with_wait=False)["parameters"] if p["name"] == "b_tt"],
+        "utilities": {alt: [{"param": "b_tt", "attribute": "tt"}] for alt in ("car", "bus")},
+    }
+    (directory / "separated").mkdir()
+    (directory / "separated" / "data.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (directory / "separated" / "spec.json").write_text(json.dumps(separated, indent=2) + "\n", encoding="utf-8")
     config = inputs.montecarlo_config(1, replications=50)
     (directory / "montecarlo.json").write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")
     coverage = {**inputs.montecarlo_config(1, n_persons=200, replications=50), "experiment": "coverage"}

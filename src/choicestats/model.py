@@ -662,40 +662,21 @@ class GeneratorSpec:
         return carried
 
 
-def simulate_design(spec, true_params, generator, n_persons, obs_per_person, seed):
-    """Simulate a compiled design from the model at ``true_params``.
-
-    Parameters
-    ----------
-    spec : ModelSpec
-    true_params : mapping or sequence
-        True values for every free parameter, by name or in free order.
-    generator : GeneratorSpec
-        Attribute generation rules and optional person-level coefficient
-        heterogeneity.
-    n_persons, obs_per_person : int
-    seed : int
-        Same seed, same design, bit for bit.
-
-    Returns
-    -------
-    DesignArrays
-        All alternatives available; choices drawn from the exact model
-        probabilities at the (person-specific) true coefficients. Equal to
-        ``build_design(simulate_dataset(...), spec)`` with the same arguments.
-    """
-    return simulate_designs(spec, [true_params], generator, n_persons, obs_per_person, seed)[0]
-
-
 def simulate_designs(spec, truths, generator, n_persons, obs_per_person, seed):
-    """``[simulate_design(spec, truth, ...) for truth in truths]``, bit for bit, from
-    one set of attribute, heterogeneity and choice-uniform draws; the designs
-    differ in their choices only and share read-only ``X``, ``offset`` and ``avail``."""
+    """One compiled design per entry of ``truths``, each the true value of every free
+    parameter, by name or in free order. Attributes and person-level coefficient
+    heterogeneity are drawn by ``generator``, every alternative is available, and
+    choices are drawn from the exact model probabilities at each person's
+    coefficients. Same seed, same designs, bit for bit. The designs share one set
+    of draws, so they differ in their choices only and share read-only ``X``,
+    ``offset`` and ``avail``; each equals its truth simulated alone, and
+    ``build_design(simulate_dataset(...), spec)`` at that truth.
+    """
     return _simulate(spec, truths, generator, n_persons, obs_per_person, seed)[0]
 
 
 def simulate_dataset(spec, true_params, generator, n_persons, obs_per_person, seed):
-    """The draws of :func:`simulate_design` as a :class:`Dataset`.
+    """The draws of :func:`simulate_designs` at one truth as a :class:`Dataset`.
 
     Each alternative carries every attribute the generator draws for it.
     """

@@ -8,27 +8,30 @@ Two experiment shapes over a common config:
   coverage_experiment        how often classical / robust / bootstrap CIs
                              contain the true coefficient.
 
-Replication r always draws with a seed derived from (seed, r), never from
-the effect size, so power at effect 0 is computed on exactly the draws that
-measured size, and results are identical at any job count. A size/power
-replication simulates once for all its effects, which differ only in their
-choices; each effect's cell fails or counts on its own. Its restricted fit
-holds the target at 0 in the general design, and its last pass gives the LM test.
+Both run one replication routine: replication r draws with a seed derived
+from (seed, r), never from the effect size, so power at effect 0 is computed
+on exactly the draws that measured size, and results are identical at any
+job count. It simulates once for all its effects, which differ only in their
+choices, and runs the experiment's cell on each design; each cell fails or
+counts on its own, an unconverged fit with its status as the reason. A
+size/power cell's restricted fit holds the target at 0 in the general
+design, and its last pass gives the LM test.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .bootstrap import MIN_DRAWS, bootstrap_covariance, bootstrap_record, bootstrap_run
 from .covariance import fit_covariance, standard_errors
-from .errors import ChoiceStatsError, DataError
+from .errors import ConvergenceError, DataError
 from .estimation import estimate_design
 from .inference import asymptotic_record, lm_test_at, lr_test, normal_cdf, resolve_sidedness
-from .model import GeneratorSpec, ModelSpec, simulate_design, simulate_designs
+from .model import GeneratorSpec, ModelSpec, simulate_designs
 from .util import Failure, _attempt, from_json, parallel_map, seed_from
 
 ### config
@@ -128,36 +131,57 @@ def _fit(design, truth):
     within the convergence tolerance, and the truth is the closest start the experiment knows."""
     result = estimate_design(design, start=truth)
     if not result.converged:
-        raise ChoiceStatsError("replication did not converge")
+        raise ConvergenceError(result.status)
     return result, fit_covariance(design, result)
 
 
-### size and power
-
-def _size_power_rep(config, direction, rep):
-    # One cell per effect, in effect order; every effect of a rep draws from the same seed.
+def _rep(config, cell, effects, rep):
+    """``cell(config, rep, effect, design, truth)`` per effect, in effect order, each a row
+    or a Failure. Effect e puts the target's truth at e (None keeps true_params); all
+    the designs come from one draw at the rep's seed, and a failed draw fails every cell."""
     free, target = config.spec.free_names(), config.target_parameter
-    truths = [[{**config.true_params, target: e}[name] for name in free] for e in config.effect_sizes]
+    truths = [[config.true_params[n] if e is None or n != target else e for n in free] for e in effects]
     designs = _attempt(
         simulate_designs, config.spec, truths, config.generator, config.n_persons, config.obs_per_person,
         seed_from(config.seed, rep),
     )
     if isinstance(designs, Failure):
         return [designs] * len(truths)
-    return [
-        _attempt(_size_power_cell, config, direction, rep, effect, design, truth)
-        for effect, design, truth in zip(config.effect_sizes, designs, truths)
+    return [_attempt(cell, config, rep, e, d, t) for e, d, t in zip(effects, designs, truths)]
+
+
+def _tally(reps, effects, prefix, methods):
+    """(rows, rates, failures) of the cells ``_rep`` returned: a failed cell becomes
+    a row flagged not converged, and each (effect, method) a rate over the
+    non-None ``prefix + method`` flags of the converged rows."""
+    rows = [
+        {"rep": rep, **({} if effect is None else {"effect": effect}), "converged": False}
+        if isinstance(row, Failure) else row
+        for rep, cells in enumerate(reps)
+        for effect, row in zip(effects, cells)
     ]
+    rates = []
+    for effect in effects:
+        good = [r for r in rows if r["converged"] and r.get("effect") == effect]
+        for method in methods:
+            flags = [r[prefix + method] for r in good if r.get(prefix + method) is not None]
+            # A rate with no cells behind it is None (JSON null), not NaN.
+            rate = float(np.mean(flags)) if flags else None
+            se = math.sqrt(rate * (1.0 - rate) / len(flags)) if flags else None
+            rates.append({"effect": effect, "method": method, "rate": rate, "rate_se": se, "n": len(flags)})
+    return rows, rates, sum(not r["converged"] for r in rows)
 
 
-def _size_power_cell(config, direction, rep, effect, design, truth):
+### size and power
+
+def _size_power_cell(direction, config, rep, effect, design, truth):
     target_col = config.spec.free_names().index(config.target_parameter)
     general, covs = _fit(design, truth)
     start = general.params_hat.copy()
     start[target_col] = 0.0
     restricted = estimate_design(design, start=start, hold=(target_col,))
     if not restricted.converged:
-        raise ChoiceStatsError("restricted model did not converge")
+        raise ConvergenceError(restricted.status)
 
     estimate = float(general.params_hat[target_col])
     se_c, se_r = float(covs.se_classical[target_col]), float(covs.se_robust[target_col])
@@ -203,23 +227,12 @@ def size_and_power_experiment(config, jobs=1):
         "direction 'greater'",
     )
 
-    reps = parallel_map(_size_power_rep, (config, direction), config.replications, jobs)
-    rows = [
-        {"rep": rep, "effect": effect, "converged": False} if isinstance(row, Failure) else row
-        for rep, cells in enumerate(reps)
-        for effect, row in zip(config.effect_sizes, cells)
-    ]
-
-    rates = []
+    effects = config.effect_sizes
+    reps = parallel_map(_rep, (config, partial(_size_power_cell, direction), effects), config.replications, jobs)
+    rows, rates, failures = _tally(reps, effects, "reject_", REJECTION_METHODS)
     sampling = {}
-    failures = 0
-    for effect in config.effect_sizes:
-        cells = [r for r in rows if r["effect"] == effect]
-        good = [r for r in cells if r["converged"]]
-        failures += len(cells) - len(good)
-        for method in REJECTION_METHODS:
-            flags = [r[f"reject_{method}"] for r in good]
-            rates.append({"effect": effect, "method": method, **_rate(flags)})
+    for effect in effects:
+        good = [r for r in rows if r["effect"] == effect and r["converged"]]
         if len(good) >= 50:
             mean, sd, gap = sampling_distribution_summary(np.array([[r["estimate"]] for r in good]))
             sampling[repr(effect)] = {
@@ -241,14 +254,9 @@ def size_and_power_experiment(config, jobs=1):
 
 ### coverage
 
-def _coverage_rep(config, rep):
+def _coverage_cell(config, rep, effect, design, truth):
     target_col = config.spec.free_names().index(config.target_parameter)
     true_value = float(config.true_params[config.target_parameter])
-    truth = [config.true_params[name] for name in config.spec.free_names()]
-    design = simulate_design(
-        config.spec, truth, config.generator, config.n_persons, config.obs_per_person,
-        seed_from(config.seed, rep),
-    )
     result, covs = _fit(design, truth)
     estimate = float(result.params_hat[target_col])
     row = {"rep": rep, "converged": True, "estimate": estimate}
@@ -283,21 +291,11 @@ def _coverage_rep(config, rep):
 def coverage_experiment(config, jobs=1):
     """How often the level-C intervals contain the true target coefficient."""
     config.validate()
-    rows = parallel_map(_coverage_rep, (config,), config.replications, jobs)
-    for rep, row in enumerate(rows):
-        if isinstance(row, Failure):
-            rows[rep] = {"rep": rep, "converged": False}
-
-    good = [r for r in rows if r["converged"]]
-    failures = len(rows) - len(good)
-
     methods = ["classical", "robust"] + (["bootstrap"] if config.bootstrap_s >= 2 else [])
-    rates = []
-    for method in methods:
-        flags = [r[f"covered_{method}"] for r in good if r.get(f"covered_{method}") is not None]
-        rates.append({"effect": None, "method": method, **_rate(flags)})
-
+    reps = parallel_map(_rep, (config, _coverage_cell, (None,)), config.replications, jobs)
+    rows, rates, failures = _tally(reps, (None,), "covered_", methods)
     sampling = {}
+    good = [r for r in rows if r["converged"]]
     if len(good) >= 50:
         params = np.array([r["params"] for r in good])
         mean, sd, gap = sampling_distribution_summary(params)
@@ -346,14 +344,6 @@ def sampling_distribution_summary(draws):
         below = np.abs(np.arange(0, n) / n - cdf)
         gap = max(gap, float(above.max()), float(below.max()))
     return mean, sd, gap
-
-
-def _rate(flags):
-    # A rate with no cells behind it is None (JSON null), not NaN.
-    if not flags:
-        return {"rate": None, "rate_se": None, "n": 0}
-    rate = float(np.mean(flags))
-    return {"rate": rate, "rate_se": math.sqrt(rate * (1.0 - rate) / len(flags)), "n": len(flags)}
 
 
 def save_rows(rows, path):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from datetime import datetime
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -822,10 +823,6 @@ class TestCompileOnce:
         return self._count_calls(monkeypatch, "build_design")
 
     @pytest.fixture
-    def simulate_calls(self, monkeypatch):
-        return self._count_calls(monkeypatch, "simulate_design")
-
-    @pytest.fixture
     def simulate_many_calls(self, monkeypatch):
         return self._count_calls(monkeypatch, "simulate_designs")
 
@@ -870,18 +867,18 @@ class TestCompileOnce:
         assert main([*argv, *data, "--out", str(tmp_path)]) == 0
         assert len(calls) == 1
 
-    def test_coverage_rep_with_bootstrap_builds_design_once(self, build_calls, simulate_calls):
-        row = montecarlo_module._coverage_rep(self._config(bootstrap_s=3), 0)
+    def test_coverage_rep_with_bootstrap_builds_design_once(self, build_calls, simulate_many_calls):
+        (row,) = montecarlo_module._rep(self._config(bootstrap_s=3), montecarlo_module._coverage_cell, (None,), 0)
         assert "covered_bootstrap" in row
         assert len(build_calls) == 0
-        assert len(simulate_calls) == 1
+        assert len(simulate_many_calls) == 1
 
-    def test_size_power_rep_simulates_once_for_all_effects(self, build_calls, simulate_calls, simulate_many_calls):
-        rows = montecarlo_module._size_power_rep(self._config(effect_sizes=(0.0, -0.4)), "less", 0)
+    def test_size_power_rep_simulates_once_for_all_effects(self, build_calls, simulate_many_calls):
+        config = self._config(effect_sizes=(0.0, -0.4))
+        rows = montecarlo_module._rep(config, partial(montecarlo_module._size_power_cell, "less"), config.effect_sizes, 0)
         assert [row["effect"] for row in rows] == [0.0, -0.4]
         assert all("p_lm" in row for row in rows)
         assert len(build_calls) == 0
-        assert len(simulate_calls) == 0
         assert len(simulate_many_calls) == 1
 
 

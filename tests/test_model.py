@@ -20,7 +20,6 @@ from choicestats import (
     build_design,
     estimate_design,
     simulate_dataset,
-    simulate_design,
     simulate_designs,
 )
 from choicestats.model import PROBABILITY_FLOOR
@@ -195,9 +194,9 @@ class TestDerivatives:
                 AttributeRule("cost", dist="uniform", low=1.0, high=12.0),
             )
         )
-        design = simulate_design(
-            three_mode_spec(), THREE_MODE_TRUE, generator, n_persons=1000, obs_per_person=1, seed=4
-        )
+        design = simulate_designs(
+            three_mode_spec(), [THREE_MODE_TRUE], generator, n_persons=1000, obs_per_person=1, seed=4
+        )[0]
         result = estimate_design(design)
         assert result.converged
         params = result.params_hat
@@ -742,6 +741,22 @@ class TestSimulation:
                 n_persons=5, obs_per_person=1, seed=1,
             )
 
+    @pytest.mark.parametrize(
+        "simulate, truth",
+        [(simulate_dataset, THREE_MODE_TRUE), (simulate_designs, [THREE_MODE_TRUE])],
+        ids=["simulate_dataset", "simulate_designs"],
+    )
+    def test_constant_attribute_warning_names_the_caller(self, simulate, truth):
+        gen = GeneratorSpec(
+            attributes=(
+                AttributeRule("tt", dist="constant", value=10.0),
+                AttributeRule("cost", dist="uniform", low=1.0, high=5.0),
+            )
+        )
+        with pytest.warns(IdentificationRiskWarning) as caught:
+            simulate(three_mode_spec(), truth, gen, n_persons=5, obs_per_person=1, seed=1)
+        assert [w.filename for w in caught] == [__file__]
+
     def test_same_attribute_split_across_alternatives_merges(self):
         from choicestats import AttributeRule, GeneratorSpec
 
@@ -791,10 +806,10 @@ class TestSimulation:
             )
         )
         with pytest.raises(SpecMismatchError, match="alternative 'rail' references attribute 'cost'"):
-            simulate_design(
-                three_mode_spec(), THREE_MODE_TRUE_COPY, gen,
+            simulate_designs(
+                three_mode_spec(), [THREE_MODE_TRUE_COPY], gen,
                 n_persons=5, obs_per_person=1, seed=1,
-            )
+            )[0]
 
     @pytest.mark.parametrize(
         "rule, draw",
@@ -867,7 +882,7 @@ class TestSimulateDesign:
         true = {**THREE_MODE_TRUE_COPY, "b_wait": -0.08}
         args = (spec, true, gen, n_persons, obs_per_person, seed)
 
-        direct = simulate_design(*args)
+        direct = simulate_designs(spec, [true], *args[2:])[0]
         compiled = build_design(simulate_dataset(*args), spec)
         for name in ("X", "offset", "avail", "chosen", "person_index", "start_values"):
             a, b = getattr(direct, name), getattr(compiled, name)
@@ -915,7 +930,7 @@ class TestSimulateDesign:
         designs = simulate_designs(spec, truths, gen, n_persons, obs_per_person, seed)
         assert len(designs) == len(truths)
         for design, truth in zip(designs, truths):
-            alone = simulate_design(spec, truth, gen, n_persons, obs_per_person, seed)
+            alone = simulate_designs(spec, [truth], gen, n_persons, obs_per_person, seed)[0]
             for name in ("X", "offset", "avail", "chosen", "person_index"):
                 a, b = getattr(design, name), getattr(alone, name)
                 assert (a.dtype, a.shape) == (b.dtype, b.shape), name
@@ -940,7 +955,7 @@ def _pinned_case(case):
     return spec, true, gen, 400, obs_per_person
 
 
-# sha256 of (chosen, X) bytes from simulate_design, recorded before the
+# sha256 of (chosen, X) bytes of a one-truth simulation, recorded before the
 # simulator's utilities and draws moved to alternative-major arrays.
 SIMULATOR_DIGESTS = {
     ("plain", 1): (
@@ -996,7 +1011,8 @@ SIMULATOR_DIGESTS = {
 
 @pytest.mark.parametrize("case, seed", sorted(SIMULATOR_DIGESTS))
 def test_simulator_draws_are_pinned(case, seed):
-    design = simulate_design(*_pinned_case(case), seed)
+    spec, true, gen, n_persons, obs_per_person = _pinned_case(case)
+    design = simulate_designs(spec, [true], gen, n_persons, obs_per_person, seed)[0]
     assert (design.chosen.dtype, design.X.dtype) == (np.int64, np.float64)
     digests = tuple(
         hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()

@@ -2,11 +2,13 @@
 
 import csv
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
 
 import choicestats.bootstrap as bootstrap_module
+import choicestats.estimation as estimation_module
 import choicestats.montecarlo as montecarlo_module
 from choicestats import (
     MIN_DRAWS,
@@ -24,7 +26,7 @@ from choicestats import (
     save_rows,
     seed_from,
     simulate_dataset,
-    simulate_design,
+    simulate_designs,
     size_and_power_experiment,
 )
 from choicestats.cli import main
@@ -270,7 +272,7 @@ class TestSizePower:
 
         monkeypatch.setattr(montecarlo_module, "estimate_design", recording)
         config = make_config(n_persons=60, effect_sizes=(-0.4,))
-        montecarlo_module._size_power_rep(config, "less", 1)
+        montecarlo_module._rep(config, partial(montecarlo_module._size_power_cell, "less"), config.effect_sizes, 1)
         (design, general_start, general_hold, general), (restricted_design, start, hold, restricted) = fits
         names = design.free_names
         target = names.index("b_cost")
@@ -316,9 +318,9 @@ class TestSizePower:
         for row in clean.rows:
             rep, effect = row["rep"], row["effect"]
             truth = [{**config.true_params, "b_cost": effect}[n] for n in config.spec.free_names()]
-            design = simulate_design(
-                config.spec, truth, config.generator, config.n_persons, config.obs_per_person, seed_from(config.seed, rep)
-            )
+            design = simulate_designs(
+                config.spec, [truth], config.generator, config.n_persons, config.obs_per_person, seed_from(config.seed, rep)
+            )[0]
             reason = "simulation" if rep == 7 else planted(design, truth) or planted(design, None, (target,))
             if reason is None:
                 want_rows.append(row)
@@ -440,6 +442,65 @@ class TestCoverage:
         assert serial.rates == parallel.rates
 
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_failed_rep_fails_only_its_own_row(self, monkeypatch, tmp_path, jobs):
+        # Planted failures: the fit of every fifth rep. Each leaves a bare
+        # not-converged row, is counted once and is left out of every rate.
+        config = make_config(n_persons=60, bootstrap_s=MIN_DRAWS)
+        clean = coverage_experiment(config, jobs=1)
+        planted = {rep for rep in range(config.replications) if rep % 5 == 2}
+        truth = [config.true_params[name] for name in config.spec.free_names()]
+        chosen = {
+            simulate_designs(
+                config.spec, [truth], config.generator, config.n_persons, config.obs_per_person, seed_from(config.seed, rep)
+            )[0].chosen.tobytes()
+            for rep in planted
+        }
+        real_fit = montecarlo_module.estimate_design
+
+        def failing_fit(design, start=None, hold=()):
+            if design.chosen.tobytes() in chosen:
+                raise ChoiceStatsError("planted fit failure")
+            return real_fit(design, start=start, hold=hold)
+
+        monkeypatch.setattr(montecarlo_module, "estimate_design", failing_fit)
+        with pytest.warns(ReplicateFailureWarning, match=f"{len(planted)} of 50 replicates failed"):
+            report = coverage_experiment(config, jobs=jobs)
+
+        want = [{"rep": r["rep"], "converged": False} if r["rep"] in planted else r for r in clean.rows]
+        assert report.rows == want
+        assert report.failures == len(planted)
+        assert [record["n"] for record in report.rates] == [config.replications - len(planted)] * 3
+        save_rows(report.rows, tmp_path / "replications.csv")
+        with open(tmp_path / "replications.csv", newline="") as fh:
+            header = next(csv.reader(fh))
+        assert header[:3] == ["rep", "converged", "estimate"]
+        assert "effect" not in header
+
+
+class TestFailureReasons:
+    """A failed cell's reason reaches the failure tally, and the tally's warning
+    names the line that ran the experiment."""
+
+    @pytest.mark.parametrize("experiment", [size_and_power_experiment, coverage_experiment])
+    def test_an_unconverged_fit_is_tallied_by_its_status(self, monkeypatch, experiment):
+        monkeypatch.setattr(estimation_module, "MAX_ITERATIONS", 1)
+        with pytest.warns(ReplicateFailureWarning) as caught:
+            report = experiment(make_config(n_persons=60), jobs=1)
+        assert report.failures > 0
+        assert f"(by reason: {{'max_iterations': {report.failures}}})" in str(caught[0].message)
+
+    @pytest.mark.parametrize("experiment", [size_and_power_experiment, coverage_experiment])
+    def test_the_failure_warning_names_the_caller(self, monkeypatch, experiment):
+        def failing_simulate(*args):
+            raise ChoiceStatsError("planted simulation failure")
+
+        monkeypatch.setattr(montecarlo_module, "simulate_designs", failing_simulate)
+        with pytest.warns(ReplicateFailureWarning) as caught:
+            experiment(make_config(n_persons=60), jobs=1)
+        assert [w.filename for w in caught] == [__file__]
+
+
 class TestCellsReadTheEstimateRecord:
     """A size/power cell and a coverage rep report, for their target, the tests
     and intervals that the command line writes for the same data, null and
@@ -463,7 +524,8 @@ class TestCellsReadTheEstimateRecord:
     def test_a_size_power_cell_reports_what_estimate_writes(self, tmp_path, capsys):
         config = make_config(n_persons=120, ci_level=0.9)
         rep, effect = 3, 1
-        row = montecarlo_module._size_power_rep(config, "less", rep)[effect]
+        cell = partial(montecarlo_module._size_power_cell, "less")
+        row = montecarlo_module._rep(config, cell, config.effect_sizes, rep)[effect]
         true_params = {**config.true_params, "b_cost": config.effect_sizes[effect]}
         # b_cost declares 'less' and a 0 null: --sided one tests it as the cell's one-sided rates do.
         one, two = (self.results_of("estimate", config, true_params, rep, tmp_path, "--sided", s) for s in ("one", "two"))
@@ -479,7 +541,7 @@ class TestCellsReadTheEstimateRecord:
     def test_a_coverage_rep_reports_the_intervals_estimate_and_bootstrap_write(self, tmp_path, capsys):
         config = make_config(n_persons=120, ci_level=0.9, bootstrap_s=MIN_DRAWS + 9)
         rep = 2
-        row = montecarlo_module._coverage_rep(config, rep)
+        (row,) = montecarlo_module._rep(config, montecarlo_module._coverage_cell, (None,), rep)
         fit = self.results_of("estimate", config, config.true_params, rep, tmp_path)
         for method in ("classical", "robust"):
             interval = fit["intervals"]["b_cost"][method]

@@ -2,9 +2,11 @@
 
 The normal CDF is evaluated through the complementary error function, always
 at |x|, so the two tails come from the same computation and Φ(x) + Φ(-x)
-sums to 1.0 exactly in floating point. The chi-square CDF is a regularized
-incomplete gamma evaluated by series or continued fraction, with the upper
-tail computed directly so small p-values keep relative precision.
+sums to 1.0 exactly in floating point. Every chi-square statistic here has
+one degree of freedom, and chi2(1) is the square of a standard normal, so its
+upper tail at x is the two-sided normal tail at √x, erfc(√(x/2)), computed
+directly so small p-values keep relative precision. The Wald p-value is the
+two-sided t p-value itself.
 
 Tests: t-ratio (with explicit one/two-sided handling), scalar Wald,
 likelihood ratio and Lagrange multiplier; one rule for a parameter's t-test
@@ -21,11 +23,6 @@ from .estimation import _ascent_direction
 from .model import SIDEDNESS_CHOICES
 
 _SQRT2 = math.sqrt(2.0)
-
-# Incomplete-gamma evaluation: relative convergence target and iteration cap.
-_GAMMA_EPS = 1e-16
-_GAMMA_MAX_ITER = 600
-_FPMIN = 1e-300
 
 #: Log-likelihood slack allowed before a "restricted" model beating the
 #: general one is treated as a nesting violation.
@@ -64,72 +61,25 @@ def z_for_level(level):
     return normal_quantile(1.0 - (1.0 - level) / 2.0)
 
 
-def _gamma_p_series(a, x):
-    # Lower regularized gamma by power series; valid fastest for x < a + 1.
-    if x == 0.0:
-        return 0.0
-    log_prefactor = a * math.log(x) - x - math.lgamma(a)
-    term = 1.0 / a
-    total = term
-    n = a
-    for _ in range(_GAMMA_MAX_ITER):
-        n += 1.0
-        term *= x / n
-        total += term
-        if abs(term) < abs(total) * _GAMMA_EPS:
-            return total * math.exp(log_prefactor)
-    raise ArithmeticError(f"incomplete gamma series did not converge for a={a}, x={x}")
-
-
-def _gamma_q_continued_fraction(a, x):
-    # Upper regularized gamma by Lentz's continued fraction; for x >= a + 1.
-    log_prefactor = a * math.log(x) - x - math.lgamma(a)
-    b = x + 1.0 - a
-    c = 1.0 / _FPMIN
-    d = 1.0 / b if b != 0.0 else 1.0 / _FPMIN
-    h = d
-    for i in range(1, _GAMMA_MAX_ITER + 1):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < _FPMIN:
-            d = _FPMIN
-        c = b + an / c
-        if abs(c) < _FPMIN:
-            c = _FPMIN
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _GAMMA_EPS:
-            return math.exp(log_prefactor) * h
-    raise ArithmeticError(f"incomplete gamma fraction did not converge for a={a}, x={x}")
-
-
-def _chisq_tail(x, df):
-    """(tail, lower): the tail of chi2(df) at x that converges fast, the lower
-    one when ``lower`` is true, so that the other is 1 - tail."""
+def _chisq1_root(x, df):
+    """√(x/2) for a chi2(1) statistic ``x``: erf and erfc there are the normal
+    mass inside and outside ±√x. Only ``df`` 1 is supported."""
     x = float(x)
     if math.isnan(x) or x < 0.0:
         raise ValueError(f"chi-square statistic must be >= 0, got {x}")
-    df_value = float(df)
-    if not df_value.is_integer() or df_value < 1:
-        raise ValueError(f"degrees of freedom must be a positive integer, got {df}")
-    a, half = df_value / 2.0, x / 2.0
-    if half < a + 1.0:
-        return _gamma_p_series(a, half), True
-    return _gamma_q_continued_fraction(a, half), False
+    if df != 1:
+        raise ValueError(f"only 1 degree of freedom is supported, got {df}")
+    return math.sqrt(x / 2.0)
 
 
 def chisq_cdf(x, df):
-    """Chi-square CDF: regularized lower incomplete gamma P(df/2, x/2)."""
-    tail, lower = _chisq_tail(x, df)
-    return tail if lower else 1.0 - tail
+    """Chi-square(1) CDF: erf(√(x/2)), the normal mass within √x of 0."""
+    return math.erf(_chisq1_root(x, df))
 
 
 def chisq_sf(x, df):
-    """Upper tail 1 - chisq_cdf, computed directly for far-tail precision."""
-    tail, lower = _chisq_tail(x, df)
-    return 1.0 - tail if lower else tail
+    """Chi-square(1) upper tail erfc(√(x/2)), computed directly for far-tail precision."""
+    return math.erfc(_chisq1_root(x, df))
 
 
 @dataclass(frozen=True)
@@ -208,45 +158,39 @@ def t_test(estimate, se, h0_value=0.0, sidedness="auto"):
 def wald_test(estimate, se, h0_value=0.0):
     """Scalar Wald test: W = t^2 against chi-square with 1 df.
 
-    Equals the two-sided t-ratio p-value, since the square of a standard
-    normal is chi-square(1).
+    The square of a standard normal is chi-square(1), so the p-value is the
+    two-sided t-ratio p-value of the same t.
     """
-    se = float(se)
-    if not se > 0.0:
-        raise ValueError(f"standard error must be positive, got {se}")
-    t = (float(estimate) - float(h0_value)) / se
-    w = t * t
+    t = t_test(estimate, se, h0_value, sidedness="two_sided")
     return TestResult(
         method="wald",
-        statistic=w,
+        statistic=t.statistic * t.statistic,
         df=1,
         sidedness="chi_square",
-        p_value=chisq_sf(w, 1),
-        h0_description=f"H0: value = {float(h0_value):g} vs H1: value != {float(h0_value):g}",
+        p_value=t.p_value,
+        h0_description=t.h0_description,
     )
 
 
-def _chi_square_test(method, d, statistic):
-    """TestResult of ``method`` against chi2(d). ``d`` is checked before
-    ``statistic()``, which runs the test's own checks and returns its
-    statistic; a negative statistic is rounding and counts as 0."""
-    d_value = float(d)
-    if not d_value.is_integer() or d_value < 1:
-        raise ValueError(f"number of restrictions must be a positive integer, got {d}")
-    df = int(d_value)
-    value = max(0.0, float(statistic()))
+def _chi_square_test(method, statistic):
+    """TestResult of ``method`` against chi2(1); a negative statistic is
+    rounding and counts as 0."""
+    statistic = float(statistic)
+    if not math.isfinite(statistic):
+        raise ValueError(f"{method} statistic must be finite, got {statistic}")
+    value = max(0.0, statistic)
     return TestResult(
         method=method,
         statistic=value,
-        df=df,
+        df=1,
         sidedness="chi_square",
-        p_value=chisq_sf(value, df),
-        h0_description=f"H0: {df} restriction(s) hold",
+        p_value=chisq_sf(value, 1),
+        h0_description="H0: 1 restriction(s) hold",
     )
 
 
-def lr_test(ll_general, ll_restricted, d):
-    """Likelihood ratio test: LR = 2(LL_general - LL_restricted) ~ chi2(d).
+def lr_test(ll_general, ll_restricted):
+    """Likelihood ratio test of one restriction: LR = 2(LL_general - LL_restricted) ~ chi2(1).
 
     The general model must nest the restricted one, so its log-likelihood can
     fall below the restricted one only by optimizer noise; beyond 1e-8 that
@@ -254,26 +198,22 @@ def lr_test(ll_general, ll_restricted, d):
     """
     ll_general = float(ll_general)
     ll_restricted = float(ll_restricted)
-
-    def statistic():
-        if ll_general < ll_restricted - NESTING_TOLERANCE:
-            raise NestingError(
-                f"general log-likelihood {ll_general:.6f} is below the restricted "
-                f"one {ll_restricted:.6f}; the models are not nested or an "
-                "optimisation failed"
-            )
-        return 2.0 * (ll_general - ll_restricted)
-
-    return _chi_square_test("lr", d, statistic)
+    if ll_general < ll_restricted - NESTING_TOLERANCE:
+        raise NestingError(
+            f"general log-likelihood {ll_general:.6f} is below the restricted "
+            f"one {ll_restricted:.6f}; the models are not nested or an "
+            "optimisation failed"
+        )
+    return _chi_square_test("lr", 2.0 * (ll_general - ll_restricted))
 
 
-def lm_test_at(design, fit, d):
-    """LM test from a fit of the general-model ``design`` holding the
-    restrictions (``estimate_design``'s ``hold``): g'(-H)^-1 g from the fit's
-    own gradient and Hessian at its estimate, Newton on the negative analytic
-    Hessian, else the BHHH step of ``design.bhhh``, as the optimiser steps."""
+def lm_test_at(design, fit):
+    """LM test of one restriction from a fit of the general-model ``design``
+    holding it (``estimate_design``'s ``hold``): g'(-H)^-1 g ~ chi2(1) from the
+    fit's own gradient and Hessian at its estimate, Newton on the negative
+    analytic Hessian, else the BHHH step of ``design.bhhh``, as the optimiser steps."""
     g, h = fit.gradient, fit.hessian_at_optimum
-    return _chi_square_test("lm", d, lambda: g @ _ascent_direction(design, fit.params_hat, g, h)[0])
+    return _chi_square_test("lm", g @ _ascent_direction(design, fit.params_hat, g, h)[0])
 
 
 def asymptotic_ci(estimate, se, level=0.95, method="asymptotic_classical"):

@@ -202,8 +202,8 @@ def _size_power_cell(direction, config, rep, effect, design, truth):
         "p_t_robust_one": one["t_robust"].p_value,
         "p_t_robust_two": two["t_robust"].p_value,
         "p_wald": two["wald"].p_value,
-        "p_lr": lr_test(general.ll_hat, restricted.ll_hat, 1).p_value,
-        "p_lm": lm_test_at(design, restricted, 1).p_value,
+        "p_lr": lr_test(general.ll_hat, restricted.ll_hat).p_value,
+        "p_lm": lm_test_at(design, restricted).p_value,
     }
     for method in REJECTION_METHODS:
         row[f"reject_{method}"] = bool(row[f"p_{method}"] < config.alpha)

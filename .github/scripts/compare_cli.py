@@ -15,11 +15,17 @@ drawn with ``perfbench/inputs.py`` of CHANGE_ROOT (imported, never written):
   3 for 4 parameters (a singular covariance);
 - 40 binary choices, each of the faster mode, so that the time coefficient
   runs away (perfect separation) and the fit warns;
+- 40 binary choices whose one attribute is of order 1e-160, so that the
+  information matrix is subnormal and its inverse would overflow (a
+  singular covariance);
 - a 50-replication size/power ``montecarlo`` config;
 - a 50-replication coverage ``montecarlo`` config whose generator draws
   from every attribute distribution, restricts rules to some alternatives,
   perturbs ``b_tt`` per person and runs a 10-draw bootstrap per
-  replication, so that every draw path of the simulator runs.
+  replication, so that every draw path of the simulator runs;
+- a 50-replication size/power config whose attribute is one constant on
+  every alternative, collinear with a constant (every fit singular, which
+  the config's validation warns of).
 
 The paths: ``estimate`` (with and without ``--starts 3``, and with
 ``--sided one`` and ``--sided two``, which on the reference spec's ``less``
@@ -29,8 +35,9 @@ spec with a constant on every alternative) and from a singular covariance,
 exit 3 from a fit that does not converge (``estimate``, with and without
 ``--starts 3``, and ``bootstrap``; one iteration at an unreachable
 tolerance, set through the estimation module's constants) and from
-``bootstrap --S 5``, ``estimate`` of the separated choices, ``montecarlo``
-of each config, the same with fits that do not converge (at ``--jobs 1``,
+``bootstrap --S 5``, ``estimate`` of the separated choices and of the
+tiny attribute, ``montecarlo`` of each config (the constant attribute's at
+``--jobs 1``), the same with fits that do not converge (at ``--jobs 1``,
 so that the patched constants hold in the one process that runs the
 cells), and ``report`` of the first ``estimate``'s results.
 
@@ -99,6 +106,12 @@ PATHS = {
         ("-c", STUCK), ("montecarlo", "--config", "../inputs/coverage.json", "--jobs", "1"),
     ),
     "report": (CLI, ("report", "--results", "out/estimate/results.json", *TABLE)),
+    "estimate-tiny-attribute": (
+        CLI, ("estimate", "--data", "../inputs/tiny/data.csv", "--spec", "../inputs/tiny/spec.json"),
+    ),
+    "montecarlo-constant-attribute": (
+        CLI, ("montecarlo", "--config", "../inputs/constant_attribute.json", "--jobs", "1"),
+    ),
 }
 SHOWN_DIFF_LINES = 40
 
@@ -148,6 +161,29 @@ def write_inputs(directory, inputs):
         "heterogeneity": {"b_tt": 0.01},
     }
     (directory / "coverage.json").write_text(json.dumps(coverage, indent=2) + "\n", encoding="utf-8")
+    # b_x * x on alternative a, x uniform(1, 2) * 1e-160: the information is about 1e-319.
+    rng, lines = random.Random(5), ["person_id,obs_id,alt_id,avail,chosen,x"]
+    for person in range(1, 41):
+        chosen = rng.choice(("a", "b"))
+        lines += [
+            f"p{person},p{person}.1,{alt},1,{int(alt == chosen)},{rng.uniform(1.0, 2.0) * 1e-160!r}"
+            for alt in ("a", "b")
+        ]
+    b_x = {"name": "b_x", "start": 0.0, "fixed": False, "fixed_value": 0.0, "h0_value": 0.0, "alternative": "auto"}
+    tiny = {"alternatives": ["a", "b"], "parameters": [b_x], "utilities": {"a": [{"param": "b_x", "attribute": "x"}]}}
+    (directory / "tiny").mkdir()
+    (directory / "tiny" / "data.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    (directory / "tiny" / "spec.json").write_text(json.dumps(tiny, indent=2) + "\n", encoding="utf-8")
+    # x is 2 on both alternatives, so b_x * x on b alone is twice the constant asc_b.
+    constant = inputs.montecarlo_config(1, n_persons=100, replications=50, effect_sizes=(0.0,))
+    constant["spec"] = {
+        "alternatives": ["a", "b"],
+        "parameters": [{**b_x, "name": "asc_b"}, b_x],
+        "utilities": {"b": [{"param": "asc_b", "attribute": "_const"}, {"param": "b_x", "attribute": "x"}]},
+    }
+    constant["generator"] = {"attributes": [{"name": "x", "dist": "constant", "value": 2.0}], "heterogeneity": {}}
+    constant.update(true_params={"asc_b": 0.5, "b_x": 0.0}, target_parameter="b_x")
+    (directory / "constant_attribute.json").write_text(json.dumps(constant, indent=2) + "\n", encoding="utf-8")
 
 
 def run_paths(root, cwd):

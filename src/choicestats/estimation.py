@@ -93,7 +93,6 @@ class EstimationResult(PointEstimate):
     gradient: np.ndarray
     hessian_at_optimum: np.ndarray
     start_index: int = 0
-    identification: IdentificationReport | None = None
 
 
 def check_identification(hessian, names=None):
@@ -127,10 +126,7 @@ def _ascent_direction(design, params, gradient, hessian, block=...):
     # (direction, newton): Newton when -H is positive definite, else the BHHH
     # direction built from person-grouped score outer products, cut by
     # ``block`` (np.ix_ of the free entries, or ... for all) as gradient and hessian are.
-    # DesignArrays.derivatives returns a bitwise-symmetric Hessian, so only
-    # finiteness is checked.
-    if not np.isfinite(hessian).all():
-        raise ValueError("negative hessian contains non-finite entries")
+    # DesignArrays.derivatives returns the Hessian bitwise symmetric: no require_symmetric.
     try:
         return solve_positive_definite(-hessian, gradient, name="negative hessian"), True
     except IdentificationError:
@@ -228,7 +224,6 @@ def estimate_design(design, start=None, estimate_only=False, hold=()):
     if estimate_only:
         result = PointEstimate(params_hat=params, names=names, iterations=iterations, status=status)
     else:
-        singular = status == STATUS_SINGULAR_HESSIAN
         result = EstimationResult(
             params_hat=params,
             names=names,
@@ -238,7 +233,6 @@ def estimate_design(design, start=None, estimate_only=False, hold=()):
             gradient_norm=float(np.abs(g_free).max(initial=0.0)),
             gradient=gradient,
             hessian_at_optimum=hessian,
-            identification=check_identification(hessian, names=names) if singular else None,
         )
     runaway = [name for name, v in zip(names, params) if abs(v) > DIVERGENCE_BOUND]
     if runaway:
@@ -293,7 +287,7 @@ def _require_converged(fit):
         return fit
     if fit.status != STATUS_SINGULAR_HESSIAN:
         raise ConvergenceError(f"estimation did not converge (status: {fit.status})")
-    report = fit.identification  # always set on a full fit with a singular Hessian
+    report = check_identification(fit.hessian_at_optimum, names=fit.names)
     raise IdentificationError(
         f"the Hessian is singular\n  rank {report.hessian_rank}, condition number "
         f"{report.condition_number:.3e}, suspect parameters: "

@@ -15,7 +15,7 @@ from .errors import IdentificationError
 SYMMETRY_TOLERANCE = 1e-8
 
 #: A solve or an inverse refuses a matrix whose smallest |eigenvalue| is at
-#: most this fraction of its largest.
+#: most this fraction of its largest, or has a reciprocal that is not a finite float.
 SINGULAR_RATIO = 1e-12
 
 #: Eigenvalues with |value| at most this fraction of the largest mark the
@@ -38,26 +38,37 @@ def require_symmetric(matrix, tolerance=SYMMETRY_TOLERANCE, name="matrix"):
     return (m + m.T) / 2.0
 
 
-def invert_symmetric(matrix, name="matrix"):
-    """Invert a symmetric matrix through its eigendecomposition.
-
-    Eigenvalues with |value| <= SINGULAR_RATIO * max|value| mark the matrix
-    as numerically singular and raise IdentificationError with the condition
-    diagnostics attached to the message.
-    """
-    m = require_symmetric(matrix, name=name)
-    w, v = np.linalg.eigh(m)
-    absw = np.abs(w)
-    largest = float(absw.max(initial=0.0))
-    if largest == 0.0:
+def _refused_or_eigh(matrix, name, solve=False):
+    """(eigenvalues, eigenvectors) of a finite, bitwise-symmetric matrix,
+    refused with IdentificationError by the one rule of every solve and
+    inverse (see SINGULAR_RATIO); a matrix to ``solve`` with must also be
+    positive definite. Non-finite entries raise ValueError."""
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"{name} contains non-finite entries")
+    w, v = np.linalg.eigh(matrix)
+    # eigh sorts w ascending, so a solve, whose w must be positive, reads the ends.
+    ends = w if solve else np.sort(np.abs(w))
+    smallest, largest = float(ends[0]), float(ends[-1])
+    if smallest > SINGULAR_RATIO * largest:
+        if 1.0 / smallest < np.inf:
+            return w, v
+        problem = f"is numerically singular: its smallest |eigenvalue| {smallest:.3e} has no finite reciprocal"
+    elif solve:
+        problem = "is not positive definite"
+    elif largest == 0.0:
         raise IdentificationError(f"{name} is exactly zero and cannot be inverted")
-    smallest = float(absw.min())
-    if smallest <= SINGULAR_RATIO * largest:
-        raise IdentificationError(
-            f"{name} is numerically singular: |eigenvalue| ratio "
-            f"{smallest / largest:.3e} at threshold {SINGULAR_RATIO:.0e} "
-            f"(eigenvalue range [{w.min():.6e}, {w.max():.6e}])"
+    else:
+        problem = (
+            f"is numerically singular: |eigenvalue| ratio {smallest / largest:.3e} "
+            f"at threshold {SINGULAR_RATIO:.0e}"
         )
+    raise IdentificationError(f"{name} {problem} (eigenvalue range [{w[0]:.6e}, {w[-1]:.6e}])")
+
+
+def invert_symmetric(matrix, name="matrix"):
+    """Inverse of a symmetric matrix from its eigendecomposition; a numerically
+    singular one raises IdentificationError with its condition diagnostics."""
+    w, v = _refused_or_eigh(require_symmetric(matrix, name=name), name)
     inv = (v / w) @ v.T
     return (inv + inv.T) / 2.0
 
@@ -65,17 +76,10 @@ def invert_symmetric(matrix, name="matrix"):
 def solve_positive_definite(matrix, rhs, name="matrix"):
     """Solve matrix @ x = rhs for a finite, bitwise-symmetric matrix that is
     strictly positive definite; callers holding outside input pass it
-    through :func:`require_symmetric` first.
-
-    Used for ascent directions, where an indefinite or singular matrix must
-    trigger the caller's fallback rather than produce a garbage direction.
-    """
-    # eigh returns the eigenvalues in ascending order.
-    w, v = np.linalg.eigh(matrix)
-    if w[-1] <= 0.0 or w[0] <= SINGULAR_RATIO * w[-1]:
-        raise IdentificationError(
-            f"{name} is not positive definite (eigenvalue range [{w[0]:.6e}, {w[-1]:.6e}])"
-        )
+    through :func:`require_symmetric` first. Any other matrix raises
+    IdentificationError, on which an ascent direction falls back rather
+    than take a garbage step."""
+    w, v = _refused_or_eigh(matrix, name, solve=True)
     return v @ ((v.T @ np.asarray(rhs, dtype=float)) / w)
 
 

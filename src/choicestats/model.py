@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
-from itertools import compress
 from typing import Mapping
 
 import numpy as np
@@ -290,7 +288,8 @@ class DesignArrays:
     avail : ndarray of bool, shape (n_obs, n_alts)
     chosen : ndarray of int, shape (n_obs,)
     person_index : ndarray of int, shape (n_obs,)
-        Position of the observation's person in ``person_ids``.
+        Position of the observation's person in the dataset's ``persons()``;
+        in a weighted design, among the persons it keeps.
     person_weights : ndarray, shape (n_persons,)
         How many times each person counts in the likelihood, its derivatives
         and the BHHH matrix: ones for a compiled or simulated dataset, the
@@ -302,7 +301,6 @@ class DesignArrays:
     avail: np.ndarray
     chosen: np.ndarray
     person_index: np.ndarray
-    person_ids: list[str]
     free_names: list[str]
     start_values: np.ndarray
     person_weights: np.ndarray
@@ -338,7 +336,7 @@ class DesignArrays:
 
     @property
     def n_persons(self):
-        return len(self.person_ids)
+        return self.person_weights.size
 
     def probabilities(self, params):
         """Choice probabilities with max-utility subtraction, (n_obs, n_alts).
@@ -445,7 +443,6 @@ class DesignArrays:
             avail=np.take(self._avail_t, rows, axis=1).T,
             chosen=self.chosen[rows],
             person_index=(np.cumsum(keep) - 1)[self.person_index[rows]],
-            person_ids=list(compress(self.person_ids, keep)),
             free_names=list(self.free_names),
             start_values=self.start_values.copy(),
             person_weights=weights[keep],
@@ -525,15 +522,12 @@ def build_design(dataset, spec):
                 f"= ({n_obs} * {top / n_obs:.3g})^2 is not a finite float; rescale it"
             )
 
-    person_ids = dataset.persons()
-    person_pos = {pid: i for i, pid in enumerate(person_ids)}
+    person_pos = {pid: i for i, pid in enumerate(dataset.persons())}
     chosen = np.array(dataset.chosen, dtype=np.int64)
     person_index = np.array([person_pos[pid] for pid in dataset.person_ids], dtype=np.int64)
     X, offset = _compile(spec, columns, avail)
-    ones = np.ones(len(person_ids))
-    return DesignArrays(
-        X, offset, avail, chosen, person_index, person_ids, spec.free_names(), spec.starts(), ones
-    )
+    ones = np.ones(len(person_pos))
+    return DesignArrays(X, offset, avail, chosen, person_index, spec.free_names(), spec.starts(), ones)
 
 
 def _compile(spec, columns, avail):
@@ -613,13 +607,15 @@ class GeneratorSpec:
             attributes.append(entry)
         return {"attributes": attributes, "heterogeneity": dict(self.heterogeneity)}
 
-    def check_against(self, spec):
+    def check_against(self, spec, stacklevel=2):
         """Alternatives each attribute is drawn for; raises SpecMismatchError
         unless the rules draw every attribute ``spec`` uses, once per
         alternative, from the fields of its distribution alone, and every sd
-        and high - low is finite and not negative."""
+        and high - low is finite and not negative. Warns, at ``stacklevel``, of an
+        attribute constant on every alternative that multiplies a free parameter."""
+        free = spec.free_names()
         for name, sd in self.heterogeneity.items():
-            if name not in spec.free_names():
+            if name not in free:
                 raise SpecMismatchError(f"heterogeneity declared for unknown free parameter '{name}'")
             if not 0.0 <= sd < np.inf:
                 raise SpecMismatchError(
@@ -659,6 +655,16 @@ class GeneratorSpec:
                         f"alternative '{alt}' references attribute '{term.attribute}', "
                         "which the generator does not draw for it"
                     )
+        referenced = {t.attribute for terms in spec.utilities.values() for t in terms if t.param in free}
+        for rule in self.attributes:
+            if rule.dist == "constant" and rule.alternatives is None and rule.name in referenced:
+                warnings.warn(
+                    f"attribute '{rule.name}' is constant across alternatives and "
+                    "observations but multiplies a free parameter; the model may "
+                    "not be identified",
+                    IdentificationRiskWarning,
+                    stacklevel=stacklevel,
+                )
         return carried
 
 
@@ -685,20 +691,16 @@ def simulate_dataset(spec, true_params, generator, n_persons, obs_per_person, se
         name: np.tile([alt in carried[name] for alt in spec.alternatives], (design.n_obs, 1))
         for name in values
     }
+    persons = [f"p{person + 1:06d}" for person in range(n_persons)]
     return Dataset(
         list(spec.alternatives),
-        [pid for pid in design.person_ids for _ in range(obs_per_person)],
-        [f"{pid}.{t}" for pid in design.person_ids for t in range(1, obs_per_person + 1)],
+        [pid for pid in persons for _ in range(obs_per_person)],
+        [f"{pid}.{t}" for pid in persons for t in range(1, obs_per_person + 1)],
         design.chosen.copy(),
         np.ones((design.n_obs, design.n_alts), dtype=bool),
         {name: np.where(masks[name], draws, np.nan) for name, draws in values.items()},
         masks,
     )
-
-
-@lru_cache(maxsize=8)
-def _person_ids(n_persons):
-    return tuple(f"p{person + 1:06d}" for person in range(n_persons))
 
 
 def _beta(free, true_params):
@@ -721,18 +723,7 @@ def _simulate(spec, truths, generator, n_persons, obs_per_person, seed):
         raise ValueError("n_persons and obs_per_person must be positive")
     free = spec.free_names()
     betas = [_beta(free, truth) for truth in truths]
-    carried = generator.check_against(spec)
-
-    referenced = {t.attribute for terms in spec.utilities.values() for t in terms if t.param in free}
-    for rule in generator.attributes:
-        if rule.dist == "constant" and rule.alternatives is None and rule.name in referenced:
-            warnings.warn(
-                f"attribute '{rule.name}' is constant across alternatives and "
-                "observations but multiplies a free parameter; the model may "
-                "not be identified",
-                IdentificationRiskWarning,
-                stacklevel=3,
-            )
+    carried = generator.check_against(spec, stacklevel=4)
 
     rng = np.random.default_rng(seed)
     n_obs = n_persons * obs_per_person
@@ -774,7 +765,6 @@ def _simulate(spec, truths, generator, n_persons, obs_per_person, seed):
         cum = np.cumsum(_softmax(v), axis=0)
         chosen = np.minimum((cum < u).sum(axis=0), j_count - 1)
         designs.append(DesignArrays(
-            X, offset, avail, chosen, person_of_obs, list(_person_ids(n_persons)), list(free),
-            spec.starts(), np.ones(n_persons),
+            X, offset, avail, chosen, person_of_obs, list(free), spec.starts(), np.ones(n_persons),
         ))
     return designs, values, carried

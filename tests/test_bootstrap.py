@@ -107,11 +107,12 @@ class TestBootstrapRun:
         terms = design.person_terms(design.probabilities(mle), information=True)
         given = bootstrap_run(design, s_samples=5, base_seed=1, mle=mle)
         assert len(starts) == 5
-        for replicate, start in starts:
-            counts = np.zeros(design.n_persons)
-            counts[[design.person_ids.index(p) for p in replicate.person_ids]] = (
-                replicate.person_weights
-            )
+        n = design.n_persons
+        for s, (replicate, start) in enumerate(starts):
+            # Replicate s draws its persons with the seed (base_seed, s).
+            drawn = np.random.default_rng(seed_from(1, s)).integers(0, n, n)
+            counts = np.bincount(drawn, minlength=n)
+            assert replicate.person_weights.tolist() == counts[counts > 0].tolist()
             want = bootstrap_module._one_step_start(mle, terms, counts)
             assert np.array_equal(start, want) and not np.array_equal(start, mle)
         # Without one, the run fits the full sample first, from the declared

@@ -335,6 +335,27 @@ class TestExitCodes:
         assert main(argv) == 1
         assert "partial estimate results (status singular_covariance)" in capsys.readouterr().err
 
+    def test_a_subnormal_information_matrix_exits_2_with_partial_results(self, tmp_path, capsys):
+        # x of order 1e-160 puts the information near 1e-319, a subnormal whose
+        # reciprocal overflows: the covariance is refused rather than written as inf.
+        rng = np.random.default_rng(5)
+        data = hand_dataset(["a", "b"], [
+            (f"p{i}", f"p{i}.1", i % 2, (True, True), tuple({"x": v} for v in rng.uniform(1.0, 2.0, 2) * 1e-160))
+            for i in range(40)
+        ])
+        spec = model.ModelSpec(["a", "b"], [model.ParameterDef("b_x")], {"a": [model.UtilityTerm("b_x", "x")]})
+        save_dataset(data, tmp_path / "data.csv")
+        save_model_spec(spec, tmp_path / "spec.json")
+        fit = tmp_path / "fit"
+        argv = [
+            "estimate", "--data", str(tmp_path / "data.csv"), "--spec", str(tmp_path / "spec.json"), "--out", str(fit),
+        ]
+        assert main(argv) == 2
+        assert "negative hessian is numerically singular" in capsys.readouterr().err
+        partial = read_json(fit / "results.json")
+        assert partial["status"] == "singular_covariance" and set(partial["estimates"]) == {"b_x"}
+        assert read_json(fit / "manifest.json")["output_paths"] == ["results.json"]
+
     def test_nonconvergence_exits_3(self, cli_files, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(estimation_module, "estimate_design", stuck_fit)
         assert run_estimate(cli_files, tmp_path) == 3

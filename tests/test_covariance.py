@@ -1,5 +1,8 @@
 """Covariance estimators and their relations."""
 
+import warnings
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -147,6 +150,16 @@ class TestLinalgHelpers:
         m = np.diag([1.0, -1.0])
         with pytest.raises(IdentificationError):
             solve_positive_definite(m, np.ones(2))
+
+    @pytest.mark.parametrize("refuse", [
+        partial(solve_positive_definite, rhs=[1.0]), invert_symmetric,
+    ], ids=["solve", "invert"])
+    def test_a_subnormal_matrix_is_refused_without_overflow(self, refuse):
+        # 1 / 1.18e-316 is not a finite float: refused, with no RuntimeWarning.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IdentificationError, match="has no finite reciprocal"):
+                refuse([[1.18e-316]])
 
     def test_solve_positive_definite_solves(self):
         m = np.array([[4.0, 1.0], [1.0, 3.0]])

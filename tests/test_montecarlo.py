@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import warnings
 from functools import partial
 
 import numpy as np
@@ -13,11 +14,17 @@ import choicestats.montecarlo as montecarlo_module
 from choicestats import (
     MIN_DRAWS,
     REJECTION_METHODS,
+    AttributeRule,
     ChoiceStatsError,
     DataError,
     ExperimentConfig,
+    GeneratorSpec,
+    IdentificationRiskWarning,
+    ModelSpec,
     MonteCarloReport,
+    ParameterDef,
     ReplicateFailureWarning,
+    UtilityTerm,
     coverage_experiment,
     estimate_design,
     sampling_distribution_summary,
@@ -499,6 +506,25 @@ class TestFailureReasons:
         with pytest.warns(ReplicateFailureWarning) as caught:
             experiment(make_config(n_persons=60), jobs=1)
         assert [w.filename for w in caught] == [__file__]
+
+    def test_a_constant_attribute_warns_before_any_replication(self):
+        # x is 2 on both alternatives, and b_x * x on b alone is 2 asc_b: every
+        # fit is singular. Replications silence their warnings, so the one
+        # that explains why comes from the config's validation.
+        spec = ModelSpec(
+            ["a", "b"], [ParameterDef("asc_b"), ParameterDef("b_x")],
+            {"b": [UtilityTerm("asc_b", "_const"), UtilityTerm("b_x", "x")]},
+        )
+        config = make_config(
+            spec=spec, generator=GeneratorSpec((AttributeRule("x", dist="constant", value=2.0),)),
+            true_params={"asc_b": 0.5, "b_x": 0.0}, n_persons=100, target_parameter="b_x", effect_sizes=(0.0,),
+        )
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            report = size_and_power_experiment(config, jobs=1)
+        assert [w.category for w in caught] == [IdentificationRiskWarning, ReplicateFailureWarning]
+        assert str(caught[0].message).startswith("attribute 'x' is constant across alternatives")
+        assert "{'singular_hessian': 50}" in str(caught[1].message) and report.failures == 50
 
 
 class TestCellsReadTheEstimateRecord:

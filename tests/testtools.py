@@ -390,7 +390,6 @@ def concat_take_persons(design, person_order):
         "avail": design.avail[rows],
         "chosen": design.chosen[rows],
         "person_index": np.repeat(np.arange(len(picked)), [len(r) for r in picked]),
-        "person_ids": [f"{design.person_ids[p]}~{i}" for i, p in enumerate(person_order)],
     }
 
 
